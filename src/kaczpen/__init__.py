@@ -24,8 +24,8 @@ from .linalg import (
     DenseMatrix,
     EigenResult,
     InconsistentSystemError,
+    eigen_sym,
     gram_matrix,
-    jacobi_eigen_sym,
     lambda_min_variants,
     least_norm_solution,
     matvec,

@@ -137,21 +137,27 @@ def _solver_config(args, max_iters: int) -> SolverConfig:
 def cmd_solve(args) -> int:
     problem = load_problem(args.problem)
     cfg = _solver_config(args, args.iters)
+    # the rows the solver runs on: run_solver skips rows already normalized
+    normalize = cfg.normalize and not problem.normalized
+    run_problem = normalize_rows(problem) if normalize else problem
+    is_ls = problem.kind is ProblemKind.LS
+    # x* serves both the trace's error_sq and the summary's final error
+    x_star = (
+        least_norm_solution(run_problem.a, run_problem.b, np.zeros(run_problem.n))
+        if is_ls
+        else None
+    )
     records = []
     sink = records.append if args.trace else None
     start = time.perf_counter()
-    state = run_solver(problem, cfg, trace_sink=sink)
+    state = run_solver(run_problem, cfg, trace_sink=sink, x_star=x_star)
     wall = time.perf_counter() - start
     if args.trace:
         write_trace_csv(records, args.trace)
 
-    run_problem = normalize_rows(problem) if cfg.normalize else problem
     r = run_problem.a.data @ state.x - run_problem.b
-    if problem.kind is ProblemKind.LS:
+    if is_ls:
         final_residual = float(np.abs(r).max())
-        x_star = least_norm_solution(
-            run_problem.a, run_problem.b, np.zeros(run_problem.n)
-        )
         d = state.x - x_star
         final_error = float(d @ d)
     else:
@@ -177,6 +183,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.tol is not None:
+        raise UsageError(
+            "compare takes no --tol: its means are taken at fixed checkpoints"
+        )
     problem = load_problem(args.problem)
     methods = _parse_methods(args.methods)
     checkpoints = _parse_checkpoints(args.checkpoints)

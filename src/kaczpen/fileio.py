@@ -6,6 +6,13 @@ import os
 import tempfile
 
 
+def _current_umask() -> int:
+    # the umask can only be read by setting it; restore it at once
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file and rename, so readers never
     observe a half-written file."""
@@ -14,6 +21,8 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the file the mode open() would have
+        os.chmod(tmp, 0o666 & ~_current_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -103,78 +103,26 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-# Relative thresholds shared by the symmetric eigensolver and the
-# pseudo-inverse built on top of it.
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_MAX_N = 2000
+# Relative thresholds: the symmetry check on eigen_sym's input, and the
+# cut-off below which an eigenvalue of a Gram matrix counts as zero.
+_SYM_REL_TOL = 1e-12
 _PINV_REL_TOL = 1e-10
 
 
-def jacobi_eigen_sym(g: DenseMatrix) -> EigenResult:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigen_sym(g: DenseMatrix) -> EigenResult:
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd`` via eigh).
 
-    Sweeps rotate every (p, q) pair in row order until every off-diagonal
-    magnitude falls at or below 1e-12 * ||G||_F, with a hard cap of 100
-    sweeps.  Matrices larger than 2000x2000 are refused, as is any input
-    whose asymmetry exceeds 1e-12 * ||G||_F.
+    Refuses non-square input and any input whose asymmetry exceeds
+    1e-12 * ||G||_F; only the lower triangle is read otherwise.
     """
     if g.rows != g.cols:
         raise ValueError(f"expected a square matrix, got {g.rows}x{g.cols}")
-    n = g.rows
-    if n > _JACOBI_MAX_N:
-        raise ValueError(f"matrix order {n} exceeds the {_JACOBI_MAX_N} cap")
     fro = float(np.sqrt(g.frobenius_sq))
     sym_gap = float(np.abs(g.data - g.data.T).max())
-    if sym_gap > _JACOBI_OFF_TOL * fro:
+    if sym_gap > _SYM_REL_TOL * fro:
         raise ValueError(f"matrix is not symmetric (gap {sym_gap:.3e})")
-
-    a = np.array(g.data, dtype=np.float64)
-    v = np.eye(n)
-    off_tol = _JACOBI_OFF_TOL * fro
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.abs(np.triu(a, 1)).max()) if n > 1 else 0.0
-        if off <= off_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= off_tol:
-                    continue
-                # classic 2x2 symmetric Schur rotation, smaller root for t
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        converged = False
-    if not converged:
-        off = float(np.abs(np.triu(a, 1)).max())
-        raise ConvergenceError(
-            f"jacobi sweeps exhausted with off-diagonal {off:.3e} > {off_tol:.3e}"
-        )
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return EigenResult(eigenvalues=w[order], eigenvectors=v[:, order])
+    w, v = np.linalg.eigh(g.data)
+    return EigenResult(eigenvalues=w, eigenvectors=v)
 
 
 def lambda_min_variants(a: DenseMatrix) -> tuple[float, float]:
@@ -185,8 +133,7 @@ def lambda_min_variants(a: DenseMatrix) -> tuple[float, float]:
     the smallest eigenvalue above that threshold (0 if there is none).
     """
     g = gram_matrix(a)
-    eig = jacobi_eigen_sym(g)
-    w = eig.eigenvalues
+    w = np.linalg.eigvalsh(g.data)
     thresh = _PINV_REL_TOL * float(np.sqrt(g.frobenius_sq))
     lam_min = float(w[0])
     if abs(lam_min) <= thresh:
@@ -196,32 +143,22 @@ def lambda_min_variants(a: DenseMatrix) -> tuple[float, float]:
     return lam_min, lam_pos
 
 
-def _pinv_apply(g: DenseMatrix, r: np.ndarray) -> np.ndarray:
-    """G^+ r for symmetric positive semidefinite G via its eigenbasis."""
-    eig = jacobi_eigen_sym(g)
-    thresh = _PINV_REL_TOL * float(np.sqrt(g.frobenius_sq))
-    w = eig.eigenvalues
-    inv = np.where(np.abs(w) > thresh, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    vt_r = eig.eigenvectors.T @ r
-    return eig.eigenvectors @ (inv * vt_r)
-
-
 def least_norm_solution(a: DenseMatrix, b, x0) -> np.ndarray:
     """Solution of Ax = b closest to x0.
 
-    Computes x0 - A^T (A A^T)^+ (A x0 - b), with the pseudo-inverse taken
-    through the symmetric eigensolver.  Raises InconsistentSystemError when
-    the residual check ||A x - b||_inf <= 1e-8 * (1 + ||b||_inf) fails.
+    Computes x0 - A^+ (A x0 - b) from a thin SVD A = U S V^T.  Singular
+    values whose squares (the eigenvalues of A A^T) fall at or below
+    1e-10 * ||A A^T||_F are treated as zero.  Raises InconsistentSystemError
+    when the residual check ||A x - b||_inf <= 1e-8 * (1 + ||b||_inf) fails.
     """
     b = as_vector(b, a.rows)
     x0 = as_vector(x0, a.cols)
-    gt = DenseMatrix(a.data @ a.data.T)
-    # mirror the upper triangle so the eigensolver sees exact symmetry
-    u = np.triu(gt.data)
-    gt = DenseMatrix(u + np.triu(gt.data, 1).T)
+    u, s, vt = np.linalg.svd(a.data, full_matrices=False)
+    s_sq = s * s
+    # ||A A^T||_F is the 2-norm of the eigenvalues s_i^2 of A A^T
+    keep = s_sq > _PINV_REL_TOL * float(np.sqrt(s_sq @ s_sq))
     r0 = a.data @ x0 - b
-    y = _pinv_apply(gt, r0)
-    x = x0 - a.data.T @ y
+    x = x0 - vt[keep].T @ ((u[:, keep].T @ r0) / s[keep])
     resid = float(np.abs(a.data @ x - b).max())
     if resid > 1e-8 * (1.0 + float(np.abs(b).max())):
         raise InconsistentSystemError(

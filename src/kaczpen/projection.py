@@ -24,26 +24,31 @@ def _hildreth(x, a: DenseMatrix, b, tol: float, max_sweeps: int):
     """Returns (y, lam, sweeps).  Stops when the largest single-update
     primal movement in a sweep drops to tol."""
     y = x.copy()
-    lam = np.zeros(a.rows)
-    rows = a.data
-    norms_sq = a.row_norms_sq
-    norms = np.sqrt(norms_sq)
+    # The sweep is scalar code, so it runs on Python floats and a list of
+    # row views: numpy scalars cost several times more per operation and
+    # give the same IEEE results.
+    lam = [0.0] * a.rows
+    rows = list(a.data)
+    bounds = b.tolist()
+    norms_sq = a.row_norms_sq.tolist()
+    norms = np.sqrt(a.row_norms_sq).tolist()
     for sweep in range(1, max_sweeps + 1):
         moved = 0.0
-        for i in range(a.rows):
-            r = float(rows[i] @ y) - b[i]
-            new_lam = lam[i] + r / norms_sq[i]
+        for i, row in enumerate(rows):
+            r = float(row @ y) - bounds[i]
+            lam_i = lam[i]
+            new_lam = lam_i + r / norms_sq[i]
             if new_lam < 0.0:
                 new_lam = 0.0
-            d = new_lam - lam[i]
+            d = new_lam - lam_i
             if d != 0.0:
-                y -= d * rows[i]
+                y -= d * row
                 lam[i] = new_lam
                 step = abs(d) * norms[i]
                 if step > moved:
                     moved = step
         if moved <= tol:
-            return y, lam, sweep
+            return y, np.array(lam), sweep
     raise ConvergenceError(
         f"projection sweeps exhausted with residual movement {moved:.3e}"
     )

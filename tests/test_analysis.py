@@ -283,6 +283,41 @@ def test_project_polyhedron_feasible_and_closer():
         assert np.linalg.norm(x - y) <= np.linalg.norm(x - p.x_planted) + 1e-9
 
 
+def _hildreth_reference(x, a, b, tol):
+    """Hildreth's sweep on numpy arrays and scalars, as first written."""
+    y = x.copy()
+    lam = np.zeros(a.rows)
+    norms = np.sqrt(a.row_norms_sq)
+    for sweep in range(1, 100_001):
+        moved = 0.0
+        for i in range(a.rows):
+            r = float(a.data[i] @ y) - b[i]
+            new_lam = max(lam[i] + r / a.row_norms_sq[i], 0.0)
+            d = new_lam - lam[i]
+            if d != 0.0:
+                y -= d * a.data[i]
+                lam[i] = new_lam
+                moved = max(moved, abs(d) * norms[i])
+        if moved <= tol:
+            return y, lam, sweep
+
+
+def test_hildreth_bit_identical_to_reference():
+    """The scalar sweep on Python floats changes cost, not results."""
+    from kaczpen.projection import _hildreth
+
+    rng = np.random.default_rng(8)
+    for seed, (m, n) in enumerate([(20, 10), (10, 20), (12, 6)]):
+        p = generate_feasible_lf(m, n, seed=seed + 40, active_fraction=0.3)
+        for _ in range(3):
+            x = rng.standard_normal(n) * 3
+            y, lam, sweeps = _hildreth(x, p.a, p.b, 1e-12, 100_000)
+            y_ref, lam_ref, sweeps_ref = _hildreth_reference(x, p.a, p.b, 1e-12)
+            assert np.array_equal(y, y_ref)
+            assert np.array_equal(lam, lam_ref)
+            assert sweeps == sweeps_ref
+
+
 def test_distance_halfspace_worked_value():
     p = halfspace_lf()
     assert distance_to_feasible(np.array([2.0, 0.0]), p) == pytest.approx(2.0, abs=1e-9)

@@ -200,6 +200,38 @@ def test_solve_lf_runs(capsys, tmp_path, lf_problem):
     assert records[-1].residual < records[0].residual
 
 
+def test_solve_more_rows_than_old_cap(capsys, tmp_path):
+    """m = 2500 exceeds the 2000-row cap of the Jacobi solver x* once used."""
+    path = str(tmp_path / "big.txt")
+    assert main(["generate", "--kind", "ls", "--rows", "2500", "--cols", "50",
+                 "--seed", "21", "-o", path]) == 0
+    code, stdout, stderr = run_cli(
+        capsys, "solve", path, "--method", "rk", "--iters", "100"
+    )
+    assert code == 0, stderr
+    assert "m=2500 n=50" in stdout
+
+
+def test_solve_traced_computes_x_star_once(capsys, tmp_path, ls_problem, monkeypatch):
+    from kaczpen import cli, solvers
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = cli.least_norm_solution
+    monkeypatch.setattr(cli, "least_norm_solution", counted)
+    monkeypatch.setattr(solvers, "least_norm_solution", counted)
+    code, _, _ = run_cli(
+        capsys, "solve", ls_problem, "--method", "rak", "--iters", "20",
+        "--trace", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -288,6 +320,19 @@ def test_compare_unknown_method_exits_2(capsys, tmp_path, ls_problem):
         "--trials", "1", "--checkpoints", "0",
     )
     assert code == 2
+
+
+def test_compare_rejects_tol(capsys, tmp_path, ls_problem):
+    """The means are taken at fixed checkpoints, so an early stop has no
+    meaning there; the flag must not be dropped silently."""
+    out = tmp_path / "c.csv"
+    code, _, stderr = run_cli(
+        capsys, "compare", ls_problem, "--trials", "1", "--checkpoints", "0,5",
+        "--tol", "1e-8", "-o", str(out),
+    )
+    assert code == 2
+    assert "--tol" in stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

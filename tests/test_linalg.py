@@ -6,8 +6,8 @@ import pytest
 from kaczpen.linalg import (
     DenseMatrix,
     InconsistentSystemError,
+    eigen_sym,
     gram_matrix,
-    jacobi_eigen_sym,
     lambda_min_variants,
     least_norm_solution,
     matvec,
@@ -116,40 +116,41 @@ def test_gram_matrix_exactly_symmetric():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
+# eigen_sym (LAPACK).  The test_jacobi_* names date from the cyclic Jacobi
+# solver it replaced; they are kept so that the test ids stay stable.
 
 
 def test_jacobi_2x2_known():
-    eig = jacobi_eigen_sym(DenseMatrix([[2.0, 1.0], [1.0, 2.0]]))
+    eig = eigen_sym(DenseMatrix([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(eig.eigenvalues, [1.0, 3.0], atol=1e-12)
     v = eig.eigenvectors
     np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-12)
 
 
 def test_jacobi_diagonal_input():
-    eig = jacobi_eigen_sym(DenseMatrix(np.diag([1.0, 4.0])))
+    eig = eigen_sym(DenseMatrix(np.diag([1.0, 4.0])))
     np.testing.assert_allclose(eig.eigenvalues, [1.0, 4.0], atol=0)
     np.testing.assert_allclose(np.abs(eig.eigenvectors), np.eye(2), atol=0)
 
 
 def test_jacobi_identity():
-    eig = jacobi_eigen_sym(DenseMatrix(np.eye(3)))
+    eig = eigen_sym(DenseMatrix(np.eye(3)))
     np.testing.assert_array_equal(eig.eigenvalues, np.ones(3))
 
 
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(ValueError):
-        jacobi_eigen_sym(DenseMatrix([[1.0, 2.0], [0.0, 1.0]]))
+        eigen_sym(DenseMatrix([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_jacobi_rejects_rectangular():
     with pytest.raises(ValueError):
-        jacobi_eigen_sym(DenseMatrix(np.ones((2, 3))))
+        eigen_sym(DenseMatrix(np.ones((2, 3))))
 
 
 def test_jacobi_eigenvalues_sorted():
     rng = np.random.default_rng(3)
-    eig = jacobi_eigen_sym(random_symmetric(rng, 8))
+    eig = eigen_sym(random_symmetric(rng, 8))
     assert np.all(np.diff(eig.eigenvalues) >= 0)
 
 
@@ -158,7 +159,7 @@ def test_jacobi_reconstruction_random():
     rng = np.random.default_rng(12345)
     for n in [1, 2, 3, 5, 10, 25, 50]:
         g = random_symmetric(rng, n, scale=3.0)
-        eig = jacobi_eigen_sym(g)
+        eig = eigen_sym(g)
         gnorm = float(np.sqrt(g.frobenius_sq))
         recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
         assert np.linalg.norm(recon - g.data, "fro") <= 1e-9 * max(1.0, gnorm)
@@ -170,7 +171,7 @@ def test_jacobi_matches_numpy():
     rng = np.random.default_rng(99)
     for n in [2, 6, 20]:
         g = random_symmetric(rng, n)
-        eig = jacobi_eigen_sym(g)
+        eig = eigen_sym(g)
         ref = np.linalg.eigvalsh(g.data)
         np.testing.assert_allclose(
             eig.eigenvalues, ref, atol=1e-10 * max(1.0, np.abs(ref).max())
@@ -243,7 +244,7 @@ def test_least_norm_correction_in_row_space():
         x_star = least_norm_solution(a, b, x0)
         assert np.max(np.abs(raw @ x_star - b)) <= 1e-8 * (1 + np.abs(b).max())
         # null space of A = eigenvectors of AᵀA with (near) zero eigenvalue
-        eig = jacobi_eigen_sym(gram_matrix(a))
+        eig = eigen_sym(gram_matrix(a))
         w = eig.eigenvalues
         null = eig.eigenvectors[:, w <= 1e-10 * np.abs(w).max()]
         assert null.shape[1] == n - m
@@ -265,3 +266,36 @@ def test_least_norm_is_minimum_norm():
     x_star = least_norm_solution(a, b, np.zeros(6))
     ref = np.linalg.lstsq(raw, b, rcond=None)[0]
     np.testing.assert_allclose(x_star, ref, atol=1e-9)
+
+
+def test_least_norm_rank_deficient_matches_lstsq():
+    """Tall and wide rank-deficient systems whose nonzero singular values
+    span four decades: from x0 = 0, x* is lstsq's minimum-norm solution.
+    (Working on A A^T squares that spread; the Jacobi solver x* once used
+    missed here by up to 1.5e-6.)"""
+    rng = np.random.default_rng(29)
+    for m, n, r in [(30, 8, 5), (8, 30, 5), (40, 12, 6), (12, 40, 6)]:
+        u = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        raw = (u * np.logspace(0, -4, r)) @ v.T
+        b = raw @ rng.standard_normal(n)
+        x_star = least_norm_solution(DenseMatrix(raw), b, np.zeros(n))
+        ref = np.linalg.lstsq(raw, b, rcond=None)[0]
+        np.testing.assert_allclose(x_star, ref, rtol=0, atol=1e-9)
+
+
+def test_least_norm_has_no_size_cap():
+    """More than 2000 rows (the Jacobi solver's cap on A A^T) is accepted."""
+    rng = np.random.default_rng(31)
+    raw = rng.standard_normal((2500, 20))
+    x_true = rng.standard_normal(20)
+    x_star = least_norm_solution(DenseMatrix(raw), raw @ x_true, np.zeros(20))
+    np.testing.assert_allclose(x_star, x_true, rtol=0, atol=1e-9)
+
+
+def test_least_norm_zero_matrix():
+    a = DenseMatrix(np.zeros((3, 2)))
+    x0 = np.array([1.0, -1.0])
+    np.testing.assert_array_equal(least_norm_solution(a, np.zeros(3), x0), x0)
+    with pytest.raises(InconsistentSystemError):
+        least_norm_solution(a, np.ones(3), x0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kaczpen.linalg import DenseMatrix, gram_matrix, jacobi_eigen_sym
+from kaczpen.linalg import DenseMatrix, eigen_sym, gram_matrix
 from kaczpen.problems import (
     Problem,
     ProblemKind,
@@ -338,7 +338,7 @@ def test_run_solver_iterates_stay_in_row_space():
     state = run_solver(
         p, SolverConfig(method=Method.RAK, max_iters=60, seed=2), collect(records)
     )
-    eig = jacobi_eigen_sym(gram_matrix(p.a))
+    eig = eigen_sym(gram_matrix(p.a))
     w = eig.eigenvalues
     null = eig.eigenvectors[:, w <= 1e-10 * np.abs(w).max()]
     assert null.shape[1] == 4
