@@ -2,6 +2,16 @@
 linear feasibility, with penalty and multiplier step variants plus the
 analysis tooling to verify their per-step contraction behavior."""
 
+import os
+
+# The linear algebra here is small and called in loops, where BLAS threads
+# cost more than they save (and far more on a loaded machine).  This must
+# run before numpy is first imported to take effect; a value already in
+# the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .analysis import (
     AdaptiveStepReport,
     CurveReport,

@@ -230,6 +230,17 @@ def _sampling_weights(a: DenseMatrix) -> np.ndarray:
     return a.row_norms_sq / a.frobenius_sq
 
 
+def _scalar_multiplier(state: SolverState) -> float:
+    """The state's single multiplier z; the enumeration oracles follow one
+    z through a step, so per-row multipliers are refused."""
+    if np.ndim(state.z) != 0:
+        raise ValueError(
+            "per-row multipliers (z_per_row states) are not supported by "
+            "the enumeration oracles; pass a state with one scalar z"
+        )
+    return float(state.z)
+
+
 def _apply_step(problem: Problem, x, z: float, method: Method, rho: float, i: int):
     """One step of the given family on row i; returns (x', z')."""
     a, b = problem.a, problem.b
@@ -282,7 +293,7 @@ def exact_expected_step(
     if problem.m > _ENUMERATION_CAP:
         raise ValueError(f"enumeration over {problem.m} rows exceeds the cap")
     x = as_vector(state.x, problem.n)
-    z = float(state.z)
+    z = _scalar_multiplier(state)
     is_ls = problem.kind is ProblemKind.LS
     if is_ls:
         if x_star is None:
@@ -364,7 +375,7 @@ def adaptive_step_report(
     if rho <= 0.0:
         raise ValueError("state.rho must be positive")
     x = as_vector(state.x, problem.n)
-    z = float(state.z)
+    z = _scalar_multiplier(state)
     rho_next = c * rho
     is_ls = problem.kind is ProblemKind.LS
     m = problem.m

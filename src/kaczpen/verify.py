@@ -386,8 +386,9 @@ def check_lf_expected_decrease(
 
 
 def check_projection_certificates(seed: int, count: int = 8) -> PropertyResult:
-    """Projection output is feasible, dual-certified, and idempotent, and
-    feasible inputs are fixed points."""
+    """Projection output is feasible, dual-certified, and idempotent,
+    feasible inputs are fixed points, and the exact projector agrees with
+    Hildreth's sweeps on the same point."""
     rng = make_rng(seed)
     worst = 0.0
     for t in range(count):
@@ -398,11 +399,13 @@ def check_projection_certificates(seed: int, count: int = 8) -> PropertyResult:
         feas = max(float(slack.max()), 0.0)
         comp = float(np.abs(lam * slack).max())
         neg = max(0.0, -float(lam.min()))
+        exact = project_polyhedron(x, problem.a, problem.b)
+        agree = float(np.abs(exact - y).max())
         y2 = project_polyhedron(y, problem.a, problem.b)
         drift = float(np.abs(y2 - y).max())
         fixed = project_polyhedron(problem.x_planted, problem.a, problem.b)
         inside = float(np.abs(fixed - problem.x_planted).max())
-        worst = max(worst, feas, comp, neg, drift, inside)
+        worst = max(worst, feas, comp, neg, agree, drift, inside)
     return _result(
         "projection-certificates", worst <= 1e-8, f"max_violation={worst:.3e}"
     )

@@ -448,6 +448,23 @@ def test_expected_step_validation():
         exact_expected_step(p, state, Method.RPK, rho=0.0)
 
 
+def test_oracles_reject_per_row_multipliers():
+    """A z_per_row state carries one multiplier per row; both enumeration
+    oracles follow a single z, so they refuse it with a ValueError that
+    names the cause (it used to be a TypeError from float(array))."""
+    for p in (
+        normalize_rows(generate_consistent_ls(6, 3, seed=22)),
+        normalize_rows(generate_feasible_lf(6, 3, seed=23, active_fraction=0.3)),
+    ):
+        cfg = SolverConfig(method=Method.RAK, max_iters=10, z_per_row=True, seed=4)
+        state = run_solver(p, cfg)
+        assert state.z.shape == (p.m,)
+        with pytest.raises(ValueError, match="per-row multipliers"):
+            exact_expected_step(p, state, Method.RAK, rho=1.0)
+        with pytest.raises(ValueError, match="per-row multipliers"):
+            adaptive_step_report(p, state, c=1.0)
+
+
 # ---------------------------------------------------------------------------
 # adaptive_step_report
 

@@ -1,8 +1,14 @@
 """End-to-end command line behavior: generate, solve, compare, verify, plot."""
 
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
+import kaczpen
 from kaczpen.cli import main
 from kaczpen.problems import load_problem
 from kaczpen.traces import parse_trace_csv
@@ -212,6 +218,24 @@ def test_solve_more_rows_than_old_cap(capsys, tmp_path):
     assert "m=2500 n=50" in stdout
 
 
+def test_solve_traced_degenerate_lf_finishes(capsys, tmp_path):
+    """300x50 with 30% of rows tight at the planted point: every trace
+    point projects onto a degenerate vertex.  Hildreth's sweeps made this
+    run take over 10 minutes; the exact projector takes seconds."""
+    path = str(tmp_path / "lf.txt")
+    assert main(["generate", "--kind", "lf", "--rows", "300", "--cols", "50",
+                 "--seed", "1", "--active-fraction", "0.3", "-o", path]) == 0
+    trace = str(tmp_path / "t.csv")
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        capsys, "solve", path, "--method", "rak", "--iters", "2000", "--trace", trace
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0, stderr
+    assert len(parse_trace_csv(trace)) == 2001
+    assert elapsed < 30.0
+
+
 def test_solve_traced_computes_x_star_once(capsys, tmp_path, ls_problem, monkeypatch):
     from kaczpen import cli, solvers
 
@@ -414,3 +438,48 @@ def test_plot_malformed_trace_exits_3(capsys, tmp_path):
     code, _, stderr = run_cli(capsys, "plot", str(bad), "-o", str(tmp_path / "o.svg"))
     assert code == 3
     assert "line 1" in stderr
+
+
+# ---------------------------------------------------------------------------
+# running from a source tree
+
+
+def _run_python(args, env_overrides, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kaczpen.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    env.update(env_overrides)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_cli(tmp_path):
+    out = tmp_path / "p.txt"
+    proc = _run_python(["-m", "kaczpen", "generate", "--kind", "lf", "--rows", "4",
+                        "--cols", "3", "-o", str(out)], {}, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "generated kind=lf m=4 n=3" in proc.stdout
+    assert load_problem(str(out)).m == 4
+    proc = _run_python(["-m", "kaczpen", "solve"], {}, tmp_path)
+    assert proc.returncode == 2
+
+
+THREADS_PROBE = (
+    "import os; import kaczpen; "
+    "print(*(os.environ[v] for v in "
+    "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))"
+)
+
+
+def test_blas_threads_default_to_one(tmp_path):
+    proc = _run_python(["-c", THREADS_PROBE], {}, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "1"]
+
+
+def test_blas_threads_user_setting_wins(tmp_path):
+    proc = _run_python(["-c", THREADS_PROBE],
+                       {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "1", "2"]

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import kaczpen.solvers as solvers
+import kaczpen.verify as verify
 from kaczpen.cli import main
+from kaczpen.projection import _hildreth
 from kaczpen.verify import (
     SUITES,
     check_penalty_limit_matches_rk,
+    check_projection_certificates,
     check_rak_ls_dual_identity,
     check_rho_schedule,
     check_rpk_ls_residual_contraction,
@@ -93,3 +96,17 @@ def test_mutation_trips_cli_exit_code(monkeypatch, capsys):
 def test_limit_check_needs_normalized_rows():
     res = check_penalty_limit_matches_rk(seed=2, count=50)
     assert res.passed
+
+
+def test_projectors_must_agree(monkeypatch):
+    """A projector that stops early (Hildreth at a 1e-3 sweep tolerance)
+    still leaves feasible points fixed, so the idempotence and fixed-point
+    checks pass; only the cross-check against Hildreth at 1e-12 fails."""
+    assert check_projection_certificates(seed=0).passed
+
+    def loose(x, a, b):
+        return _hildreth(x, a, b, 1e-3, 100_000)[0]
+
+    monkeypatch.setattr(verify, "project_polyhedron", loose)
+    res = check_projection_certificates(seed=0)
+    assert not res.passed
