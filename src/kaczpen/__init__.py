@@ -21,6 +21,7 @@ from .analysis import (
     RateConstants,
     adaptive_step_report,
     exact_expected_step,
+    hoffman_ball,
     hoffman_estimate,
     instance_rate_factor,
     lyapunov_lf,

@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solvers
 from .linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution
-from .problems import Problem, ProblemKind
+from .problems import Problem, ProblemKind, normalize_rows
 from .projection import distance_to_feasible, project_polyhedron
-from .sampling import make_rng
+from .sampling import build_sampler, make_rng
 from .solvers import (
     Method,
+    NumericFailureError,
     SolverConfig,
     SolverState,
     rak_step_lf,
@@ -26,7 +28,6 @@ from .solvers import (
     rk_step_ls,
     rpk_step_lf,
     rpk_step_ls,
-    run_solver,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "distance_to_feasible",
     "HoffmanEstimate",
     "NoEstimateError",
+    "hoffman_ball",
     "hoffman_estimate",
     "ExpectedStepReport",
     "exact_expected_step",
@@ -51,6 +53,9 @@ __all__ = [
 
 # enumeration oracles refuse systems with more rows than this
 _ENUMERATION_CAP = 10_000
+# rows each Monte Carlo trial draws ahead in one sample_rows call; the
+# index buffer holds n_trials x _DRAW_BLOCK entries whatever the horizon
+_DRAW_BLOCK = 256
 
 
 class NoEstimateError(Exception):
@@ -179,14 +184,26 @@ class HoffmanEstimate:
     n_samples: int
 
 
+def hoffman_ball(problem: Problem) -> tuple[np.ndarray, float]:
+    """Centre and default radius of the ball the Hoffman estimate samples.
+
+    The centre is the planted point, or the projection of the origin onto
+    the feasible set when no point was planted; the radius is
+    2 (1 + ||centre||).
+    """
+    center = problem.x_planted
+    if center is None:
+        center = project_polyhedron(np.zeros(problem.n), problem.a, problem.b)
+    return center, 2.0 * (1.0 + float(np.sqrt(center @ center)))
+
+
 def hoffman_estimate(
     problem: Problem, n_samples: int, radius: float, seed: int
 ) -> HoffmanEstimate:
     """Estimate the constant L with d(x, X) <= L ||(Ax - b)+||_2.
 
     Samples points uniformly from the ball of the given radius around the
-    planted point (or around the projection of the origin when no point
-    was planted), skips feasible ones, and maximizes the ratio
+    centre given by hoffman_ball, skips feasible ones, and maximizes the ratio
     d(x, X) / ||(Ax - b)+||_2 over the rest.  The maximum can only grow
     with more samples under the same seed.
     """
@@ -196,9 +213,7 @@ def hoffman_estimate(
         raise ValueError("n_samples must be positive")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    center = problem.x_planted
-    if center is None:
-        center = project_polyhedron(np.zeros(problem.n), problem.a, problem.b)
+    center, _ = hoffman_ball(problem)
     rng = make_rng(seed)
     n = problem.n
     b_scale = 1.0 + float(np.abs(problem.b).max())
@@ -443,15 +458,24 @@ def monte_carlo_error_curve(
     """Mean squared error (Lyapunov value for the multiplier method) at
     the given iteration checkpoints, averaged over n_trials runs.
 
-    Trial t reruns the solver with seed cfg.seed + t; a checkpoint value
-    is the metric of the state after exactly that many iterations, so a
-    single trial reproduces the solve trace.  Means accumulate in trial
-    order.  The envelope uses the fixed-penalty instance factor at rho0,
-    which is a true expectation bound for equality systems.  For
-    feasibility problems the distance constant is taken from hoffman_l
-    or, failing that, a seeded internal estimate; the estimate is only a
-    sampled lower bound on the true constant, so that envelope is a
-    reference curve rather than a guarantee.
+    Trial t is the run of run_solver with seed cfg.seed + t, and a
+    checkpoint value is the metric of its state after exactly that many
+    iterations, so a single trial reproduces the solve trace.  All trials
+    advance together in one pass to the largest checkpoint: trial t's
+    iterate is row t of an (n_trials, n) array, its rows come from its own
+    sampler, drawn ahead in blocks, and every step applies the step
+    functions' formulas to all rows at once.  The residuals come from a
+    stacked matmul, which rounds exactly like the scalar row @ x, so the
+    means are bit for bit those of per-trial reruns.  Means accumulate in
+    trial order.  A non-finite iterate raises NumericFailureError for the
+    lowest-index trial that produces one, at its first such iteration.
+
+    The envelope uses the fixed-penalty instance factor at rho0, which is
+    a true expectation bound for equality systems.  For feasibility
+    problems the distance constant is taken from hoffman_l or, failing
+    that, a seeded internal estimate; the estimate is only a sampled lower
+    bound on the true constant, so that envelope is a reference curve
+    rather than a guarantee.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -461,6 +485,7 @@ def monte_carlo_error_curve(
     if ks[0] < 0:
         raise ValueError("checkpoints must be nonnegative")
     is_ls = problem.kind is ProblemKind.LS
+    method = cfg.method
 
     x0 = np.zeros(problem.n) if cfg.x0 is None else as_vector(cfg.x0, problem.n)
     if is_ls:
@@ -471,33 +496,83 @@ def monte_carlo_error_curve(
         x_star = None
         initial = distance_to_feasible(x0, problem) ** 2
 
-    def metric(state: SolverState) -> float:
-        if is_ls:
-            d = state.x - x_star
-            err = float(d @ d)
-        else:
-            err = distance_to_feasible(state.x, problem) ** 2
-        if cfg.method is Method.RAK:
-            zsq = float(np.sum(np.square(state.z)))
-            err += zsq / state.rho
-        return err
-
+    # the rows the solver runs on; the metric stays on the given problem
+    run = problem
+    if cfg.normalize and not problem.normalized:
+        run = normalize_rows(problem)
+    a, b, norms_sq = run.a.data, run.b, run.a.row_norms_sq
+    per_row = cfg.z_per_row and method is Method.RAK
+    samplers = [build_sampler(run.a, cfg.seed + t) for t in range(n_trials)]
+    x = np.tile(x0, (n_trials, 1))
+    z = np.zeros((n_trials, run.m) if per_row else n_trials)
+    rho = cfg.rho0
     sums = [0.0 for _ in ks]
-    for t in range(n_trials):
-        for j, k in enumerate(ks):
-            run_cfg = SolverConfig(
-                method=cfg.method,
-                max_iters=k,
-                rho0=cfg.rho0,
-                c=cfg.c,
-                rho_max=cfg.rho_max,
-                seed=cfg.seed + t,
-                normalize=cfg.normalize,
-                x0=cfg.x0,
-                z_per_row=cfg.z_per_row,
-            )
-            state = run_solver(problem, run_cfg)
-            sums[j] += metric(state)
+    failed_at = None
+    next_j = 0
+
+    def add_checkpoints(k: int) -> None:
+        nonlocal next_j
+        while next_j < len(ks) and ks[next_j] == k:
+            for t in range(len(x)):
+                # an array of its own, as run_solver's state.x is
+                xt = x[t].copy()
+                if is_ls:
+                    d = xt - x_star
+                    err = float(d @ d)
+                else:
+                    err = distance_to_feasible(xt, problem) ** 2
+                if method is Method.RAK:
+                    err += float(np.sum(np.square(z[t]))) / rho
+                sums[next_j] += err
+            next_j += 1
+
+    add_checkpoints(0)
+    for k in range(1, ks[-1] + 1):
+        j = (k - 1) % _DRAW_BLOCK
+        if j == 0:
+            count = min(_DRAW_BLOCK, ks[-1] - k + 1)
+            drawn = np.stack([s.sample_rows(count) for s in samplers])
+        idx = drawn[:, j]
+        rows = a[idx]
+        # (T, 1, n) @ (T, n, 1) takes the same dot as float(row @ x)
+        r = np.matmul(rows[:, None, :], x[:, :, None])[:, 0, 0] - b[idx]
+        if method is Method.RAK:
+            trials = np.arange(len(x))
+            arg = r + (z[trials, idx] if per_row else z) / rho
+        else:
+            arg = r
+        if method is Method.RK:
+            coef = arg / norms_sq[idx]
+        else:
+            coef = arg / (1.0 / rho + norms_sq[idx])
+        step = x - coef[:, None] * rows
+        if is_ls:
+            x = step
+        else:
+            # the step functions leave x (and zero z) when arg <= 0
+            moves = ~(arg <= 0.0)
+            x = np.where(moves[:, None], step, x)
+            coef = np.where(moves, coef, 0.0)
+        if method is Method.RAK:
+            if per_row:
+                z[trials, idx] = coef
+            else:
+                z = coef
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            # later trials no longer matter: trial bad fails first in
+            # trial order unless an earlier one fails later on
+            bad = int(np.argmin(finite))
+            failed_at = k
+            if bad == 0:
+                break
+            samplers, drawn = samplers[:bad], drawn[:bad]
+            x, z = x[:bad], z[:bad]
+        if method is not Method.RK:
+            rho = solvers.advance_rho(rho, cfg.c, cfg.rho_max)
+        add_checkpoints(k)
+    if failed_at is not None:
+        raise NumericFailureError(failed_at)
     means = [s / n_trials for s in sums]
 
     if is_ls:
@@ -505,21 +580,16 @@ def monte_carlo_error_curve(
         conditioning = lam_min
     else:
         if hoffman_l is None:
-            center = problem.x_planted
-            if center is None:
-                center = project_polyhedron(
-                    np.zeros(problem.n), problem.a, problem.b
-                )
-            radius = 2.0 * (1.0 + float(np.sqrt(center @ center)))
+            _, radius = hoffman_ball(problem)
             est = hoffman_estimate(
                 problem, n_samples=200, radius=radius, seed=cfg.seed + 999_983
             )
             hoffman_l = est.value
         conditioning = hoffman_l
-    factor = instance_rate_factor(problem, cfg.method, cfg.rho0, conditioning)
+    factor = instance_rate_factor(problem, method, cfg.rho0, conditioning)
     envelope = [factor**k * initial for k in ks]
     return CurveReport(
-        method=cfg.method,
+        method=method,
         checkpoints=ks,
         means=means,
         envelope=envelope,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     NoEstimateError,
+    hoffman_ball,
     hoffman_estimate,
     instance_rate_factor,
     monte_carlo_error_curve,
@@ -39,7 +40,7 @@ from .problems import (
     normalize_rows,
     save_problem,
 )
-from .projection import distance_to_feasible, project_polyhedron
+from .projection import distance_to_feasible
 from .solvers import Method, NumericFailureError, SolverConfig, run_solver
 from .svgchart import render_chart
 from .traces import RunSummary, TraceFormatError, parse_trace_csv, write_trace_csv
@@ -80,10 +81,7 @@ def _estimate_factor(problem: Problem, method: Method, rho0: float, seed: int) -
     if problem.kind is ProblemKind.LS:
         conditioning = lambda_min_variants(problem.a)[0]
     else:
-        center = problem.x_planted
-        if center is None:
-            center = project_polyhedron(np.zeros(problem.n), problem.a, problem.b)
-        radius = 2.0 * (1.0 + float(np.sqrt(center @ center)))
+        _, radius = hoffman_ball(problem)
         try:
             conditioning = hoffman_estimate(
                 problem, n_samples=64, radius=radius, seed=seed + 999_983

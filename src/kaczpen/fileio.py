@@ -30,6 +30,23 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def read_text(path: str, error: type[Exception], prefix: str = "") -> str:
+    """Read a UTF-8 text file.  Bytes that do not decode raise
+    ``error(prefix + "line N: ...")`` naming the line that holds them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; count their lines as
+        # str.splitlines does, as the parsers number lines that way
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise error(
+            f"{prefix}line {lineno}: not UTF-8 text "
+            f"(byte 0x{data[exc.start]:02x}: {exc.reason})"
+        ) from None
+
+
 def format_float(v: float) -> str:
     """Render a float with 17 significant digits (round-trips float64)."""
     return f"{v:.17g}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, format_float, read_text
 from .linalg import DenseMatrix, as_vector
 
 FORMAT_TAG = "kaczmarz-problem"
@@ -151,8 +151,7 @@ def _parse_floats(tokens: list[str], lineno: int) -> np.ndarray:
 
 def load_problem(path: str) -> Problem:
     """Parse a problem file, validating shape, finiteness and the witness."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    raw = read_text(path, ProblemFormatError).splitlines()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
         raise ProblemFormatError("line 1: empty file")
@@ -173,25 +172,36 @@ def load_problem(path: str) -> Problem:
     if len(lines) < 1 + m:
         raise ProblemFormatError(f"line {lines[-1][0]}: expected {m} data rows")
 
-    a = np.empty((m, n))
-    b = np.empty(m)
-    for i in range(m):
-        lineno, ln = lines[1 + i]
+    # rows are parsed before the matrix is built, so a header cannot make
+    # the loader allocate more than the file holds
+    rows = []
+    for lineno, ln in lines[1 : 1 + m]:
         tokens = ln.split()
         if len(tokens) != n + 1:
             raise ProblemFormatError(
                 f"line {lineno}: expected {n + 1} values, got {len(tokens)}"
             )
-        vals = _parse_floats(tokens, lineno)
-        a[i] = vals[:n]
-        b[i] = vals[n]
-        if float((vals[:n] ** 2).sum()) == 0.0:
+        rows.append(_parse_floats(tokens, lineno))
+    data = np.array(rows)
+    a, b = data[:, :n], data[:, n]
+    # the squared norms the sampler weighs rows by
+    with np.errstate(over="ignore"):
+        norms_sq = (a * a).sum(axis=1)
+    bad = np.flatnonzero((norms_sq == 0.0) | ~np.isfinite(norms_sq))
+    if bad.size:
+        lineno = lines[1 + bad[0]][0]
+        if norms_sq[bad[0]] == 0.0:
             raise ProblemFormatError(f"line {lineno}: row is identically zero")
+        raise ProblemFormatError(f"line {lineno}: squared row norm overflows")
 
     x_planted = None
+    # a Problem check that fails below is the witness check, so it names
+    # the planted line
+    witness_line = lines[0][0]
     rest = lines[1 + m :]
     if rest:
         lineno, ln = rest[0]
+        witness_line = lineno
         tokens = ln.split()
         if tokens[0] != "planted":
             raise ProblemFormatError(f"line {lineno}: unexpected content {ln!r}")
@@ -208,4 +218,4 @@ def load_problem(path: str) -> Problem:
     try:
         return Problem(kind=kind, a=mat, b=b, x_planted=x_planted, normalized=normalized)
     except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from None
+        raise ProblemFormatError(f"line {witness_line}: {exc}") from None

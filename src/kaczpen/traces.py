@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, format_float, read_text
 
 TRACE_HEADER = "k,row,rho,error_sq,residual,z,lyapunov,fresh"
 
@@ -93,8 +94,7 @@ def write_trace_csv(records: list[TraceRecord], path: str) -> None:
 
 
 def parse_trace_csv(path: str) -> list[TraceRecord]:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    raw = read_text(path, TraceFormatError, f"{path}: ").splitlines()
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
         raise TraceFormatError(f"{path}: line 1: empty trace file")
@@ -123,5 +123,9 @@ def parse_trace_csv(path: str) -> list[TraceRecord]:
             )
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: {exc}") from None
+        if not all(
+            map(math.isfinite, (rec.rho, rec.error_sq, rec.residual, rec.z, rec.lyapunov))
+        ):
+            raise TraceFormatError(f"{path}: line {lineno}: non-finite value")
         records.append(rec)
     return records

@@ -4,6 +4,7 @@ one-step expectation oracles."""
 import numpy as np
 import pytest
 
+from kaczpen import analysis
 from kaczpen.analysis import (
     NoEstimateError,
     adaptive_step_report,
@@ -16,7 +17,7 @@ from kaczpen.analysis import (
     project_affine,
     rate_constants,
 )
-from kaczpen.linalg import DenseMatrix, lambda_min_variants
+from kaczpen.linalg import DenseMatrix, lambda_min_variants, least_norm_solution
 from kaczpen.problems import (
     Problem,
     ProblemKind,
@@ -25,7 +26,14 @@ from kaczpen.problems import (
     normalize_rows,
 )
 from kaczpen.projection import distance_to_feasible, project_polyhedron
-from kaczpen.solvers import Method, SolverConfig, SolverState, rk_step_ls, run_solver
+from kaczpen.solvers import (
+    Method,
+    NumericFailureError,
+    SolverConfig,
+    SolverState,
+    rk_step_ls,
+    run_solver,
+)
 
 
 def identity_ls():
@@ -534,7 +542,7 @@ def test_mc_single_trial_matches_solve_trace():
     run_solver(p, cfg, lambda rec: records.append(rec))
     by_k = {r.k: r.error_sq for r in records}
     for k, mean in zip(rep.checkpoints, rep.means):
-        assert mean == pytest.approx(by_k[k], rel=1e-12)
+        assert mean == by_k[k]
 
 
 def test_mc_means_nonincreasing_ls():
@@ -573,3 +581,115 @@ def test_mc_validation():
         monte_carlo_error_curve(p, cfg, n_trials=1, checkpoints=[])
     with pytest.raises(ValueError):
         monte_carlo_error_curve(p, cfg, n_trials=1, checkpoints=[-1])
+
+
+def _reference_means(problem, cfg, n_trials, checkpoints):
+    """The per-trial, per-checkpoint rerun of run_solver that the batched
+    single pass replaces; its means must come out bit for bit the same."""
+    ks = sorted(checkpoints)
+    is_ls = problem.kind is ProblemKind.LS
+    x0 = np.zeros(problem.n) if cfg.x0 is None else cfg.x0
+    if is_ls:
+        x_star = least_norm_solution(problem.a, problem.b, x0)
+    sums = [0.0 for _ in ks]
+    for t in range(n_trials):
+        for j, k in enumerate(ks):
+            run_cfg = SolverConfig(
+                method=cfg.method,
+                max_iters=k,
+                rho0=cfg.rho0,
+                c=cfg.c,
+                rho_max=cfg.rho_max,
+                seed=cfg.seed + t,
+                normalize=cfg.normalize,
+                x0=cfg.x0,
+                z_per_row=cfg.z_per_row,
+            )
+            state = run_solver(problem, run_cfg)
+            if is_ls:
+                d = state.x - x_star
+                err = float(d @ d)
+            else:
+                err = distance_to_feasible(state.x, problem) ** 2
+            if cfg.method is Method.RAK:
+                err += float(np.sum(np.square(state.z))) / state.rho
+            sums[j] += err
+    return [s / n_trials for s in sums]
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("z_per_row", [False, True])
+@pytest.mark.parametrize("c", [1.0, 1.05])
+def test_mc_batched_matches_per_trial_reruns(method, kind, normalize, z_per_row, c):
+    if kind == "ls":
+        p = generate_consistent_ls(9, 4, seed=66)
+    else:
+        p = generate_feasible_lf(7, 5, seed=67, active_fraction=0.3)
+    # a nonzero start on half the cases
+    x0 = np.linspace(-1.0, 2.0, p.n) if normalize == z_per_row else None
+    cfg = SolverConfig(
+        method=method, max_iters=0, rho0=0.7, c=c, seed=13,
+        normalize=normalize, x0=x0, z_per_row=z_per_row,
+    )
+    checkpoints = [0, 3, 3, 17, 60]
+    rep = monte_carlo_error_curve(p, cfg, 4, checkpoints, hoffman_l=2.0)
+    assert rep.checkpoints == checkpoints
+    assert rep.means == _reference_means(p, cfg, 4, checkpoints)
+
+
+def test_mc_batched_spans_several_draw_blocks():
+    """Checkpoints on both sides of a draw-block boundary and one past two
+    full blocks see the same row streams as per-trial reruns."""
+    block = analysis._DRAW_BLOCK
+    p = generate_consistent_ls(12, 5, seed=68)
+    cfg = SolverConfig(method=Method.RAK, max_iters=0, rho0=0.5, c=1.01, seed=4, z_per_row=True)
+    checkpoints = [1, block, block + 1, 2 * block + 1]
+    rep = monte_carlo_error_curve(p, cfg, 3, checkpoints)
+    assert rep.means == _reference_means(p, cfg, 3, checkpoints)
+
+
+def _overflowing_lf():
+    # x0 violates only the first row, whose step lands on x1 = x2, where
+    # the second row's residual 3 x1 overflows: each trial fails the
+    # first time it draws the second row after the first
+    p = Problem(kind=ProblemKind.LF, a=DenseMatrix([[-1.0, 1.0], [3.0, 0.0]]), b=np.zeros(2))
+    return p, np.array([0.0, 1.5e308])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "seed, horizon, expected",
+    [
+        # trials 0-3 first fail at iterations 10, 10, 5, 2: trial 0's counts
+        (8, 50, 10),
+        # trials 0-3 first fail at 12, 8, 10, 10: trial 0 survives to 11,
+        # so trial 1's failure is the one a sequential loop meets first
+        (6, 11, 8),
+    ],
+)
+def test_mc_numeric_failure_names_lowest_failing_trial(seed, horizon, expected):
+    p, x0 = _overflowing_lf()
+    cfg = SolverConfig(method=Method.RK, max_iters=0, seed=seed, x0=x0)
+    with pytest.raises(NumericFailureError) as ref:
+        _reference_means(p, cfg, 4, [3, horizon])
+    with pytest.raises(NumericFailureError) as got:
+        monte_carlo_error_curve(p, cfg, 4, [3, horizon], hoffman_l=1.0)
+    assert got.value.iteration == ref.value.iteration == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_nan_residual_moves_like_the_step_functions():
+    """A nan residual (inf - inf inside the dot) is not <= 0, so the
+    feasibility steps move x by it, and the run fails at that step."""
+    p = Problem(kind=ProblemKind.LF, a=DenseMatrix(np.full((1, 16), 10.0)), b=np.zeros(1))
+    x0 = np.tile([1e308, -1e308], 8)
+    if not np.isnan(p.a.data[0] @ x0):
+        pytest.skip("this BLAS's dot does not overflow to nan here")
+    cfg = SolverConfig(method=Method.RK, max_iters=0, x0=x0)
+    with pytest.raises(NumericFailureError) as ref:
+        _reference_means(p, cfg, 2, [4])
+    with pytest.raises(NumericFailureError) as got:
+        monte_carlo_error_curve(p, cfg, 2, [4], hoffman_l=1.0)
+    assert got.value.iteration == ref.value.iteration == 1

@@ -184,6 +184,18 @@ def test_solve_malformed_problem_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_solve_huge_header_width_exits_3(capsys, tmp_path):
+    """The header's dimensions must not size an allocation before any row
+    is checked: a width of 10^11 columns fails on the first data row."""
+    bad = tmp_path / "wide.txt"
+    bad.write_text("kaczmarz-problem v1 ls 2 99999999999\n1 0 1\n0 1 1\n")
+    code, _, stderr = run_cli(
+        capsys, "solve", str(bad), "--method", "rk", "--iters", "1"
+    )
+    assert code == 3
+    assert "line 2" in stderr
+
+
 def test_solve_bad_config_exits_2(capsys, tmp_path, ls_problem):
     code, _, _ = run_cli(
         capsys, "solve", ls_problem, "--method", "rpk", "--iters", "5",

@@ -265,7 +265,16 @@ def test_load_bad_planted_line(tmp_path):
 def test_load_inconsistent_planted(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("kaczmarz-problem v1 ls 1 2\n1 0 1\nplanted 5 0\n")
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(ProblemFormatError, match="line 3: planted point violates"):
+        load_problem(str(path))
+
+
+def test_load_row_norm_overflow_named_line(tmp_path):
+    """Entries that are finite but whose squared norm overflows would make
+    the sampling weights nan; the loader names the row instead."""
+    path = tmp_path / "p.txt"
+    path.write_text("kaczmarz-problem v1 ls 2 2\n1 0 1\n1e200 1e200 1\n")
+    with pytest.raises(ProblemFormatError, match="line 3: squared row norm overflows"):
         load_problem(str(path))
 
 
