@@ -17,18 +17,7 @@ from .linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solu
 from .problems import Problem, ProblemKind, normalize_rows
 from .projection import distance_to_feasible, project_polyhedron
 from .sampling import build_sampler, make_rng
-from .solvers import (
-    Method,
-    NumericFailureError,
-    SolverConfig,
-    SolverState,
-    rak_step_lf,
-    rak_step_ls,
-    rk_step_lf,
-    rk_step_ls,
-    rpk_step_lf,
-    rpk_step_ls,
-)
+from .solvers import _DRAW_BLOCK, Method, NumericFailureError, SolverConfig, SolverState
 
 __all__ = [
     "RateConstants",
@@ -53,9 +42,6 @@ __all__ = [
 
 # enumeration oracles refuse systems with more rows than this
 _ENUMERATION_CAP = 10_000
-# rows each Monte Carlo trial draws ahead in one sample_rows call; the
-# index buffer holds n_trials x _DRAW_BLOCK entries whatever the horizon
-_DRAW_BLOCK = 256
 
 
 class NoEstimateError(Exception):
@@ -71,16 +57,25 @@ class RateConstants:
     per_step_factor: float
 
 
+def _damping(method: Method, rho: float) -> float:
+    """Damping of the step family at penalty rho: rho (rho + 2) / (1 + rho)^2
+    for the penalty step, rho / (1 + rho) for the multiplier step, and 1
+    for the plain step (its penalty-free limit)."""
+    if method is Method.RPK:
+        return rho * (rho + 2.0) / ((1.0 + rho) ** 2)
+    if method is Method.RAK:
+        return rho / (1.0 + rho)
+    return 1.0
+
+
 def rate_constants(
     method: Method, kind: ProblemKind, rho: float, conditioning: float, m: int
 ) -> RateConstants:
     """Per-step contraction constants.
 
     conditioning is the smallest eigenvalue of A^T A for equality systems
-    and the residual-to-distance constant L for feasibility systems.  The
-    damping is rho (rho + 2) / (1 + rho)^2 for the penalty step,
-    rho / (1 + rho) for the multiplier step, and 1 for the plain step
-    (its penalty-free limit).
+    and the residual-to-distance constant L for feasibility systems; the
+    damping is _damping(method, rho).
     """
     if isinstance(method, str):
         method = Method(method)
@@ -90,12 +85,7 @@ def rate_constants(
         raise ValueError("rho must be positive")
     if m < 1:
         raise ValueError("m must be positive")
-    if method is Method.RPK:
-        damping = rho * (rho + 2.0) / ((1.0 + rho) ** 2)
-    elif method is Method.RAK:
-        damping = rho / (1.0 + rho)
-    else:
-        damping = 1.0
+    damping = _damping(method, rho)
     if kind is ProblemKind.LS:
         if conditioning < 0.0:
             raise ValueError("smallest eigenvalue must be nonnegative")
@@ -159,13 +149,7 @@ def instance_rate_factor(
         raise ValueError("rho must be positive")
     s_min = float(problem.a.row_norms_sq.min())
     f_sq = problem.a.frobenius_sq
-    rho_eff = rho * s_min
-    if method is Method.RPK:
-        damping = rho_eff * (rho_eff + 2.0) / ((1.0 + rho_eff) ** 2)
-    elif method is Method.RAK:
-        damping = rho_eff / (1.0 + rho_eff)
-    else:
-        damping = 1.0
+    damping = _damping(method, rho * s_min)
     if problem.kind is ProblemKind.LS:
         if conditioning < 0.0:
             raise ValueError("smallest eigenvalue must be nonnegative")
@@ -256,20 +240,55 @@ def _scalar_multiplier(state: SolverState) -> float:
     return float(state.z)
 
 
-def _apply_step(problem: Problem, x, z: float, method: Method, rho: float, i: int):
-    """One step of the given family on row i; returns (x', z')."""
-    a, b = problem.a, problem.b
-    if problem.kind is ProblemKind.LS:
-        if method is Method.RK:
-            return rk_step_ls(x, a, b, i), z
-        if method is Method.RPK:
-            return rpk_step_ls(x, a, b, i, rho), z
-        return rak_step_ls(x, z, a, b, i, rho)
-    if method is Method.RK:
-        return rk_step_lf(x, a, b, i), z
-    if method is Method.RPK:
-        return rpk_step_lf(x, a, b, i, rho), z
-    return rak_step_lf(x, z, a, b, i, rho)
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u[t] . v[t] (v may be one vector for all rows); the stacked
+    matmul takes the same dot as the scalar float(u[t] @ v[t])."""
+    if v.ndim == 1:
+        v = np.broadcast_to(v, u.shape)
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: float, x_star):
+    """The enumeration oracles' shared core: the state's z, the squared
+    error at its x, and each row's squared error and multiplier z' after
+    one step on that row, from one call of the step kernel over all m rows.
+
+    The error is the squared distance to x_star (equality; by default the
+    solution nearest the origin) or to the feasible set (feasibility, where
+    a row that does not move keeps the base error).  Steps that carry no
+    multiplier keep z.
+    """
+    if problem.m > _ENUMERATION_CAP:
+        raise ValueError(f"enumeration over {problem.m} rows exceeds the cap")
+    a, lf = problem.a, problem.kind is ProblemKind.LF
+    x = as_vector(state.x, problem.n)
+    z = _scalar_multiplier(state)
+    if lf:
+        if method is Method.RAK and z < 0.0:
+            raise ValueError("multiplier z must be nonnegative in feasibility mode")
+        base_dist = distance_to_feasible(x, problem)
+        base_err = base_dist * base_dist
+    else:
+        if x_star is None:
+            x_star = least_norm_solution(a, problem.b, np.zeros(problem.n))
+        d = x - x_star
+        base_err = float(d @ d)
+    z_arg, rho_arg = solvers._kernel_args(method, z, rho)
+    coef, moves = solvers._step_coef(
+        _row_dots(a.data, x) - problem.b, z_arg, a.row_norms_sq, rho_arg, lf
+    )
+    x_new = x - coef[:, None] * a.data
+    if lf:
+        err = np.full(problem.m, base_err)
+        for i in np.flatnonzero(moves):
+            # an array of its own, as the step functions return
+            dist = distance_to_feasible(x_new[i].copy(), problem)
+            err[i] = dist * dist
+        coef = np.where(moves, coef, 0.0)
+    else:
+        d = x_new - x_star
+        err = _row_dots(d, d)
+    return z, base_err, err, (coef if method is Method.RAK else np.full(problem.m, z))
 
 
 @dataclass(frozen=True)
@@ -305,35 +324,13 @@ def exact_expected_step(
         method = Method(method)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if problem.m > _ENUMERATION_CAP:
-        raise ValueError(f"enumeration over {problem.m} rows exceeds the cap")
-    x = as_vector(state.x, problem.n)
-    z = _scalar_multiplier(state)
-    is_ls = problem.kind is ProblemKind.LS
-    if is_ls:
-        if x_star is None:
-            x_star = least_norm_solution(problem.a, problem.b, np.zeros(problem.n))
-        d = x - x_star
-        base_err = float(d @ d)
-    else:
-        base_dist = distance_to_feasible(x, problem)
-        base_err = base_dist * base_dist
-
-    weights = _sampling_weights(problem.a)
+    z, base_err, errs, zs = _enumerate_rows(problem, state, method, rho, x_star)
     exp_err = 0.0
     exp_zsq = 0.0
-    for i in range(problem.m):
-        x_new, z_new = _apply_step(problem, x, z, method, rho, i)
-        if is_ls:
-            d = x_new - x_star
-            err = float(d @ d)
-        elif x_new is x:
-            err = base_err
-        else:
-            dist = distance_to_feasible(x_new, problem)
-            err = dist * dist
-        exp_err += weights[i] * err
-        exp_zsq += weights[i] * z_new * z_new
+    # summed row by row in row order; a vectorised sum would round differently
+    for w, err, z_new in zip(_sampling_weights(problem.a), errs, zs):
+        exp_err += w * err
+        exp_zsq += w * z_new * z_new
 
     if method is Method.RAK:
         base_lyap = base_err + z * z / rho
@@ -389,42 +386,23 @@ def adaptive_step_report(
     rho = state.rho
     if rho <= 0.0:
         raise ValueError("state.rho must be positive")
-    x = as_vector(state.x, problem.n)
-    z = _scalar_multiplier(state)
+    z, base_err, errs, zs = _enumerate_rows(problem, state, Method.RAK, rho, x_star)
     rho_next = c * rho
-    is_ls = problem.kind is ProblemKind.LS
     m = problem.m
-
-    if is_ls:
-        if x_star is None:
-            x_star = least_norm_solution(problem.a, problem.b, np.zeros(problem.n))
-        d = x - x_star
-        base_err = float(d @ d)
+    if problem.kind is ProblemKind.LS:
         lam_min, _ = lambda_min_variants(problem.a)
         contraction = rho * lam_min / (m * (1.0 + rho)) * base_err
     else:
-        if z < 0.0:
-            raise ValueError("multiplier z must be nonnegative in feasibility mode")
-        base_dist = distance_to_feasible(x, problem)
-        base_err = base_dist * base_dist
+        x = as_vector(state.x, problem.n)
         r_plus = np.maximum(problem.a.data @ x - problem.b, 0.0)
         contraction = rho / (m * (1.0 + rho)) * float(r_plus @ r_plus)
 
-    weights = _sampling_weights(problem.a)
     lhs = 0.0
     exp_zsq = 0.0
-    for i in range(m):
-        x_new, z_new = _apply_step(problem, x, z, Method.RAK, rho, i)
-        if is_ls:
-            dn = x_new - x_star
-            err = float(dn @ dn)
-        elif x_new is x:
-            err = base_err
-        else:
-            dist = distance_to_feasible(x_new, problem)
-            err = dist * dist
-        lhs += weights[i] * (err + z_new * z_new / rho_next)
-        exp_zsq += weights[i] * z_new * z_new
+    # summed row by row in row order; a vectorised sum would round differently
+    for w, err, z_new in zip(_sampling_weights(problem.a), errs, zs):
+        lhs += w * (err + z_new * z_new / rho_next)
+        exp_zsq += w * z_new * z_new
 
     base_lyap = base_err + z * z / rho
     surcharge = (c - 1.0) / (c * rho) * exp_zsq
@@ -463,11 +441,10 @@ def monte_carlo_error_curve(
     iterations, so a single trial reproduces the solve trace.  All trials
     advance together in one pass to the largest checkpoint: trial t's
     iterate is row t of an (n_trials, n) array, its rows come from its own
-    sampler, drawn ahead in blocks, and every step applies the step
-    functions' formulas to all rows at once.  The residuals come from a
-    stacked matmul, which rounds exactly like the scalar row @ x, so the
-    means are bit for bit those of per-trial reruns.  Means accumulate in
-    trial order.  A non-finite iterate raises NumericFailureError for the
+    sampler, drawn ahead in blocks, and every step calls the step kernel
+    on all trials at once.  The residuals come from a stacked matmul,
+    which rounds exactly like the scalar row @ x, so the means are bit for
+    bit those of per-trial reruns.  Means accumulate in trial order.  A non-finite iterate raises NumericFailureError for the
     lowest-index trial that produces one, at its first such iteration.
 
     The envelope uses the fixed-penalty instance factor at rho0, which is
@@ -534,30 +511,21 @@ def monte_carlo_error_curve(
             drawn = np.stack([s.sample_rows(count) for s in samplers])
         idx = drawn[:, j]
         rows = a[idx]
-        # (T, 1, n) @ (T, n, 1) takes the same dot as float(row @ x)
-        r = np.matmul(rows[:, None, :], x[:, :, None])[:, 0, 0] - b[idx]
-        if method is Method.RAK:
-            trials = np.arange(len(x))
-            arg = r + (z[trials, idx] if per_row else z) / rho
-        else:
-            arg = r
-        if method is Method.RK:
-            coef = arg / norms_sq[idx]
-        else:
-            coef = arg / (1.0 / rho + norms_sq[idx])
+        # trial t's multiplier: z[t, idx[t]] per row, else z[t]
+        at = (np.arange(len(x)), idx) if per_row else slice(None)
+        z_arg, rho_arg = solvers._kernel_args(method, z[at], rho)
+        coef, moves = solvers._step_coef(
+            _row_dots(rows, x) - b[idx], z_arg, norms_sq[idx], rho_arg, not is_ls
+        )
         step = x - coef[:, None] * rows
         if is_ls:
             x = step
         else:
-            # the step functions leave x (and zero z) when arg <= 0
-            moves = ~(arg <= 0.0)
+            # the step functions leave x (and zero z) when the row does not move
             x = np.where(moves[:, None], step, x)
             coef = np.where(moves, coef, 0.0)
         if method is Method.RAK:
-            if per_row:
-                z[trials, idx] = coef
-            else:
-                z = coef
+            z[at] = coef
         finite = np.isfinite(x).all(axis=1)
         if not finite.all():
             # later trials no longer matter: trial bad fails first in

@@ -191,6 +191,8 @@ def load_problem(path: str) -> Problem:
     if bad.size:
         lineno = lines[1 + bad[0]][0]
         if norms_sq[bad[0]] == 0.0:
+            if np.any(a[bad[0]] != 0.0):
+                raise ProblemFormatError(f"line {lineno}: squared row norm underflows to 0")
             raise ProblemFormatError(f"line {lineno}: row is identically zero")
         raise ProblemFormatError(f"line {lineno}: squared row norm overflows")
 

@@ -1,18 +1,27 @@
 """Randomized row-action solvers.
 
-Three families share one sampling loop.  The plain step projects onto the
-sampled row's hyperplane or halfspace.  The penalty step damps that
-projection through a penalty weight rho, shortening it by the factor
-rho ||a_i||^2 / (1 + rho ||a_i||^2).  The multiplier step carries a scalar
-dual variable z across iterations and moves x along the sampled row by the
-refreshed multiplier.  An optional geometric schedule grows rho by a factor
-c >= 1 each iteration up to a cap, which drives the damped steps toward the
-plain projection.
+Three families share one step.  Each samples a row i and moves x along it,
+
+    x' = x - coef a_i,   coef = arg / (1 / rho + ||a_i||^2),
+
+with r = a_i . x - b_i.  The penalty step takes arg = r, which shortens
+the projection by the factor rho ||a_i||^2 / (1 + rho ||a_i||^2); the
+multiplier step takes arg = r + z / rho and carries the refreshed
+multiplier z' = coef to the next iteration; the plain step is the penalty
+step at 1 / rho = 0, the exact projection.  On feasibility rows x moves
+only when arg > 0, the positive-part clip.  The formula lives in one
+kernel, _step_coef, which works on a float or on an array of independent
+steps: the six public step functions wrap it for one row, run_solver calls
+it once per iteration, and the analysis module calls it on all Monte Carlo
+trials, or all rows of an enumeration oracle, at once.  An optional
+geometric schedule grows rho by a factor c >= 1 each iteration up to a
+cap, which drives the damped steps toward the plain projection.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,6 +32,10 @@ from .problems import Problem, ProblemKind, normalize_rows
 from .projection import distance_to_feasible
 from .sampling import build_sampler
 from .traces import TraceRecord
+
+# rows a run, or each Monte Carlo trial, draws ahead in one sample_rows
+# call, so the index buffer stays this size whatever the horizon
+_DRAW_BLOCK = 256
 
 
 class NumericFailureError(Exception):
@@ -39,54 +52,72 @@ class Method(enum.Enum):
     RAK = "rak"
 
 
-def _check_step_args(x, a: DenseMatrix, i: int):
+def _step_coef(r, z, norm_sq, rho, lf: bool):
+    """The one step formula: the coefficient coef of x' = x - coef a_i
+    and whether the row moves, elementwise.
+
+    r is the residual a_i . x - b_i and arg = r + z / rho; z is None for
+    the steps that carry no multiplier, which take arg = r exactly, and
+    rho is inf for the plain step, whose denominator 1 / rho + ||a_i||^2
+    is then ||a_i||^2 exactly.  An equality row always moves; a
+    feasibility row moves unless arg <= 0 (so a nan arg moves x).  The
+    arguments may be floats (one iterate) or (T,) arrays (T trials, or
+    every row of a system) alike.
+    """
+    arg = r if z is None else r + z / rho
+    coef = arg / (1.0 / rho + norm_sq)
+    if not lf:
+        return coef, True
+    # `^ True` negates a bool and a bool array alike
+    return coef, (arg <= 0.0) ^ True
+
+
+def _kernel_args(method: Method, z, rho: float):
+    """The (z, rho) the kernel takes for a method: only the multiplier
+    step carries z, and the plain step is the kernel at 1 / rho = 0."""
+    return (z if method is Method.RAK else None), (math.inf if method is Method.RK else rho)
+
+
+def _check_step_args(x, a: DenseMatrix, i: int, rho: float = math.inf):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.cols,):
         raise ValueError(f"x has shape {x.shape}, expected ({a.cols},)")
     if not 0 <= i < a.rows:
         raise ValueError(f"row index {i} out of range for {a.rows} rows")
+    if rho <= 0.0:
+        raise ValueError("rho must be positive")
     return x
+
+
+def _row_step(x, z, a: DenseMatrix, b, i: int, rho: float, lf: bool):
+    """One kernel step on row i: (x', coef), or (x itself, 0.0) when the
+    row does not move."""
+    row = a.data[i]
+    coef, moves = _step_coef(float(row @ x) - b[i], z, a.row_norms_sq[i], rho, lf)
+    if not moves:
+        return x, 0.0
+    return x - coef * row, coef
 
 
 def rk_step_ls(x, a: DenseMatrix, b, i: int) -> np.ndarray:
     """Project x onto the hyperplane a_i . x = b_i."""
-    x = _check_step_args(x, a, i)
-    row = a.row(i)
-    r = float(row @ x) - b[i]
-    return x - (r / a.row_norms_sq[i]) * row
+    return _row_step(_check_step_args(x, a, i), None, a, b, i, math.inf, False)[0]
 
 
 def rk_step_lf(x, a: DenseMatrix, b, i: int) -> np.ndarray:
     """Project x onto the halfspace a_i . x <= b_i (no-op when inside)."""
-    x = _check_step_args(x, a, i)
-    row = a.row(i)
-    r = float(row @ x) - b[i]
-    if r <= 0.0:
-        return x
-    return x - (r / a.row_norms_sq[i]) * row
+    return _row_step(_check_step_args(x, a, i), None, a, b, i, math.inf, True)[0]
 
 
 def rpk_step_ls(x, a: DenseMatrix, b, i: int, rho: float) -> np.ndarray:
     """Damped projection: the residual shrinks by 1/(1 + rho ||a_i||^2)."""
-    x = _check_step_args(x, a, i)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    row = a.row(i)
-    r = float(row @ x) - b[i]
-    return x - (r / (1.0 / rho + a.row_norms_sq[i])) * row
+    return _row_step(_check_step_args(x, a, i, rho), None, a, b, i, rho, False)[0]
 
 
 def rpk_step_lf(x, a: DenseMatrix, b, i: int, rho: float) -> np.ndarray:
     """Damped halfspace projection driven by the positive part of the
     residual; inactive rows leave x unchanged."""
-    x = _check_step_args(x, a, i)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    row = a.row(i)
-    r = float(row @ x) - b[i]
-    if r <= 0.0:
-        return x
-    return x - (r / (1.0 / rho + a.row_norms_sq[i])) * row
+    return _row_step(_check_step_args(x, a, i, rho), None, a, b, i, rho, True)[0]
 
 
 def rak_step_ls(x, z: float, a: DenseMatrix, b, i: int, rho: float):
@@ -100,13 +131,7 @@ def rak_step_ls(x, z: float, a: DenseMatrix, b, i: int, rho: float):
 
     which makes z' = z + rho (a_i . x' - b_i) hold identically.
     """
-    x = _check_step_args(x, a, i)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    row = a.row(i)
-    r = float(row @ x) - b[i]
-    z_new = (r + z / rho) / (1.0 / rho + a.row_norms_sq[i])
-    return x - z_new * row, z_new
+    return _row_step(_check_step_args(x, a, i, rho), z, a, b, i, rho, False)
 
 
 def rak_step_lf(x, z: float, a: DenseMatrix, b, i: int, rho: float):
@@ -115,18 +140,10 @@ def rak_step_lf(x, z: float, a: DenseMatrix, b, i: int, rho: float):
     When z + rho (a_i . x - b_i) < 0 the multiplier is driven to 0 and
     x does not move.
     """
-    x = _check_step_args(x, a, i)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    x = _check_step_args(x, a, i, rho)
     if z < 0.0:
         raise ValueError("multiplier z must be nonnegative in feasibility mode")
-    row = a.row(i)
-    r = float(row @ x) - b[i]
-    arg = r + z / rho
-    if arg <= 0.0:
-        return x, 0.0
-    z_new = arg / (1.0 / rho + a.row_norms_sq[i])
-    return x - z_new * row, z_new
+    return _row_step(x, z, a, b, i, rho, True)
 
 
 def advance_rho(rho: float, c: float, rho_max: float) -> float:
@@ -178,6 +195,15 @@ class SolverState:
     z: float | np.ndarray
     rho: float
     k: int
+
+
+def _row_stream(sampler, count: int):
+    """count row indices, drawn _DRAW_BLOCK at a time; sample_rows consumes
+    the stream exactly like successive sample_row calls."""
+    while count > 0:
+        block = min(count, _DRAW_BLOCK)
+        yield from sampler.sample_rows(block).tolist()
+        count -= block
 
 
 def _dual_sq(z) -> float:
@@ -248,38 +274,23 @@ def run_solver(
                 fresh=True,
             )
         )
-    state = SolverState(x=x, z=z, rho=rho, k=0)
     if cfg.residual_tol is not None and residual <= cfg.residual_tol:
-        return state
+        return SolverState(x=x, z=z, rho=rho, k=0)
 
-    for k in range(1, cfg.max_iters + 1):
-        i = sampler.sample_row()
-        zi = float(z[i]) if per_row else z
-        if method is Method.RK:
-            x = rk_step_ls(x, a, b, i) if is_ls else rk_step_lf(x, a, b, i)
-            z_rec = 0.0
-        elif method is Method.RPK:
-            x = (
-                rpk_step_ls(x, a, b, i, rho)
-                if is_ls
-                else rpk_step_lf(x, a, b, i, rho)
-            )
-            z_rec = 0.0
-        else:
-            if is_ls:
-                x, z_new = rak_step_ls(x, zi, a, b, i, rho)
-            else:
-                x, z_new = rak_step_lf(x, zi, a, b, i, rho)
+    rak = method is Method.RAK
+    k = 0
+    for k, i in enumerate(_row_stream(sampler, cfg.max_iters), start=1):
+        z_arg, rho_arg = _kernel_args(method, z[i] if per_row else z, rho)
+        x, coef = _row_step(x, z_arg, a, b, i, rho_arg, not is_ls)
+        if rak:
             if per_row:
-                z[i] = z_new
+                z[i] = coef
             else:
-                z = z_new
-            z_rec = z_new
-        if not np.all(np.isfinite(x)):
+                z = coef
+        if not np.isfinite(x).all():
             raise NumericFailureError(k)
         if method is not Method.RK:
             rho = advance_rho(rho, cfg.c, cfg.rho_max)
-        state = SolverState(x=x, z=z, rho=rho, k=k)
 
         if need_residual:
             residual = residual_of(x)
@@ -291,7 +302,7 @@ def run_solver(
                 fresh = k % cfg.trace_stride == 0
                 if fresh:
                     error_sq = error_of(x)
-            lyap = error_sq + _dual_sq(z) / rho if method is Method.RAK else error_sq
+            lyap = error_sq + _dual_sq(z) / rho if rak else error_sq
             trace_sink(
                 TraceRecord(
                     k=k,
@@ -299,11 +310,11 @@ def run_solver(
                     rho=rho,
                     error_sq=error_sq,
                     residual=residual,
-                    z=z_rec,
+                    z=coef if rak else 0.0,
                     lyapunov=lyap,
                     fresh=fresh,
                 )
             )
         if cfg.residual_tol is not None and residual <= cfg.residual_tol:
             break
-    return state
+    return SolverState(x=x, z=z, rho=rho, k=k)

@@ -25,6 +25,11 @@ def _fmt(v: float) -> str:
 def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
+    if not 0.0 < hi - lo < math.inf:
+        raise ValueError(
+            f"cannot scale a linear axis from {lo:g} to {hi:g}: "
+            "its width is not a positive finite float"
+        )
     raw = (hi - lo) / max(target - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -40,10 +45,13 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def _decade_ticks(lo: float, hi: float) -> list[float]:
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
-    step = max(1, (hi_e - lo_e) // 8)
-    return [10.0**e for e in range(lo_e, hi_e + 1, step)]
+    try:
+        lo_e = math.floor(math.log10(lo))
+        hi_e = math.ceil(math.log10(hi))
+        step = max(1, (hi_e - lo_e) // 8)
+        return [10.0**e for e in range(lo_e, hi_e + 1, step)]
+    except OverflowError:
+        raise ValueError(f"cannot scale a log axis up to {hi:g}: a decade tick overflows") from None
 
 
 def _tick_label(v: float, log_y: bool) -> str:

@@ -250,3 +250,25 @@ def test_trace_with_non_finite_value_exits_3(tmp_path, token):
     code, err = _plot(tmp_path, text.encode())
     assert code == 3
     assert "line 2: non-finite value" in err
+
+
+@pytest.mark.parametrize(
+    "values, log_y",
+    [([1e308, -1e308], False), ([1e308, -1e308], True), ([1e300, 1.5e308], True)],
+)
+def test_plot_value_range_that_overflows_exits_3(tmp_path, values, log_y):
+    """Finite error_sq values near the float limit are a well-formed trace,
+    but the width of their linear axis, or the top decade of their log axis
+    (-1e308 is clamped to 1e308 there), overflows; plot names the axis and
+    exits 3 instead of raising OverflowError."""
+    recs = [
+        TraceRecord(k=k, row=k - 1, rho=1.0, error_sq=e, residual=1.0, z=0.0, lyapunov=1.0)
+        for k, e in enumerate(values)
+    ]
+    path = tmp_path / "t.csv"
+    path.write_text(render_trace_csv(recs))
+    argv = ["plot", str(path), "-o", str(tmp_path / "t.svg")] + (["--log-y"] if log_y else [])
+    code, err = _run(argv)
+    assert code == 3, err
+    assert ("log axis" if log_y else "linear axis") in err
+    assert not (tmp_path / "t.svg").exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kaczpen.cli import main
 from kaczpen.linalg import DenseMatrix
 from kaczpen.problems import (
     Problem,
@@ -271,11 +272,17 @@ def test_load_inconsistent_planted(tmp_path):
 
 def test_load_row_norm_overflow_named_line(tmp_path):
     """Entries that are finite but whose squared norm overflows would make
-    the sampling weights nan; the loader names the row instead."""
+    the sampling weights nan; the loader names the row instead.  A nonzero
+    row whose squared norm underflows to 0 is named as such, not as a zero
+    row, and the command line exits 3."""
     path = tmp_path / "p.txt"
     path.write_text("kaczmarz-problem v1 ls 2 2\n1 0 1\n1e200 1e200 1\n")
     with pytest.raises(ProblemFormatError, match="line 3: squared row norm overflows"):
         load_problem(str(path))
+    path.write_text("kaczmarz-problem v1 ls 2 2\n1 0 1\n1e-200 0 1\n")
+    with pytest.raises(ProblemFormatError, match="line 3: squared row norm underflows"):
+        load_problem(str(path))
+    assert main(["solve", str(path), "--method", "rk", "--iters", "1"]) == 3
 
 
 def test_save_writes_17_digit_floats(tmp_path):

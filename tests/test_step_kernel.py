@@ -1,0 +1,188 @@
+"""One step kernel: the step functions, run_solver, the Monte Carlo curve
+and the enumeration oracles all reproduce the code it replaced bit for bit,
+and all of them go through it."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import step_reference as ref
+from kaczpen import solvers
+from kaczpen.analysis import adaptive_step_report, exact_expected_step, monte_carlo_error_curve
+from kaczpen.linalg import DenseMatrix
+from kaczpen.problems import (
+    ProblemKind,
+    generate_consistent_ls,
+    generate_feasible_lf,
+    normalize_rows,
+)
+from kaczpen.solvers import Method, SolverConfig, SolverState, run_solver
+
+entries = st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: 0.0 if abs(v) < 1e-3 else v)
+signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def step_cases(draw):
+    """A small system, a point, a row and penalty data.  Some right-hand
+    sides equal the row's dot with x, so those residuals are exactly zero,
+    and z is often a signed zero."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(m):
+        row = draw(st.lists(entries, min_size=n, max_size=n))
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1.5, 0.75, 2.0]))
+        rows.append(row)
+    a = DenseMatrix(rows)
+    x = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    b = np.array(
+        [float(a.data[i] @ x) if draw(st.booleans()) else draw(entries) for i in range(m)]
+    )
+    i = draw(st.integers(0, m - 1))
+    rho = draw(st.floats(1e-3, 1e3))
+    z = draw(st.one_of(signed_zero, st.floats(-3.0, 3.0)))
+    return a, b, x, i, rho, z
+
+
+def _same_step(got, want, x):
+    """Bitwise equal results, and x itself exactly when the reference
+    returned x itself."""
+    got_x, want_x = (got[0], want[0]) if isinstance(want, tuple) else (got, want)
+    assert ref.bits(got_x) == ref.bits(want_x)
+    assert (got_x is x) == (want_x is x)
+    if isinstance(want, tuple):
+        assert ref.bits(got[1]) == ref.bits(want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+def test_step_wrappers_match_reference_bodies(case):
+    a, b, x, i, rho, z = case
+    z_lf = abs(z) if z < 0.0 else z  # keeps -0.0, which is not < 0
+    _same_step(solvers.rk_step_ls(x, a, b, i), ref.rk_step_ls(x, a, b, i), x)
+    _same_step(solvers.rk_step_lf(x, a, b, i), ref.rk_step_lf(x, a, b, i), x)
+    _same_step(solvers.rpk_step_ls(x, a, b, i, rho), ref.rpk_step_ls(x, a, b, i, rho), x)
+    _same_step(solvers.rpk_step_lf(x, a, b, i, rho), ref.rpk_step_lf(x, a, b, i, rho), x)
+    _same_step(solvers.rak_step_ls(x, z, a, b, i, rho), ref.rak_step_ls(x, z, a, b, i, rho), x)
+    _same_step(
+        solvers.rak_step_lf(x, z_lf, a, b, i, rho), ref.rak_step_lf(x, z_lf, a, b, i, rho), x
+    )
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0])
+def test_kernel_signed_zero_residual(r):
+    """A zero residual of either sign is not a move on a feasibility row,
+    and the equality coefficient keeps the residual's sign."""
+    for z, rho in ((None, np.inf), (None, 2.0), (0.0, 2.0), (-0.0, 2.0)):
+        coef, moves = solvers._step_coef(r, z, 1.5, rho, True)
+        assert not moves
+        coef, moves = solvers._step_coef(r, z, 1.5, rho, False)
+        arg = r if z is None else r + z / rho
+        assert moves and ref.bits(coef) == ref.bits(arg / (1.0 / rho + 1.5))
+    coef, moves = solvers._step_coef(np.array([r, 1.0, np.nan]), None, 1.5, 2.0, True)
+    assert moves.tolist() == [False, True, True]
+
+
+def _problem(kind):
+    if kind == "ls":
+        return generate_consistent_ls(9, 4, seed=31)
+    return generate_feasible_lf(8, 5, seed=32, active_fraction=0.4)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+@pytest.mark.parametrize("c", [1.0, 1.05])
+@pytest.mark.parametrize("z_per_row", [False, True])
+def test_run_solver_matches_reference_loop(method, kind, c, z_per_row):
+    """Final x, z, rho and k, and each traced step's row, z and rho, equal
+    those of the reference loop (which draws with sample_row)."""
+    p = _problem(kind)
+    # more iterations than one draw block, from a nonzero start
+    iters = solvers._DRAW_BLOCK + 44
+    x0 = np.linspace(-1.0, 2.0, p.n)
+    want, steps = ref.reference_run(
+        p, method, iters, rho0=0.7, c=c, rho_max=20.0, seed=5, x0=x0, z_per_row=z_per_row
+    )
+    cfg = SolverConfig(
+        method=method, max_iters=iters, rho0=0.7, c=c, rho_max=20.0, seed=5,
+        x0=x0, z_per_row=z_per_row, trace_stride=50,
+    )
+    records = []
+    for sink in (None, records.append):
+        got = run_solver(p, cfg, sink)
+        assert ref.bits(got.x) == ref.bits(want.x)
+        assert ref.bits(got.z) == ref.bits(want.z)
+        assert ref.bits(got.rho) == ref.bits(want.rho)
+        assert got.k == want.k == iters
+    assert [(r.row, ref.bits(r.z), r.rho) for r in records[1:]] == [
+        (i, ref.bits(z), rho) for i, z, rho in steps
+    ]
+
+
+def _oracle_states(problem, rng, count):
+    for _ in range(count):
+        x = 1.5 * rng.standard_normal(problem.n)
+        if problem.kind is ProblemKind.LF:
+            x = problem.x_planted + x
+        z = float(rng.uniform(0.0, 2.0))
+        yield SolverState(x=x, z=z, rho=float(rng.uniform(0.3, 3.0)), k=0)
+    # the planted solution, where no feasibility row moves
+    yield SolverState(x=problem.x_planted, z=0.0, rho=1.0, k=0)
+
+
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_oracle_reports_match_reference_loops(kind, normalize):
+    p = _problem(kind)
+    if normalize:
+        p = normalize_rows(p)
+    rng = np.random.default_rng(33)
+    for state in _oracle_states(p, rng, 4):
+        for method in Method:
+            for rho in (0.4, state.rho, 5.0):
+                ref.assert_same_report(
+                    exact_expected_step(p, state, method, rho),
+                    ref.reference_expected_step(p, state, method, rho),
+                )
+        if normalize:
+            for c in (1.0, 1.3):
+                ref.assert_same_report(
+                    adaptive_step_report(p, state, c), ref.reference_adaptive_report(p, state, c)
+                )
+
+
+def test_oracle_rejects_negative_lf_multiplier_like_the_step():
+    p = normalize_rows(_problem("lf"))
+    state = SolverState(x=p.x_planted + 1.0, z=-0.5, rho=1.0, k=0)
+    for oracle in (exact_expected_step, ref.reference_expected_step):
+        with pytest.raises(ValueError, match="nonnegative"):
+            oracle(p, state, Method.RAK, 1.0)
+
+
+def test_one_kernel_drives_solve_mc_and_oracles(monkeypatch):
+    """Perturbing the kernel's coefficient changes run_solver, the Monte
+    Carlo curve and the enumeration oracle alike: none of them carries a
+    copy of the step formula."""
+    p = normalize_rows(_problem("ls"))
+    cfg = SolverConfig(method=Method.RPK, max_iters=30, rho0=0.8, seed=2)
+    state = SolverState(x=np.ones(p.n), z=0.0, rho=1.0, k=0)
+
+    def outputs():
+        return (
+            run_solver(p, cfg).x.tolist(),
+            monte_carlo_error_curve(p, cfg, 3, [5, 30]).means,
+            exact_expected_step(p, state, Method.RPK, 0.8).expected_error_sq,
+        )
+
+    before = outputs()
+    real = solvers._step_coef
+
+    def nudged(r, z, norm_sq, rho, lf):
+        coef, moves = real(r, z, norm_sq, rho, lf)
+        return coef * 1.001, moves
+
+    monkeypatch.setattr(solvers, "_step_coef", nudged)
+    after = outputs()
+    assert [a != b for a, b in zip(after, before)] == [True, True, True]
