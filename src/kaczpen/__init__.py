@@ -27,20 +27,15 @@ from .analysis import (
     lyapunov_lf,
     lyapunov_ls,
     monte_carlo_error_curve,
-    project_affine,
     rate_constants,
 )
 from .linalg import (
     ConvergenceError,
     DenseMatrix,
-    EigenResult,
     InconsistentSystemError,
-    eigen_sym,
     gram_matrix,
     lambda_min_variants,
     least_norm_solution,
-    matvec,
-    row_dot,
 )
 from .problems import (
     Problem,

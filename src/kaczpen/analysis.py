@@ -1,5 +1,6 @@
 """Verification-side analysis: contraction constants, Lyapunov values,
-projections, exact one-step expectations, and Monte Carlo error curves.
+the Hoffman-constant estimate, exact one-step expectations, and Monte
+Carlo error curves.
 
 The expectation helpers enumerate every row with its sampling weight, so
 they are exact oracles (up to floating point) rather than estimates, and
@@ -25,9 +26,6 @@ __all__ = [
     "instance_rate_factor",
     "lyapunov_ls",
     "lyapunov_lf",
-    "project_affine",
-    "project_polyhedron",
-    "distance_to_feasible",
     "HoffmanEstimate",
     "NoEstimateError",
     "hoffman_ball",
@@ -68,10 +66,28 @@ def _damping(method: Method, rho: float) -> float:
     return 1.0
 
 
+def _contraction_factor(
+    method: Method, kind: ProblemKind, rho: float, conditioning: float,
+    s_min: float, weight: float,
+) -> tuple[float, float]:
+    """(damping, per-step factor), the damping taken at rho * s_min:
+    1 - damping lambda_min / weight (LS) or 1 - damping s_min / (weight L^2)
+    (LF).  s_min is the smallest squared row norm and weight the sampling
+    weights' normalizer: m for unit rows, ||A||_F^2 in general."""
+    damping = _damping(method, rho * s_min)
+    if kind is ProblemKind.LS:
+        if conditioning < 0.0:
+            raise ValueError("smallest eigenvalue must be nonnegative")
+        return damping, 1.0 - damping * conditioning / weight
+    if conditioning <= 0.0:
+        raise ValueError("the distance constant L must be positive")
+    return damping, 1.0 - damping * s_min / (weight * conditioning**2)
+
+
 def rate_constants(
     method: Method, kind: ProblemKind, rho: float, conditioning: float, m: int
 ) -> RateConstants:
-    """Per-step contraction constants.
+    """Per-step contraction constants for unit-norm rows.
 
     conditioning is the smallest eigenvalue of A^T A for equality systems
     and the residual-to-distance constant L for feasibility systems; the
@@ -85,15 +101,8 @@ def rate_constants(
         raise ValueError("rho must be positive")
     if m < 1:
         raise ValueError("m must be positive")
-    damping = _damping(method, rho)
-    if kind is ProblemKind.LS:
-        if conditioning < 0.0:
-            raise ValueError("smallest eigenvalue must be nonnegative")
-        factor = 1.0 - damping * conditioning / m
-    else:
-        if conditioning <= 0.0:
-            raise ValueError("the distance constant L must be positive")
-        factor = 1.0 - damping / (m * conditioning**2)
+    # unit rows: s_min = 1 leaves rho and the damping unchanged bit for bit
+    damping, factor = _contraction_factor(method, kind, rho, conditioning, 1.0, m)
     return RateConstants(damping=damping, per_step_factor=factor)
 
 
@@ -115,11 +124,6 @@ def lyapunov_lf(x, problem: Problem, z: float, rho: float) -> float:
         raise ValueError("multiplier z must be nonnegative in feasibility mode")
     d = distance_to_feasible(x, problem)
     return d * d + z * z / rho
-
-
-def project_affine(x, a: DenseMatrix, b) -> np.ndarray:
-    """Projection of x onto {y : Ay = b} (the solution nearest x)."""
-    return least_norm_solution(a, b, x)
 
 
 def instance_rate_factor(
@@ -148,15 +152,9 @@ def instance_rate_factor(
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     s_min = float(problem.a.row_norms_sq.min())
-    f_sq = problem.a.frobenius_sq
-    damping = _damping(method, rho * s_min)
-    if problem.kind is ProblemKind.LS:
-        if conditioning < 0.0:
-            raise ValueError("smallest eigenvalue must be nonnegative")
-        return 1.0 - damping * conditioning / f_sq
-    if conditioning <= 0.0:
-        raise ValueError("the distance constant L must be positive")
-    return 1.0 - damping * s_min / (f_sq * conditioning**2)
+    return _contraction_factor(
+        method, problem.kind, rho, conditioning, s_min, problem.a.frobenius_sq
+    )[1]
 
 
 @dataclass(frozen=True)
@@ -223,6 +221,14 @@ def hoffman_estimate(
             f"all {n_samples} sampled points were feasible; grow the radius"
         )
     return HoffmanEstimate(value=best, n_contributing=contributing, n_samples=n_samples)
+
+
+def _sampled_hoffman_l(problem: Problem, seed: int, n_samples: int = 200) -> float:
+    """The seeded estimate of L that stands in for the true constant in the
+    envelopes and summary factors: hoffman_estimate over hoffman_ball's
+    default ball, seeded with the run seed plus 999,983."""
+    _, radius = hoffman_ball(problem)
+    return hoffman_estimate(problem, n_samples, radius, seed + 999_983).value
 
 
 def _sampling_weights(a: DenseMatrix) -> np.ndarray:
@@ -548,11 +554,7 @@ def monte_carlo_error_curve(
         conditioning = lam_min
     else:
         if hoffman_l is None:
-            _, radius = hoffman_ball(problem)
-            est = hoffman_estimate(
-                problem, n_samples=200, radius=radius, seed=cfg.seed + 999_983
-            )
-            hoffman_l = est.value
+            hoffman_l = _sampled_hoffman_l(problem, cfg.seed)
         conditioning = hoffman_l
     factor = instance_rate_factor(problem, method, cfg.rho0, conditioning)
     envelope = [factor**k * initial for k in ks]

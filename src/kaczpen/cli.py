@@ -18,8 +18,7 @@ import numpy as np
 
 from .analysis import (
     NoEstimateError,
-    hoffman_ball,
-    hoffman_estimate,
+    _sampled_hoffman_l,
     instance_rate_factor,
     monte_carlo_error_curve,
 )
@@ -81,11 +80,8 @@ def _estimate_factor(problem: Problem, method: Method, rho0: float, seed: int) -
     if problem.kind is ProblemKind.LS:
         conditioning = lambda_min_variants(problem.a)[0]
     else:
-        _, radius = hoffman_ball(problem)
         try:
-            conditioning = hoffman_estimate(
-                problem, n_samples=64, radius=radius, seed=seed + 999_983
-            ).value
+            conditioning = _sampled_hoffman_l(problem, seed, n_samples=64)
         except NoEstimateError:
             return float("nan")
     return instance_rate_factor(problem, method, rho0, conditioning)
@@ -190,13 +186,16 @@ def cmd_compare(args) -> int:
     checkpoints = _parse_checkpoints(args.checkpoints)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    if args.iters is not None and args.iters < max(checkpoints):
-        raise UsageError("--iters is below the largest checkpoint")
     lines = ["method,checkpoint,mean_error_sq,envelope"]
+    hoffman_l = None  # one estimate of L per problem, shared by every method
     for method in methods:
         args.method = method.value
         cfg = _solver_config(args, max(checkpoints))
-        curve = monte_carlo_error_curve(problem, cfg, args.trials, checkpoints)
+        if hoffman_l is None and problem.kind is ProblemKind.LF:
+            hoffman_l = _sampled_hoffman_l(problem, cfg.seed)
+        curve = monte_carlo_error_curve(
+            problem, cfg, args.trials, checkpoints, hoffman_l=hoffman_l
+        )
         for k, mean, env in zip(curve.checkpoints, curve.means, curve.envelope):
             lines.append(
                 f"{method.value},{k},{format_float(mean)},{format_float(env)}"
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--rho-max", dest="rho_max", type=float, default=1e12)
-    p.add_argument("--iters", type=int, default=None, help="upper bound sanity check")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--seed", type=int, default=0)

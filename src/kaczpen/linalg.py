@@ -7,13 +7,12 @@ row norms that the samplers and step rules consume on every iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class ConvergenceError(Exception):
-    """An iterative routine hit its sweep cap before reaching tolerance."""
+    """A routine stopped without a result that passes its tolerance or
+    certificate (a sweep cap reached, or a projection left uncertified)."""
 
 
 class InconsistentSystemError(Exception):
@@ -69,23 +68,8 @@ class DenseMatrix:
     def shape(self):
         return self.data.shape
 
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.data.T)
-
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
-
-
-def matvec(a: DenseMatrix, x) -> np.ndarray:
-    """Product a @ x with dimension checking."""
-    x = as_vector(x, a.cols)
-    return a.data @ x
-
-
-def row_dot(a: DenseMatrix, i: int, x) -> float:
-    """Inner product of row i with x."""
-    x = as_vector(x, a.cols)
-    return float(a.row(i) @ x)
 
 
 def gram_matrix(a: DenseMatrix) -> DenseMatrix:
@@ -95,34 +79,9 @@ def gram_matrix(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(u + np.triu(g, 1).T)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues in ascending order, eigenvectors as matching columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-# Relative thresholds: the symmetry check on eigen_sym's input, and the
-# cut-off below which an eigenvalue of a Gram matrix counts as zero.
-_SYM_REL_TOL = 1e-12
+# an eigenvalue of a Gram matrix (A^T A or A A^T) at or below this multiple
+# of the matrix's Frobenius norm counts as zero
 _PINV_REL_TOL = 1e-10
-
-
-def eigen_sym(g: DenseMatrix) -> EigenResult:
-    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd`` via eigh).
-
-    Refuses non-square input and any input whose asymmetry exceeds
-    1e-12 * ||G||_F; only the lower triangle is read otherwise.
-    """
-    if g.rows != g.cols:
-        raise ValueError(f"expected a square matrix, got {g.rows}x{g.cols}")
-    fro = float(np.sqrt(g.frobenius_sq))
-    sym_gap = float(np.abs(g.data - g.data.T).max())
-    if sym_gap > _SYM_REL_TOL * fro:
-        raise ValueError(f"matrix is not symmetric (gap {sym_gap:.3e})")
-    w, v = np.linalg.eigh(g.data)
-    return EigenResult(eigenvalues=w, eigenvectors=v)
 
 
 def lambda_min_variants(a: DenseMatrix) -> tuple[float, float]:

@@ -19,27 +19,33 @@ its passive set; each passive-set solve is one small Gram system
 The Gram system squares the condition number of the passive columns,
 which near a degenerate vertex (more tight rows than columns) can cost
 the result its certificate; the method then reruns with QR solves.
+Each run stops after 3m + 30 passive-set solves, so a projection does
+bounded work.  A point too large to square (beyond 2^500) that neither
+run certifies is projected again at unit scale, scaled by a power of two.
 
-Hildreth's dual coordinate ascent is kept as the reference and as the
-fallback, taken only when neither exact run yields a result that passes
-the certificate below (or both reach their step limit).  It sweeps the dual
-variables cyclically while keeping y = x - A^T lam, each row update
-being the one-dimensional ascent step clipped at zero:
+A result is returned only after it passes the feasibility and
+complementary-slackness certificate (with y = x - A^T lam and lam >= 0
+by construction, that is the full KKT system of the projection).  When
+neither run's result passes, the projection fails with both reasons.
+
+Hildreth's dual coordinate ascent is kept as an independent reference
+projector for the property suites.  It sweeps the dual variables
+cyclically while keeping y = x - A^T lam, each row update being the
+one-dimensional ascent step clipped at zero:
 
     lam_i <- max(0, lam_i + (a_i . y - b_i) / ||a_i||^2)
-
-Whichever path produced it, a result is returned only after it passes
-the feasibility and complementary-slackness certificate.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .linalg import ConvergenceError, DenseMatrix, as_vector
 
-_DEFAULT_TOL = 1e-12
-_DEFAULT_MAX_SWEEPS = 100_000
+# uncertified points and bounds beyond this magnitude are rescaled
+_SCALE_LIMIT = 2.0**500
 _FEAS_REL_TOL = 1e-8
 _COMP_SLACK_TOL = 1e-8
 # a slack below this multiple of |b_i| + ||a_i|| ||y|| is rounding noise
@@ -48,7 +54,9 @@ _NOISE = 1e3 * np.finfo(np.float64).eps
 
 def _hildreth(x, a: DenseMatrix, b, tol: float, max_sweeps: int):
     """Returns (y, lam, sweeps).  Stops when the largest single-update
-    primal movement in a sweep drops to tol."""
+    primal movement in a sweep drops to tol; raises ConvergenceError
+    after max_sweeps sweeps.  Not a runtime path: the reference projector
+    of verify's projection-certificates check and of the tests."""
     y = x.copy()
     # The sweep is scalar code, so it runs on Python floats and a list of
     # row views: numpy scalars cost several times more per operation and
@@ -174,35 +182,41 @@ def _certificate_error(a: DenseMatrix, b, y, lam) -> str | None:
     return None
 
 
-def project_polyhedron(
-    x,
-    a: DenseMatrix,
-    b,
-    tol: float = _DEFAULT_TOL,
-    max_sweeps: int = _DEFAULT_MAX_SWEEPS,
-) -> np.ndarray:
+def project_polyhedron(x, a: DenseMatrix, b) -> np.ndarray:
     """Project x onto {y : Ay <= b} (assumed nonempty).
 
-    The exact least-distance solve runs first, with Gram and then QR
-    passive-set solves; Hildreth's sweeps (with tol and max_sweeps) run
-    only if neither result passes the certificate.  The returned point is checked for feasibility at
-    1e-8 * (1 + ||b||_inf) and for the dual optimality certificate
-    (nonnegative multipliers with small complementary slackness);
-    violation raises ConvergenceError.
+    Runs the exact least-distance solve with Gram passive-set solves and,
+    if its result fails the certificate, again with QR solves.  A result
+    is certified when it is feasible to 1e-8 * (1 + ||b||_inf) and its
+    nonnegative multipliers have small complementary slackness.  When
+    neither result is certified, a point or bound beyond 2^500 is
+    projected again at unit scale, and otherwise ConvergenceError names
+    both runs' certificate errors.
     """
     x = as_vector(x, a.cols)
     b = as_vector(b, a.rows)
     if np.any(a.row_norms_sq == 0.0):
         raise ValueError("polyhedron rows must be nonzero")
+    errors = []
     for use_qr in (False, True):
         exact = _least_distance(x, a, b, use_qr)
-        if exact is not None and _certificate_error(a, b, *exact) is None:
+        if exact is None:
+            errors.append("stopped without a result")
+            continue
+        error = _certificate_error(a, b, *exact)
+        if error is None:
             return exact[0]
-    y, lam, _ = _hildreth(x, a, b, tol, max_sweeps)
-    error = _certificate_error(a, b, y, lam)
-    if error is not None:
-        raise ConvergenceError(error)
-    return y
+        errors.append(error)
+    big = max(float(np.abs(x).max()), float(np.abs(b).max()))
+    if big > _SCALE_LIMIT:
+        # The projection commutes with scaling x and b together, and scaling
+        # by a power of two is exact: a point too large to square is solved
+        # (and certified) again at unit scale.
+        e = math.frexp(big)[1]
+        return np.ldexp(project_polyhedron(np.ldexp(x, -e), a, np.ldexp(b, -e)), e)
+    raise ConvergenceError(
+        f"projection not certified: Gram run: {errors[0]}; QR run: {errors[1]}"
+    )
 
 
 def distance_to_feasible(x, problem) -> float:

@@ -127,5 +127,11 @@ def parse_trace_csv(path: str) -> list[TraceRecord]:
             map(math.isfinite, (rec.rho, rec.error_sq, rec.residual, rec.z, rec.lyapunov))
         ):
             raise TraceFormatError(f"{path}: line {lineno}: non-finite value")
+        try:
+            float(rec.k)  # plot takes k as a float coordinate
+        except OverflowError:
+            raise TraceFormatError(
+                f"{path}: line {lineno}: iteration number beyond the float range"
+            ) from None
         records.append(rec)
     return records

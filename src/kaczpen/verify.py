@@ -20,7 +20,7 @@ from .analysis import (
     monte_carlo_error_curve,
     rate_constants,
 )
-from .linalg import DenseMatrix
+from .linalg import ConvergenceError, DenseMatrix
 from .problems import (
     Problem,
     ProblemKind,
@@ -388,27 +388,30 @@ def check_lf_expected_decrease(
 def check_projection_certificates(seed: int, count: int = 8) -> PropertyResult:
     """Projection output is feasible, dual-certified, and idempotent,
     feasible inputs are fixed points, and the exact projector agrees with
-    Hildreth's sweeps on the same point."""
+    Hildreth's sweeps on the same point.  A projector that gives up
+    (ConvergenceError) fails the property with its message."""
+    name = "projection-certificates"
     rng = make_rng(seed)
     worst = 0.0
-    for t in range(count):
-        problem = generate_feasible_lf(12, 6, seed + 9000 + t, 0.3)
-        x = problem.x_planted + 2.0 * rng.standard_normal(problem.n)
-        y, lam, _ = _hildreth(x, problem.a, problem.b, 1e-12, 100_000)
-        slack = problem.a.data @ y - problem.b
-        feas = max(float(slack.max()), 0.0)
-        comp = float(np.abs(lam * slack).max())
-        neg = max(0.0, -float(lam.min()))
-        exact = project_polyhedron(x, problem.a, problem.b)
-        agree = float(np.abs(exact - y).max())
-        y2 = project_polyhedron(y, problem.a, problem.b)
-        drift = float(np.abs(y2 - y).max())
-        fixed = project_polyhedron(problem.x_planted, problem.a, problem.b)
-        inside = float(np.abs(fixed - problem.x_planted).max())
-        worst = max(worst, feas, comp, neg, agree, drift, inside)
-    return _result(
-        "projection-certificates", worst <= 1e-8, f"max_violation={worst:.3e}"
-    )
+    try:
+        for t in range(count):
+            problem = generate_feasible_lf(12, 6, seed + 9000 + t, 0.3)
+            x = problem.x_planted + 2.0 * rng.standard_normal(problem.n)
+            y, lam, _ = _hildreth(x, problem.a, problem.b, 1e-12, 100_000)
+            slack = problem.a.data @ y - problem.b
+            feas = max(float(slack.max()), 0.0)
+            comp = float(np.abs(lam * slack).max())
+            neg = max(0.0, -float(lam.min()))
+            exact = project_polyhedron(x, problem.a, problem.b)
+            agree = float(np.abs(exact - y).max())
+            y2 = project_polyhedron(y, problem.a, problem.b)
+            drift = float(np.abs(y2 - y).max())
+            fixed = project_polyhedron(problem.x_planted, problem.a, problem.b)
+            inside = float(np.abs(fixed - problem.x_planted).max())
+            worst = max(worst, feas, comp, neg, agree, drift, inside)
+    except ConvergenceError as exc:
+        return _result(name, False, str(exc))
+    return _result(name, worst <= 1e-8, f"max_violation={worst:.3e}")
 
 
 def check_hoffman_halfspace(seed: int) -> PropertyResult:

@@ -14,7 +14,6 @@ from kaczpen.analysis import (
     lyapunov_lf,
     lyapunov_ls,
     monte_carlo_error_curve,
-    project_affine,
     rate_constants,
 )
 from kaczpen.linalg import DenseMatrix, lambda_min_variants, least_norm_solution
@@ -224,19 +223,20 @@ def test_lyapunov_scaling_in_rho():
 
 
 # ---------------------------------------------------------------------------
-# projections and distance
+# projections and distance.  The test_project_affine_* tests check the
+# projection onto {y : Ay = b}, which is least_norm_solution from x.
 
 
 def test_project_affine_hyperplane():
     a = DenseMatrix(np.array([[1.0, 0.0]]))
-    y = project_affine(np.array([3.0, 7.0]), a, np.array([1.0]))
+    y = least_norm_solution(a, np.array([1.0]), np.array([3.0, 7.0]))
     np.testing.assert_allclose(y, [1.0, 7.0], atol=1e-12)
 
 
 def test_project_affine_fixed_point():
     a = DenseMatrix(np.array([[1.0, 1.0]]))
     x = np.array([1.0, 1.0])
-    y = project_affine(x, a, np.array([2.0]))
+    y = least_norm_solution(a, np.array([2.0]), x)
     np.testing.assert_allclose(y, x, atol=1e-12)
 
 
@@ -247,7 +247,7 @@ def test_project_affine_single_row_matches_step():
         b = rng.standard_normal(1)
         x = rng.standard_normal(4)
         np.testing.assert_allclose(
-            project_affine(x, a, b), rk_step_ls(x, a, b, 0), atol=1e-12
+            least_norm_solution(a, b, x), rk_step_ls(x, a, b, 0), atol=1e-12
         )
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import kaczpen
-from kaczpen.cli import main
+from kaczpen.cli import _solver_config, build_parser, main
+from kaczpen.fileio import format_float
 from kaczpen.problems import load_problem
 from kaczpen.traces import parse_trace_csv
 
@@ -369,6 +370,48 @@ def test_compare_rejects_tol(capsys, tmp_path, ls_problem):
     assert code == 2
     assert "--tol" in stderr
     assert not out.exists()
+
+
+def test_compare_rejects_iters(capsys, tmp_path, ls_problem):
+    code, _, stderr = run_cli(
+        capsys, "compare", ls_problem, "--trials", "1", "--checkpoints", "0,5",
+        "--iters", "10",
+    )
+    assert code == 2
+    assert "--iters" in stderr
+
+
+def test_compare_estimates_hoffman_once(capsys, tmp_path, lf_problem, monkeypatch):
+    """The feasibility envelope's constant L is estimated once per problem,
+    not once per method, and the output is what a per-method estimate
+    gives."""
+    analysis = kaczpen.analysis
+    argv = ["compare", lf_problem, "--methods", "rk,rpk,rak", "--trials", "3",
+            "--checkpoints", "0,5,20", "--seed", "4"]
+    calls = []
+    original = analysis.hoffman_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "hoffman_estimate", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    args = build_parser().parse_args(argv)
+    problem = load_problem(lf_problem)
+    expected = ["method,checkpoint,mean_error_sq,envelope"]
+    for method in ("rk", "rpk", "rak"):
+        args.method = method
+        curve = analysis.monte_carlo_error_curve(
+            problem, _solver_config(args, 20), 3, [0, 5, 20]
+        )
+        for k, mean, env in zip(curve.checkpoints, curve.means, curve.envelope):
+            expected.append(f"{method},{k},{format_float(mean)},{format_float(env)}")
+    assert out == "\n".join(expected) + "\n"
 
 
 # ---------------------------------------------------------------------------

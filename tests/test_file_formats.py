@@ -272,3 +272,14 @@ def test_plot_value_range_that_overflows_exits_3(tmp_path, values, log_y):
     assert code == 3, err
     assert ("log axis" if log_y else "linear axis") in err
     assert not (tmp_path / "t.svg").exists()
+
+
+def test_plot_iteration_number_beyond_float_range_exits_3(tmp_path):
+    """A 401-digit k parses as an int but has no float coordinate; plot
+    names its line and exits 3 instead of raising OverflowError."""
+    rec = TraceRecord(k=0, row=-1, rho=1.0, error_sq=2.0, residual=1.0, z=0.0, lyapunov=2.0)
+    text = render_trace_csv([rec]) + "1" * 401 + ",0,1,2,1,0,2,1\n"
+    code, err = _plot(tmp_path, text.encode())
+    assert code == 3, err
+    assert "line 3: iteration number beyond the float range" in err
+    assert not (tmp_path / "t.svg").exists()

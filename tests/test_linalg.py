@@ -1,4 +1,5 @@
-"""Tests for the dense matrix container and the symmetric eigen machinery."""
+"""Tests for the dense matrix container, the Gram matrix, lambda_min and
+the least-norm solution."""
 
 import numpy as np
 import pytest
@@ -6,18 +7,10 @@ import pytest
 from kaczpen.linalg import (
     DenseMatrix,
     InconsistentSystemError,
-    eigen_sym,
     gram_matrix,
     lambda_min_variants,
     least_norm_solution,
-    matvec,
-    row_dot,
 )
-
-
-def random_symmetric(rng, n, scale=1.0):
-    raw = rng.standard_normal((n, n)) * scale
-    return DenseMatrix((raw + raw.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -66,36 +59,7 @@ def test_frobenius_equals_row_norm_sum_random():
 
 
 # ---------------------------------------------------------------------------
-# matvec / row_dot / gram
-
-
-def test_matvec_basic():
-    a = DenseMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    np.testing.assert_array_equal(matvec(a, np.array([1.0, 1.0])), [3.0, 1.0])
-
-
-def test_matvec_zero_matrix():
-    a = DenseMatrix(np.zeros((2, 3)))
-    np.testing.assert_array_equal(matvec(a, np.ones(3)), np.zeros(2))
-
-
-def test_matvec_dimension_mismatch():
-    a = DenseMatrix(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        matvec(a, np.ones(2))
-
-
-def test_row_dot_basic():
-    a = DenseMatrix(np.array([[1.0, 1.0]]))
-    assert row_dot(a, 0, np.array([2.0, 3.0])) == 5.0
-
-
-def test_row_dot_bad_index():
-    a = DenseMatrix(np.array([[1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        row_dot(a, 1, np.array([2.0, 3.0]))
-    with pytest.raises(ValueError):
-        row_dot(a, -1, np.array([2.0, 3.0]))
+# gram
 
 
 def test_gram_matrix_diagonal():
@@ -113,69 +77,6 @@ def test_gram_matrix_exactly_symmetric():
     for _ in range(10):
         g = gram_matrix(DenseMatrix(rng.standard_normal((7, 5)))).data
         assert np.array_equal(g, g.T)
-
-
-# ---------------------------------------------------------------------------
-# eigen_sym (LAPACK).  The test_jacobi_* names date from the cyclic Jacobi
-# solver it replaced; they are kept so that the test ids stay stable.
-
-
-def test_jacobi_2x2_known():
-    eig = eigen_sym(DenseMatrix([[2.0, 1.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(eig.eigenvalues, [1.0, 3.0], atol=1e-12)
-    v = eig.eigenvectors
-    np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-12)
-
-
-def test_jacobi_diagonal_input():
-    eig = eigen_sym(DenseMatrix(np.diag([1.0, 4.0])))
-    np.testing.assert_allclose(eig.eigenvalues, [1.0, 4.0], atol=0)
-    np.testing.assert_allclose(np.abs(eig.eigenvectors), np.eye(2), atol=0)
-
-
-def test_jacobi_identity():
-    eig = eigen_sym(DenseMatrix(np.eye(3)))
-    np.testing.assert_array_equal(eig.eigenvalues, np.ones(3))
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        eigen_sym(DenseMatrix([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_jacobi_rejects_rectangular():
-    with pytest.raises(ValueError):
-        eigen_sym(DenseMatrix(np.ones((2, 3))))
-
-
-def test_jacobi_eigenvalues_sorted():
-    rng = np.random.default_rng(3)
-    eig = eigen_sym(random_symmetric(rng, 8))
-    assert np.all(np.diff(eig.eigenvalues) >= 0)
-
-
-def test_jacobi_reconstruction_random():
-    """V diag(w) Vᵀ must reproduce G and V must be orthogonal, across sizes."""
-    rng = np.random.default_rng(12345)
-    for n in [1, 2, 3, 5, 10, 25, 50]:
-        g = random_symmetric(rng, n, scale=3.0)
-        eig = eigen_sym(g)
-        gnorm = float(np.sqrt(g.frobenius_sq))
-        recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-        assert np.linalg.norm(recon - g.data, "fro") <= 1e-9 * max(1.0, gnorm)
-        ortho = eig.eigenvectors.T @ eig.eigenvectors - np.eye(n)
-        assert np.max(np.abs(ortho)) <= 1e-10
-
-
-def test_jacobi_matches_numpy():
-    rng = np.random.default_rng(99)
-    for n in [2, 6, 20]:
-        g = random_symmetric(rng, n)
-        eig = eigen_sym(g)
-        ref = np.linalg.eigvalsh(g.data)
-        np.testing.assert_allclose(
-            eig.eigenvalues, ref, atol=1e-10 * max(1.0, np.abs(ref).max())
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +145,8 @@ def test_least_norm_correction_in_row_space():
         x_star = least_norm_solution(a, b, x0)
         assert np.max(np.abs(raw @ x_star - b)) <= 1e-8 * (1 + np.abs(b).max())
         # null space of A = eigenvectors of AᵀA with (near) zero eigenvalue
-        eig = eigen_sym(gram_matrix(a))
-        w = eig.eigenvalues
-        null = eig.eigenvectors[:, w <= 1e-10 * np.abs(w).max()]
+        w, v = np.linalg.eigh(gram_matrix(a).data)
+        null = v[:, w <= 1e-10 * np.abs(w).max()]
         assert null.shape[1] == n - m
         assert np.linalg.norm(null.T @ (x_star - x0)) <= 1e-8
 

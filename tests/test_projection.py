@@ -1,5 +1,8 @@
 """The exact least-distance projector: agreement with Hildreth's sweeps,
-fixed points, degenerate active sets, and the Hildreth fallback."""
+fixed points, degenerate active sets, the QR rerun, and the error when
+neither exact run certifies."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaczpen import projection
-from kaczpen.linalg import DenseMatrix
-from kaczpen.problems import generate_feasible_lf
+from kaczpen.cli import main
+from kaczpen.linalg import ConvergenceError, DenseMatrix
+from kaczpen.problems import Problem, ProblemKind, generate_feasible_lf, save_problem
 from kaczpen.projection import _certificate_error, _hildreth, _least_distance, project_polyhedron
 
 
@@ -73,20 +77,15 @@ def test_feasible_point_returned_unchanged():
         assert y is not xp
 
 
-def test_degenerate_duplicate_and_parallel_rows_certified(monkeypatch):
+def test_degenerate_duplicate_and_parallel_rows_certified():
     """Duplicate and positively scaled rows, m > n, every row tight at the
-    planted point: the exact path certifies without the fallback."""
+    planted point: the exact path certifies."""
     rng = np.random.default_rng(11)
     base = rng.standard_normal((5, 3))
     rows = np.vstack([base, base[0], base[1], 2.0 * base[2], 0.5 * base[0], base[3]])
     xp = rng.standard_normal(3)
     a = DenseMatrix(rows)
     b = rows @ xp
-
-    def no_fallback(*args):
-        raise AssertionError("the Hildreth fallback ran")
-
-    monkeypatch.setattr(projection, "_hildreth", no_fallback)
     for scale in (1e-3, 1.0, 10.0):
         for _ in range(10):
             x = xp + scale * rng.standard_normal(3)
@@ -113,17 +112,12 @@ def test_degenerate_vertex_many_tight_rows(m, n, scales, use_qr):
             _assert_kkt(x, p.a, p.b, y, lam)
 
 
-def test_far_point_on_degenerate_vertex_needs_no_fallback(monkeypatch):
+def test_far_point_on_degenerate_vertex_needs_no_fallback():
     """A point at distance ~200 from a vertex where 90 of 300 rows meet in
     50 dimensions.  The Gram run ends about 1e-4 infeasible here; the QR
-    rerun certifies, so Hildreth's sweeps are not needed."""
+    rerun certifies."""
     p = generate_feasible_lf(300, 50, seed=2, active_fraction=0.3)
     x = p.x_planted + 30.0 * np.random.default_rng(2).standard_normal((16, 50))[-1]
-
-    def no_fallback(*args):
-        raise AssertionError("the Hildreth fallback ran")
-
-    monkeypatch.setattr(projection, "_hildreth", no_fallback)
     y = project_polyhedron(x, p.a, p.b)
     assert _certificate_error(p.a, p.b, *_least_distance(x, p.a, p.b, True)) is None
     assert np.array_equal(y, _least_distance(x, p.a, p.b, True)[0])
@@ -138,37 +132,94 @@ def test_qr_rerun_when_gram_uncertified(monkeypatch):
         runs.append(use_qr)
         return _least_distance(x, a, b, True) if use_qr else None
 
-    def no_fallback(*args):
-        raise AssertionError("the Hildreth fallback ran")
-
     monkeypatch.setattr(projection, "_least_distance", gram_gives_up)
-    monkeypatch.setattr(projection, "_hildreth", no_fallback)
     y = project_polyhedron(x, p.a, p.b)
     assert runs == [False, True]
     assert np.array_equal(y, _least_distance(x, p.a, p.b, True)[0])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_point_projected_at_unit_scale():
+    """||x||^2 overflows for x = (0, 1.5e308), so neither exact run
+    certifies; the point and bounds are scaled by an exact power of two,
+    projected, certified and scaled back.  The projection onto the cone
+    y2 <= y1 <= 0 is its apex 0."""
+    a = DenseMatrix([[-1.0, 1.0], [3.0, 0.0]])
+    x = np.array([0.0, 1.5e308])
+    y = project_polyhedron(x, a, np.zeros(2))
+    e = math.frexp(1.5e308)[1]
+    unit = project_polyhedron(np.ldexp(x, -e), a, np.zeros(2))
+    assert np.array_equal(y, np.ldexp(unit, e))
+    assert np.abs(y).max() <= 1e-8 * 1.5e308
+
+
+def _halfspace_corner_file(tmp_path):
+    """An lf file on {y <= -1} in the plane, so the solver's start x = 0 is
+    infeasible."""
+    p = Problem(
+        kind=ProblemKind.LF,
+        a=DenseMatrix(np.eye(2)),
+        b=np.array([-1.0, -1.0]),
+        x_planted=np.array([-1.0, -1.0]),
+    )
+    path = str(tmp_path / "corner.txt")
+    save_problem(p, path)
+    return path
+
+
 @pytest.mark.parametrize("exact", ["gives up", "uncertified"])
-def test_hildreth_fallback(monkeypatch, exact):
+def test_both_exact_runs_failing_raises(monkeypatch, capsys, tmp_path, exact):
+    """Neither exact run certifies: ConvergenceError names both runs'
+    errors, and the CLI exits 3 with that message."""
     p = generate_feasible_lf(12, 6, seed=2, active_fraction=0.3)
     x = p.x_planted + 2.0 * np.random.default_rng(2).standard_normal(6)
+
+    def broken(x, a, b, use_qr=False):
+        if exact == "gives up":
+            return None
+        if use_qr:
+            # feasible, but with multipliers on rows that have slack
+            return p.x_planted.copy(), np.ones(a.rows)
+        return x.copy(), np.zeros(a.rows)  # infeasible here
+
+    if exact == "gives up":
+        gram = qr = "stopped without a result"
+    else:
+        gram = _certificate_error(p.a, p.b, x, np.zeros(p.m))
+        qr = _certificate_error(p.a, p.b, *broken(x, p.a, p.b, True))
+        assert gram.startswith("projection result infeasible")
+        assert qr.startswith("complementary slackness violated")
+    monkeypatch.setattr(projection, "_least_distance", broken)
+    with pytest.raises(ConvergenceError) as info:
+        project_polyhedron(x, p.a, p.b)
+    assert str(info.value) == f"projection not certified: Gram run: {gram}; QR run: {qr}"
+
+    def infeasible(x, a, b, use_qr=False):
+        return None if exact == "gives up" else (x.copy(), np.zeros(a.rows))
+
+    monkeypatch.setattr(projection, "_least_distance", infeasible)
+    path = _halfspace_corner_file(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", path, "--method", "rk", "--iters", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "error: projection not certified: Gram run: " in err
+    assert "; QR run: " in err
+
+
+def test_project_polyhedron_never_calls_hildreth(monkeypatch):
+    """Hildreth's sweeps are a reference only: no projection, certified or
+    not, falls back to them."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return _hildreth(*args)
 
-    def broken(x, a, b, use_qr=False):
-        # "uncertified": the point itself, which is infeasible here
-        return None if exact == "gives up" else (x.copy(), np.zeros(a.rows))
-
-    assert _certificate_error(p.a, p.b, x, np.zeros(p.m)) is not None
-    monkeypatch.setattr(projection, "_least_distance", broken)
     monkeypatch.setattr(projection, "_hildreth", counted)
-    y = project_polyhedron(x, p.a, p.b)
-    assert len(calls) == 1
-    y_ref, lam_ref, _ = _hildreth(x, p.a, p.b, 1e-12, 100_000)
-    assert np.array_equal(y, y_ref)
-    _assert_kkt(x, p.a, p.b, y, lam_ref)
-    monkeypatch.undo()
-    assert np.abs(y - project_polyhedron(x, p.a, p.b)).max() <= 1e-8
+    p = generate_feasible_lf(12, 6, seed=2, active_fraction=0.3)
+    x = p.x_planted + 2.0 * np.random.default_rng(2).standard_normal(6)
+    project_polyhedron(x, p.a, p.b)
+    monkeypatch.setattr(projection, "_least_distance", lambda *args: None)
+    with pytest.raises(ConvergenceError):
+        project_polyhedron(x, p.a, p.b)
+    assert calls == []

@@ -6,6 +6,7 @@ import pytest
 import kaczpen.solvers as solvers
 import kaczpen.verify as verify
 from kaczpen.cli import main
+from kaczpen.linalg import ConvergenceError
 from kaczpen.projection import _hildreth
 from kaczpen.verify import (
     SUITES,
@@ -110,3 +111,23 @@ def test_projectors_must_agree(monkeypatch):
     monkeypatch.setattr(verify, "project_polyhedron", loose)
     res = check_projection_certificates(seed=0)
     assert not res.passed
+
+
+def test_reference_projector_giving_up_is_a_fail(monkeypatch, capsys):
+    """Hildreth's sweeps exhausting their budget fail the property with the
+    error's message; the other properties still run and report."""
+
+    def exhausted(*args):
+        raise ConvergenceError("projection sweeps exhausted with residual movement 1.0e-04")
+
+    monkeypatch.setattr(verify, "_hildreth", exhausted)
+    res = check_projection_certificates(seed=0)
+    assert not res.passed
+    assert res.detail == "projection sweeps exhausted with residual movement 1.0e-04"
+
+    capsys.readouterr()
+    assert main(["verify", "--suite", "lf", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert ("FAIL projection-certificates projection sweeps exhausted with "
+            "residual movement 1.0e-04") in lines
+    assert lines[-1] == "5/6 properties passed"
