@@ -173,11 +173,12 @@ def _certificate_error(a: DenseMatrix, b, y, lam) -> str | None:
     slack = a.data @ y - b
     b_scale = 1.0 + float(np.abs(b).max())
     feas_gap = max(float(slack.max()), 0.0)
-    if feas_gap > _FEAS_REL_TOL * b_scale:
+    # `not <=` so that a NaN gap fails, where `>` would let it through
+    if not feas_gap <= _FEAS_REL_TOL * b_scale:
         return f"projection result infeasible by {feas_gap:.3e}"
     comp = float(np.abs(lam * slack).max())
     lam_scale = max(1.0, float(lam.max()) if lam.size else 1.0)
-    if comp > _COMP_SLACK_TOL * lam_scale * b_scale:
+    if not comp <= _COMP_SLACK_TOL * lam_scale * b_scale:
         return f"complementary slackness violated by {comp:.3e}"
     return None
 

@@ -16,13 +16,20 @@ it once per iteration, and the analysis module calls it on all Monte Carlo
 trials, or all rows of an enumeration oracle, at once.  An optional
 geometric schedule grows rho by a factor c >= 1 each iteration up to a
 cap, which drives the damped steps toward the plain projection.
+
+SolverConfig is validated once, when built; run_solver reads the rows,
+b and ||a_i||^2 into lists once and updates x in place.  It checks x once
+per draw block (a non-finite x stays non-finite under the step); a block
+that fails the check or raises is replayed from its starting (x, z, rho),
+checking every step, so NumericFailureError names the first failing k.
+Trace records reach the sink only after their block passes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -177,6 +184,11 @@ class SolverConfig:
             self.method = Method(self.method)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        # NaN passes every comparison below; only rho_max may be inf (no cap)
+        for name in ("rho0", "c", "rho_max", "residual_tol"):
+            value = getattr(self, name)
+            if value is not None and (math.isnan(value) or name != "rho_max" and math.isinf(value)):
+                raise ValueError(f"{name} must not be {value}")
         if self.rho0 <= 0.0:
             raise ValueError("rho0 must be positive")
         if self.c < 1.0:
@@ -195,21 +207,6 @@ class SolverState:
     z: float | np.ndarray
     rho: float
     k: int
-
-
-def _row_stream(sampler, count: int):
-    """count row indices, drawn _DRAW_BLOCK at a time; sample_rows consumes
-    the stream exactly like successive sample_row calls."""
-    while count > 0:
-        block = min(count, _DRAW_BLOCK)
-        yield from sampler.sample_rows(block).tolist()
-        count -= block
-
-
-def _dual_sq(z) -> float:
-    if isinstance(z, np.ndarray):
-        return float((z * z).sum())
-    return float(z) * float(z)
 
 
 def run_solver(
@@ -249,9 +246,7 @@ def run_solver(
 
     def residual_of(v: np.ndarray) -> float:
         r = a.data @ v - b
-        if is_ls:
-            return float(np.abs(r).max())
-        return max(float(r.max()), 0.0)
+        return float(np.abs(r).max()) if is_ls else max(float(r.max()), 0.0)
 
     def error_of(v: np.ndarray) -> float:
         if is_ls:
@@ -262,59 +257,64 @@ def run_solver(
     residual = residual_of(x) if need_residual else 0.0
     error_sq = error_of(x) if tracing else 0.0
     if tracing:
-        trace_sink(
-            TraceRecord(
-                k=0,
-                row=-1,
-                rho=rho,
-                error_sq=error_sq,
-                residual=residual,
-                z=0.0,
-                lyapunov=error_sq,
-                fresh=True,
-            )
-        )
-    if cfg.residual_tol is not None and residual <= cfg.residual_tol:
+        trace_sink(TraceRecord(0, -1, rho, error_sq, residual, 0.0, error_sq, True))
+    tol = cfg.residual_tol
+    if tol is not None and residual <= tol:
         return SolverState(x=x, z=z, rho=rho, k=0)
 
-    rak = method is Method.RAK
+    rows, bs, norms_sq = list(a.data), b.tolist(), a.row_norms_sq.tolist()
+    lf, rak, scheduled = not is_ls, method is Method.RAK, method is not Method.RK
+    c, rho_max, stride = cfg.c, cfg.rho_max, cfg.trace_stride
+    tmp = np.empty(n)
     k = 0
-    for k, i in enumerate(_row_stream(sampler, cfg.max_iters), start=1):
-        z_arg, rho_arg = _kernel_args(method, z[i] if per_row else z, rho)
-        x, coef = _row_step(x, z_arg, a, b, i, rho_arg, not is_ls)
-        if rak:
-            if per_row:
-                z[i] = coef
-            else:
-                z = coef
-        if not np.isfinite(x).all():
-            raise NumericFailureError(k)
-        if method is not Method.RK:
-            rho = advance_rho(rho, cfg.c, cfg.rho_max)
-
-        if need_residual:
-            residual = residual_of(x)
-        if tracing:
-            if is_ls:
-                error_sq = error_of(x)
-                fresh = True
-            else:
-                fresh = k % cfg.trace_stride == 0
-                if fresh:
-                    error_sq = error_of(x)
-            lyap = error_sq + _dual_sq(z) / rho if rak else error_sq
-            trace_sink(
-                TraceRecord(
-                    k=k,
-                    row=i,
-                    rho=rho,
-                    error_sq=error_sq,
-                    residual=residual,
-                    z=coef if rak else 0.0,
-                    lyapunov=lyap,
-                    fresh=fresh,
-                )
-            )
-        if cfg.residual_tol is not None and residual <= cfg.residual_tol:
+    for start in range(0, cfg.max_iters, _DRAW_BLOCK):
+        block = sampler.sample_rows(min(_DRAW_BLOCK, cfg.max_iters - start)).tolist()
+        saved = (x.copy(), z.copy() if per_row else z, rho, k, error_sq)
+        for careful in (False, True):
+            if careful:
+                x[:], z, rho, k, error_sq = saved
+            z_arg, rho_arg = _kernel_args(method, z, rho)
+            records = []
+            emit = trace_sink if careful else records.append
+            try:
+                for i in block:
+                    k += 1
+                    row = rows[i]
+                    if per_row:
+                        z_arg = z[i]
+                    coef, moves = _step_coef(float(row.dot(x)) - bs[i], z_arg, norms_sq[i], rho_arg, lf)
+                    if moves:
+                        np.multiply(row, coef, tmp)
+                        np.subtract(x, tmp, x)
+                    else:
+                        coef = 0.0
+                    if per_row:
+                        z[i] = coef
+                    elif rak:
+                        z = z_arg = coef
+                    if careful and not np.isfinite(x).all():
+                        raise NumericFailureError(k)
+                    if scheduled:
+                        rho = rho_arg = advance_rho(rho, c, rho_max)
+                    if need_residual:
+                        residual = residual_of(x)
+                    if tracing:
+                        fresh = is_ls or k % stride == 0
+                        if fresh:
+                            error_sq = error_of(x)
+                        z_sq = float((z * z).sum()) if per_row else z * z
+                        lyap = error_sq + z_sq / rho if rak else error_sq
+                        emit(TraceRecord(k, i, rho, error_sq, residual, coef if rak else 0.0, lyap, fresh))
+                    if tol is not None and residual <= tol:
+                        break
+            except Exception:  # replayed: it recurs, or a non-finite x comes first
+                if careful:
+                    raise
+                continue
+            if np.isfinite(x).all():
+                break
+        for rec in records:
+            trace_sink(rec)
+        if tol is not None and residual <= tol:
             break
     return SolverState(x=x, z=z, rho=rho, k=k)

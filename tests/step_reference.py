@@ -3,8 +3,11 @@
 The six step bodies, the per-method dispatcher and the two row-enumeration
 oracles below are verbatim copies of the implementations that each wrote
 the step formula out on its own; reference_run is their solver loop
-without tracing (one sample_row draw and one SolverState per step).  The
-tests require the kernel-based code to reproduce all of them bit for bit.
+without tracing (one sample_row draw and one SolverState per step), and
+reference_solve is that loop with tracing and the residual stop, checking
+x after every step as run_solver did before it checked once per draw
+block.  The tests require the kernel-based code to reproduce all of them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -22,12 +25,23 @@ from kaczpen.linalg import DenseMatrix, as_vector, lambda_min_variants, least_no
 from kaczpen.problems import Problem, ProblemKind, normalize_rows
 from kaczpen.projection import distance_to_feasible
 from kaczpen.sampling import build_sampler
-from kaczpen.solvers import Method, NumericFailureError, SolverState, advance_rho
+from kaczpen.solvers import Method, NumericFailureError, SolverConfig, SolverState, advance_rho
+from kaczpen.traces import TraceRecord
 
 
 def bits(value) -> bytes:
     """The float64 bytes of a number or array, so -0.0 and 0.0 differ."""
     return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def record_bits(records) -> list:
+    """Trace records with every float field as bytes, so NaN fields and
+    signed zeros compare exactly."""
+    return [
+        (r.k, r.row, bits(r.rho), bits(r.error_sq), bits(r.residual), bits(r.z),
+         bits(r.lyapunov), r.fresh)
+        for r in records
+    ]
 
 
 def assert_same_report(got, ref) -> None:
@@ -328,3 +342,67 @@ def reference_run(problem: Problem, method: Method, max_iters: int, rho0: float 
         state = SolverState(x=x, z=z, rho=rho, k=k)
         steps.append((i, z_rec, rho))
     return state, steps
+
+
+def reference_solve(problem: Problem, cfg: SolverConfig, trace_sink=None, x_star=None):
+    """run_solver's loop as it was with a finiteness check after every
+    step, over the reference steps and one sample_row draw per iteration:
+    the same trace records, residual stop and NumericFailureError."""
+    if cfg.normalize and not problem.normalized:
+        problem = normalize_rows(problem)
+    a, b = problem.a, problem.b
+    is_ls = problem.kind is ProblemKind.LS
+    method = cfg.method
+    x = np.zeros(a.cols) if cfg.x0 is None else as_vector(cfg.x0, a.cols).copy()
+    per_row = cfg.z_per_row and method is Method.RAK
+    z = np.zeros(a.rows) if per_row else 0.0
+    rho = cfg.rho0
+    sampler = build_sampler(a, cfg.seed)
+    tracing = trace_sink is not None
+    need_residual = tracing or cfg.residual_tol is not None
+    if tracing and is_ls and x_star is None:
+        x_star = least_norm_solution(a, b, x)
+
+    def residual_of(v):
+        r = a.data @ v - b
+        return float(np.abs(r).max()) if is_ls else max(float(r.max()), 0.0)
+
+    def error_of(v):
+        if is_ls:
+            d = v - x_star
+            return float(d @ d)
+        return distance_to_feasible(v, problem) ** 2
+
+    residual = residual_of(x) if need_residual else 0.0
+    error_sq = error_of(x) if tracing else 0.0
+    if tracing:
+        trace_sink(TraceRecord(0, -1, rho, error_sq, residual, 0.0, error_sq, True))
+    if cfg.residual_tol is not None and residual <= cfg.residual_tol:
+        return SolverState(x=x, z=z, rho=rho, k=0)
+    k = 0
+    for k in range(1, cfg.max_iters + 1):
+        i = sampler.sample_row()
+        x, z_new = _apply_step(problem, x, float(z[i]) if per_row else z, method, rho, i)
+        if per_row:
+            z[i] = z_new
+        elif method is Method.RAK:
+            z = z_new
+        if not np.all(np.isfinite(x)):
+            raise NumericFailureError(k)
+        if method is not Method.RK:
+            rho = advance_rho(rho, cfg.c, cfg.rho_max)
+        if need_residual:
+            residual = residual_of(x)
+        if tracing:
+            fresh = is_ls or k % cfg.trace_stride == 0
+            if fresh:
+                error_sq = error_of(x)
+            if method is Method.RAK:
+                z_sq = float((z * z).sum()) if per_row else z * z
+                trace_sink(TraceRecord(k, i, rho, error_sq, residual, z_new,
+                                       error_sq + z_sq / rho, fresh))
+            else:
+                trace_sink(TraceRecord(k, i, rho, error_sq, residual, 0.0, error_sq, fresh))
+        if cfg.residual_tol is not None and residual <= cfg.residual_tol:
+            break
+    return SolverState(x=x, z=z, rho=rho, k=k)

@@ -205,6 +205,58 @@ def test_solve_bad_config_exits_2(capsys, tmp_path, ls_problem):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "method, flag, value, field",
+    [
+        ("rak", "--rho-max", "nan", "rho_max"),
+        ("rak", "--tol", "nan", "residual_tol"),
+        ("rk", "--rho0", "nan", "rho0"),
+        ("rpk", "--c", "nan", "c"),
+        ("rpk", "--rho0", "inf", "rho0"),
+        ("rak", "--c", "inf", "c"),
+        ("rpk", "--tol", "inf", "residual_tol"),
+    ],
+)
+def test_solve_non_finite_parameter_exits_2(
+    capsys, tmp_path, ls_problem, method, flag, value, field
+):
+    """NaN passes every range check, and so did nothing (--rho-max, --tol),
+    was echoed (--rho0) or failed later as a non-finite iterate (--c)."""
+    trace = tmp_path / "t.csv"
+    code, stdout, stderr = run_cli(
+        capsys, "solve", ls_problem, "--method", method, "--iters", "5",
+        flag, value, "--trace", str(trace),
+    )
+    assert code == 2
+    assert f"usage error: {field} must not be {value}" in stderr
+    assert stdout == "" and not trace.exists()
+
+
+def test_solve_infinite_rho_max_means_no_cap(capsys, tmp_path, ls_problem):
+    code, stdout, _ = run_cli(
+        capsys, "solve", ls_problem, "--method", "rpk", "--iters", "5",
+        "--c", "2", "--rho-max", "inf",
+    )
+    assert code == 0
+    assert "iterations_executed=5" in stdout
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--rho0", "nan", "rho0"), ("--c", "nan", "c"), ("--rho-max", "nan", "rho_max"),
+     ("--rho0", "inf", "rho0"), ("--c", "inf", "c")],
+)
+def test_compare_non_finite_parameter_exits_2(capsys, tmp_path, ls_problem, flag, value, field):
+    out = tmp_path / "c.csv"
+    code, _, stderr = run_cli(
+        capsys, "compare", ls_problem, "--trials", "2", "--checkpoints", "0,5",
+        flag, value, "-o", str(out),
+    )
+    assert code == 2
+    assert f"usage error: {field} must not be {value}" in stderr
+    assert not out.exists()
+
+
 def test_solve_lf_runs(capsys, tmp_path, lf_problem):
     trace = str(tmp_path / "t.csv")
     code, stdout, _ = run_cli(

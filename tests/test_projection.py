@@ -153,6 +153,44 @@ def test_huge_point_projected_at_unit_scale():
     assert np.abs(y).max() <= 1e-8 * 1.5e308
 
 
+@pytest.mark.parametrize(
+    "y, lam",
+    [([np.nan, 0.0], [0.0]), ([0.0, 0.0], [np.nan])],
+    ids=["nan slack", "nan multiplier"],
+)
+def test_certificate_refuses_nan(y, lam):
+    """A NaN slack or multiplier is not certified: max(nan, 0.0) is nan,
+    and nan > tol is False, so both tests are written as not (gap <= tol)."""
+    a = DenseMatrix([[1.0, 0.0]])
+    assert _certificate_error(a, np.zeros(1), np.array(y), np.array(lam)) is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_slack_point_reaches_unit_scale(monkeypatch):
+    """A x overflows to inf - inf = nan for x = (1e308, -1e308, ...) on a
+    row of tens.  Both exact runs return x with NaN slacks, which is no
+    longer certified, so x is projected again at unit scale, where it lies
+    on the boundary and comes back unchanged and finite."""
+    a = DenseMatrix([[10.0] * 16])
+    x = np.tile([1e308, -1e308], 8)
+    b = np.zeros(1)
+    assert _certificate_error(a, b, *_least_distance(x, a, b)) is not None
+    scales = []
+    real = projection._least_distance
+
+    def spy(x, a, b, use_qr=False):
+        scales.append(float(np.abs(x).max()))
+        return real(x, a, b, use_qr)
+
+    monkeypatch.setattr(projection, "_least_distance", spy)
+    y = project_polyhedron(x, a, b)
+    assert scales[:2] == [1e308, 1e308] and len(scales) == 3 and scales[2] < 1.0
+    assert np.isfinite(y).all() and np.array_equal(y, x)
+    e = math.frexp(1e308)[1]
+    unit = np.ldexp(x, -e)
+    assert _certificate_error(a, b, unit, np.zeros(1)) is None
+
+
 def _halfspace_corner_file(tmp_path):
     """An lf file on {y <= -1} in the plane, so the solver's start x = 0 is
     infeasible."""

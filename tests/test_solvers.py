@@ -1,5 +1,7 @@
 """Step rules, the penalty schedule, and the iteration driver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -403,3 +405,17 @@ def test_solver_config_validation():
         SolverConfig(method=Method.RPK, max_iters=1, rho0=2.0, rho_max=1.0)
     cfg = SolverConfig(method="rak", max_iters=1)
     assert cfg.method is Method.RAK
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rho0", math.nan), ("c", math.nan), ("rho_max", math.nan), ("residual_tol", math.nan),
+     ("rho0", math.inf), ("c", math.inf), ("residual_tol", math.inf), ("rho0", -math.inf)],
+)
+def test_solver_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must not be {value}$"):
+        SolverConfig(method=Method.RAK, max_iters=1, **{field: value})
+
+
+def test_solver_config_allows_uncapped_rho():
+    assert SolverConfig(method=Method.RPK, max_iters=1, rho_max=math.inf).rho_max == math.inf

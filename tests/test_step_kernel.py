@@ -1,6 +1,8 @@
 """One step kernel: the step functions, run_solver, the Monte Carlo curve
 and the enumeration oracles all reproduce the code it replaced bit for bit,
-and all of them go through it."""
+and all of them go through it.  run_solver checks x once per draw block,
+so its residual stop, its numeric failures and the penalty cap are also
+compared against a loop that checks every step."""
 
 import numpy as np
 import pytest
@@ -10,14 +12,15 @@ from hypothesis import strategies as st
 import step_reference as ref
 from kaczpen import solvers
 from kaczpen.analysis import adaptive_step_report, exact_expected_step, monte_carlo_error_curve
-from kaczpen.linalg import DenseMatrix
+from kaczpen.linalg import ConvergenceError, DenseMatrix
 from kaczpen.problems import (
+    Problem,
     ProblemKind,
     generate_consistent_ls,
     generate_feasible_lf,
     normalize_rows,
 )
-from kaczpen.solvers import Method, SolverConfig, SolverState, run_solver
+from kaczpen.solvers import Method, NumericFailureError, SolverConfig, SolverState, run_solver
 
 entries = st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: 0.0 if abs(v) < 1e-3 else v)
 signed_zero = st.sampled_from([0.0, -0.0])
@@ -119,6 +122,137 @@ def test_run_solver_matches_reference_loop(method, kind, c, z_per_row):
     assert [(r.row, ref.bits(r.z), r.rho) for r in records[1:]] == [
         (i, ref.bits(z), rho) for i, z, rho in steps
     ]
+
+
+def _outcome(solve, p, cfg, traced):
+    """(k, x, z, rho) as bytes, or ("failed", k), and the records a sink got."""
+    records = []
+    try:
+        state = solve(p, cfg, records.append if traced else None)
+    except NumericFailureError as exc:
+        return ("failed", exc.iteration), ref.record_bits(records)
+    return (state.k, ref.bits(state.x), ref.bits(state.z), ref.bits(state.rho)), ref.record_bits(
+        records
+    )
+
+
+def _same_as_per_step_loop(p, cfg):
+    """run_solver and the per-step reference agree, untraced and traced;
+    returns the traced outcome and records."""
+    for traced in (False, True):
+        got = _outcome(run_solver, p, cfg, traced)
+        assert got == _outcome(ref.reference_solve, p, cfg, traced)
+    return got
+
+
+BLOCK = solvers._DRAW_BLOCK
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+def test_tol_stop_inside_second_block(method, kind):
+    """A tolerance below every residual of the first block stops the run
+    inside the second one, with the records up to and including the stop."""
+    p = _problem(kind)
+    x0 = np.linspace(-1.0, 2.0, p.n) * (1.0 if kind == "ls" else 6.0)
+    base = dict(method=method, max_iters=3 * BLOCK, rho0=0.7, seed=5, x0=x0, trace_stride=7)
+    records = []
+    ref.reference_solve(p, SolverConfig(**base), records.append)
+    tol = 0.5 * min(r.residual for r in records[1 : BLOCK + 1])
+    (k, *_), records = _same_as_per_step_loop(p, SolverConfig(**base, residual_tol=tol))
+    assert BLOCK + 1 < k < 2 * BLOCK
+    assert [r[0] for r in records] == list(range(k + 1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "method, z_per_row",
+    [(Method.RK, False), (Method.RPK, False), (Method.RAK, False), (Method.RAK, True)],
+)
+@pytest.mark.parametrize("kind", [ProblemKind.LS, ProblemKind.LF])
+def test_numeric_failure_mid_block_reports_first_k(method, z_per_row, kind):
+    """From x0 = (1.7e308, 5) row 0 moves x[1] toward 0.1, slowly for the
+    damped steps, and row 1's residual overflows.  Row 1 has 4/904 of the
+    weight, and seed 7 first draws it at k = 296: inside the second block,
+    not its first step.  The error carries that k, and a sink holds
+    exactly records 0..295, with the rho schedule's values.  On the
+    feasibility file the fresh record at k = 300 would project a
+    non-finite x, which raises inside the block before its check."""
+    a = DenseMatrix([[0.0, 30.0], [2.0, 0.0]])
+    p = Problem(kind, a, np.array([3.0, 0.0]), x_planted=np.array([0.0, 0.1]))
+    cfg = SolverConfig(
+        method=method, max_iters=2 * BLOCK, rho0=1e-6, c=1.001, seed=7, x0=[1.7e308, 5.0],
+        z_per_row=z_per_row,
+    )
+    outcome, records = _same_as_per_step_loop(p, cfg)
+    assert outcome == ("failed", 296)
+    assert [r[0] for r in records] == list(range(296))
+
+
+def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
+    """A step that raises inside a block (here a projection refused once x
+    is close enough, first at the fresh record k = 290) raises from
+    run_solver as from the per-step loop, after exactly records 0..289;
+    records 257..259 keep the distance taken at k = 250."""
+    p = _problem("lf")
+    cfg = SolverConfig(
+        method=Method.RPK, max_iters=2 * BLOCK, rho0=0.05, seed=5, x0=p.x_planted + 6.0
+    )
+    records = []
+    ref.reference_solve(p, cfg, records.append)
+    limit = records[290].error_sq
+    assert records[280].error_sq > limit
+    real = solvers.distance_to_feasible
+
+    def refusing(x, problem):
+        d = real(x, problem)
+        if d * d <= limit:
+            raise ConvergenceError("close enough")
+        return d
+
+    monkeypatch.setattr(solvers, "distance_to_feasible", refusing)
+    monkeypatch.setattr(ref, "distance_to_feasible", refusing)
+    got = []
+    for solve, sink in ((run_solver, []), (ref.reference_solve, [])):
+        with pytest.raises(ConvergenceError, match="close enough"):
+            solve(p, cfg, sink.append)
+        got.append(ref.record_bits(sink))
+    assert got[0] == got[1]
+    assert [r[0] for r in got[0]] == list(range(290))
+
+
+@pytest.mark.parametrize(
+    "method, z_per_row", [(Method.RPK, False), (Method.RAK, False), (Method.RAK, True)]
+)
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+def test_rho_reaches_cap_mid_block(method, z_per_row, kind):
+    """rho0 0.7 grows by 1.01 a step and meets the cap of 20 at k = 337,
+    in the middle of the second block."""
+    p = _problem(kind)
+    cfg = SolverConfig(
+        method=method, max_iters=2 * BLOCK + 30, rho0=0.7, c=1.01, rho_max=20.0, seed=5,
+        x0=np.linspace(-1.0, 2.0, p.n), z_per_row=z_per_row, trace_stride=50,
+    )
+    _, records = _same_as_per_step_loop(p, cfg)
+    capped = [r[0] for r in records if r[2] == ref.bits(20.0)]
+    assert capped == list(range(337, 2 * BLOCK + 31))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_run_solver_advances_rho_every_step_even_at_c_1(method, monkeypatch):
+    """advance_rho is looked up at call time once per step of the damped
+    methods, also when c = 1 leaves rho unchanged, so a broken schedule
+    shows in fixed-penalty runs too; the plain step never calls it."""
+    calls = []
+    real = solvers.advance_rho
+
+    def counted(rho, c, rho_max):
+        calls.append(c)
+        return real(rho, c, rho_max)
+
+    monkeypatch.setattr(solvers, "advance_rho", counted)
+    run_solver(_problem("ls"), SolverConfig(method=method, max_iters=BLOCK + 3))
+    assert calls == ([] if method is Method.RK else [1.0] * (BLOCK + 3))
 
 
 def _oracle_states(problem, rng, count):
