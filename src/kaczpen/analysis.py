@@ -15,7 +15,7 @@ import numpy as np
 
 from . import solvers
 from .linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution
-from .problems import Problem, ProblemKind, normalize_rows
+from .problems import Problem, ProblemKind
 from .projection import distance_to_feasible, project_polyhedron
 from .sampling import build_sampler, make_rng
 from .solvers import _DRAW_BLOCK, Method, NumericFailureError, SolverConfig, SolverState
@@ -235,17 +235,6 @@ def _sampling_weights(a: DenseMatrix) -> np.ndarray:
     return a.row_norms_sq / a.frobenius_sq
 
 
-def _scalar_multiplier(state: SolverState) -> float:
-    """The state's single multiplier z; the enumeration oracles follow one
-    z through a step, so per-row multipliers are refused."""
-    if np.ndim(state.z) != 0:
-        raise ValueError(
-            "per-row multipliers (z_per_row states) are not supported by "
-            "the enumeration oracles; pass a state with one scalar z"
-        )
-    return float(state.z)
-
-
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise u[t] . v[t] (v may be one vector for all rows); the stacked
     matmul takes the same dot as the scalar float(u[t] @ v[t])."""
@@ -268,7 +257,7 @@ def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: f
         raise ValueError(f"enumeration over {problem.m} rows exceeds the cap")
     a, lf = problem.a, problem.kind is ProblemKind.LF
     x = as_vector(state.x, problem.n)
-    z = _scalar_multiplier(state)
+    z = float(state.z)
     if lf:
         if method is Method.RAK and z < 0.0:
             raise ValueError("multiplier z must be nonnegative in feasibility mode")
@@ -442,17 +431,23 @@ def monte_carlo_error_curve(
     """Mean squared error (Lyapunov value for the multiplier method) at
     the given iteration checkpoints, averaged over n_trials runs.
 
-    Trial t is the run of run_solver with seed cfg.seed + t, and a
-    checkpoint value is the metric of its state after exactly that many
-    iterations, so a single trial reproduces the solve trace.  All trials
-    advance together in one pass to the largest checkpoint: trial t's
-    iterate is row t of an (n_trials, n) array, its rows come from its own
-    sampler, drawn ahead in blocks, and every step calls the step kernel
-    on all trials at once.  The residuals come from a stacked matmul,
-    which rounds exactly like the scalar row @ x, so the means are bit for
-    bit those of per-trial reruns.  Means accumulate in trial order.  A non-finite iterate raises NumericFailureError for the
-    lowest-index trial that produces one, at its first such iteration.
+    Trial t is the run of run_solver on the same problem with seed
+    cfg.seed + t, and a checkpoint value is solvers.error_sq_of (plus
+    z^2 / rho for the multiplier method) at its state after exactly that
+    many iterations, so a single trial reproduces the solve trace's
+    lyapunov column (at its fresh records) bit for bit.  All trials
+    advance together in one pass
+    to the largest checkpoint: trial t's iterate is row t of an
+    (n_trials, n) array, its rows come from its own sampler, drawn ahead
+    in blocks, and every step calls the step kernel on all trials at once.
+    The residuals come from a stacked matmul, which rounds exactly like
+    the scalar row @ x, so the means are bit for bit those of per-trial
+    reruns.  Means accumulate in trial order.  A non-finite iterate raises
+    NumericFailureError for the lowest-index trial that produces one, at
+    its first such iteration.
 
+    The rows are used as given, by the runs, the metric and the envelope
+    alike; a caller that wants unit rows passes normalize_rows(problem).
     The envelope uses the fixed-penalty instance factor at rho0, which is
     a true expectation bound for equality systems.  For feasibility
     problems the distance constant is taken from hoffman_l or, failing
@@ -471,23 +466,13 @@ def monte_carlo_error_curve(
     method = cfg.method
 
     x0 = np.zeros(problem.n) if cfg.x0 is None else as_vector(cfg.x0, problem.n)
-    if is_ls:
-        x_star = least_norm_solution(problem.a, problem.b, x0)
-        d0 = x0 - x_star
-        initial = float(d0 @ d0)
-    else:
-        x_star = None
-        initial = distance_to_feasible(x0, problem) ** 2
+    x_star = least_norm_solution(problem.a, problem.b, x0) if is_ls else None
+    initial = solvers.error_sq_of(problem, x0, x_star)
 
-    # the rows the solver runs on; the metric stays on the given problem
-    run = problem
-    if cfg.normalize and not problem.normalized:
-        run = normalize_rows(problem)
-    a, b, norms_sq = run.a.data, run.b, run.a.row_norms_sq
-    per_row = cfg.z_per_row and method is Method.RAK
-    samplers = [build_sampler(run.a, cfg.seed + t) for t in range(n_trials)]
+    a, b, norms_sq = problem.a.data, problem.b, problem.a.row_norms_sq
+    samplers = [build_sampler(problem.a, cfg.seed + t) for t in range(n_trials)]
     x = np.tile(x0, (n_trials, 1))
-    z = np.zeros((n_trials, run.m) if per_row else n_trials)
+    z = np.zeros(n_trials)
     rho = cfg.rho0
     sums = [0.0 for _ in ks]
     failed_at = None
@@ -498,14 +483,10 @@ def monte_carlo_error_curve(
         while next_j < len(ks) and ks[next_j] == k:
             for t in range(len(x)):
                 # an array of its own, as run_solver's state.x is
-                xt = x[t].copy()
-                if is_ls:
-                    d = xt - x_star
-                    err = float(d @ d)
-                else:
-                    err = distance_to_feasible(xt, problem) ** 2
+                err = solvers.error_sq_of(problem, x[t].copy(), x_star)
                 if method is Method.RAK:
-                    err += float(np.sum(np.square(z[t]))) / rho
+                    zt = float(z[t])
+                    err += zt * zt / rho
                 sums[next_j] += err
             next_j += 1
 
@@ -517,9 +498,7 @@ def monte_carlo_error_curve(
             drawn = np.stack([s.sample_rows(count) for s in samplers])
         idx = drawn[:, j]
         rows = a[idx]
-        # trial t's multiplier: z[t, idx[t]] per row, else z[t]
-        at = (np.arange(len(x)), idx) if per_row else slice(None)
-        z_arg, rho_arg = solvers._kernel_args(method, z[at], rho)
+        z_arg, rho_arg = solvers._kernel_args(method, z, rho)
         coef, moves = solvers._step_coef(
             _row_dots(rows, x) - b[idx], z_arg, norms_sq[idx], rho_arg, not is_ls
         )
@@ -531,7 +510,7 @@ def monte_carlo_error_curve(
             x = np.where(moves[:, None], step, x)
             coef = np.where(moves, coef, 0.0)
         if method is Method.RAK:
-            z[at] = coef
+            z = coef
         finite = np.isfinite(x).all(axis=1)
         if not finite.all():
             # later trials no longer matter: trial bad fails first in

@@ -39,8 +39,14 @@ from .problems import (
     normalize_rows,
     save_problem,
 )
-from .projection import distance_to_feasible
-from .solvers import Method, NumericFailureError, SolverConfig, run_solver
+from .solvers import (
+    Method,
+    NumericFailureError,
+    SolverConfig,
+    error_sq_of,
+    residual_of,
+    run_solver,
+)
 from .svgchart import render_chart
 from .traces import RunSummary, TraceFormatError, parse_trace_csv, write_trace_csv
 from .verify import run_suites
@@ -111,53 +117,48 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _solver_config(args, max_iters: int) -> SolverConfig:
+def _load_run_problem(args) -> Problem:
+    """The problem a solve or compare run uses throughout: the file's rows,
+    scaled to unit norm under --normalize."""
+    problem = load_problem(args.problem)
+    if args.normalize and not problem.normalized:
+        problem = normalize_rows(problem)
+    return problem
+
+
+def _solver_config(args, method: Method, max_iters: int, trace_stride: int = 10) -> SolverConfig:
     try:
         return SolverConfig(
-            method=Method(args.method),
+            method=method,
             max_iters=max_iters,
             rho0=args.rho0,
             c=args.c,
             rho_max=args.rho_max,
             seed=args.seed,
             residual_tol=args.tol,
-            normalize=args.normalize,
-            trace_stride=getattr(args, "trace_stride", 10),
+            trace_stride=trace_stride,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def cmd_solve(args) -> int:
-    problem = load_problem(args.problem)
-    cfg = _solver_config(args, args.iters)
-    # the rows the solver runs on: run_solver skips rows already normalized
-    normalize = cfg.normalize and not problem.normalized
-    run_problem = normalize_rows(problem) if normalize else problem
-    is_ls = problem.kind is ProblemKind.LS
+    problem = _load_run_problem(args)
+    cfg = _solver_config(args, Method(args.method), args.iters, args.trace_stride)
     # x* serves both the trace's error_sq and the summary's final error
     x_star = (
-        least_norm_solution(run_problem.a, run_problem.b, np.zeros(run_problem.n))
-        if is_ls
+        least_norm_solution(problem.a, problem.b, np.zeros(problem.n))
+        if problem.kind is ProblemKind.LS
         else None
     )
     records = []
     sink = records.append if args.trace else None
     start = time.perf_counter()
-    state = run_solver(run_problem, cfg, trace_sink=sink, x_star=x_star)
+    state = run_solver(problem, cfg, trace_sink=sink, x_star=x_star)
     wall = time.perf_counter() - start
     if args.trace:
         write_trace_csv(records, args.trace)
 
-    r = run_problem.a.data @ state.x - run_problem.b
-    if is_ls:
-        final_residual = float(np.abs(r).max())
-        d = state.x - x_star
-        final_error = float(d @ d)
-    else:
-        final_residual = max(float(r.max()), 0.0)
-        final_error = distance_to_feasible(state.x, run_problem) ** 2
-    factor = _estimate_factor(run_problem, cfg.method, cfg.rho0, cfg.seed)
     summary = RunSummary(
         method=cfg.method.value,
         kind=problem.kind.value,
@@ -167,9 +168,9 @@ def cmd_solve(args) -> int:
         c=cfg.c,
         seed=cfg.seed,
         iterations_executed=state.k,
-        final_error_sq=final_error,
-        final_residual=final_residual,
-        per_step_factor=factor,
+        final_error_sq=error_sq_of(problem, state.x, x_star),
+        final_residual=residual_of(problem, state.x),
+        per_step_factor=_estimate_factor(problem, cfg.method, cfg.rho0, cfg.seed),
         wall_time_seconds=wall,
     )
     print(summary.as_line())
@@ -181,24 +182,22 @@ def cmd_compare(args) -> int:
         raise UsageError(
             "compare takes no --tol: its means are taken at fixed checkpoints"
         )
-    problem = load_problem(args.problem)
+    problem = _load_run_problem(args)
     methods = _parse_methods(args.methods)
     checkpoints = _parse_checkpoints(args.checkpoints)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
+    cfgs = [_solver_config(args, method, max(checkpoints)) for method in methods]
+    # one estimate of L per problem, shared by every method
+    hoffman_l = _sampled_hoffman_l(problem, args.seed) if problem.kind is ProblemKind.LF else None
     lines = ["method,checkpoint,mean_error_sq,envelope"]
-    hoffman_l = None  # one estimate of L per problem, shared by every method
-    for method in methods:
-        args.method = method.value
-        cfg = _solver_config(args, max(checkpoints))
-        if hoffman_l is None and problem.kind is ProblemKind.LF:
-            hoffman_l = _sampled_hoffman_l(problem, cfg.seed)
+    for cfg in cfgs:
         curve = monte_carlo_error_curve(
             problem, cfg, args.trials, checkpoints, hoffman_l=hoffman_l
         )
         for k, mean, env in zip(curve.checkpoints, curve.means, curve.envelope):
             lines.append(
-                f"{method.value},{k},{format_float(mean)},{format_float(env)}"
+                f"{cfg.method.value},{k},{format_float(mean)},{format_float(env)}"
             )
     text = "\n".join(lines) + "\n"
     if args.output:

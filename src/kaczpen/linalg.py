@@ -108,7 +108,8 @@ def least_norm_solution(a: DenseMatrix, b, x0) -> np.ndarray:
     Computes x0 - A^+ (A x0 - b) from a thin SVD A = U S V^T.  Singular
     values whose squares (the eigenvalues of A A^T) fall at or below
     1e-10 * ||A A^T||_F are treated as zero.  Raises InconsistentSystemError
-    when the residual check ||A x - b||_inf <= 1e-8 * (1 + ||b||_inf) fails.
+    when the residual check ||A x - b||_inf <= 1e-8 * (1 + ||b||_inf) fails,
+    which it also does when A x0, x or A x overflows the float64 range.
     """
     b = as_vector(b, a.rows)
     x0 = as_vector(x0, a.cols)
@@ -116,11 +117,16 @@ def least_norm_solution(a: DenseMatrix, b, x0) -> np.ndarray:
     s_sq = s * s
     # ||A A^T||_F is the 2-norm of the eigenvalues s_i^2 of A A^T
     keep = s_sq > _PINV_REL_TOL * float(np.sqrt(s_sq @ s_sq))
-    r0 = a.data @ x0 - b
-    x = x0 - vt[keep].T @ ((u[:, keep].T @ r0) / s[keep])
-    resid = float(np.abs(a.data @ x - b).max())
-    if resid > 1e-8 * (1.0 + float(np.abs(b).max())):
-        raise InconsistentSystemError(
-            f"system residual {resid:.3e} exceeds tolerance; no solution found"
+    with np.errstate(over="ignore", invalid="ignore"):
+        r0 = a.data @ x0 - b
+        x = x0 - vt[keep].T @ ((u[:, keep].T @ r0) / s[keep])
+        resid = float(np.abs(a.data @ x - b).max())
+    # written so that a nan residual (an overflow on the way) fails it too
+    if not resid <= 1e-8 * (1.0 + float(np.abs(b).max())):
+        cause = (
+            f"system residual {resid:.3e} exceeds tolerance"
+            if np.isfinite(resid)
+            else f"the solve overflows the float64 range (max {np.finfo(np.float64).max:.3e})"
         )
+        raise InconsistentSystemError(f"{cause}; no solution found")
     return x

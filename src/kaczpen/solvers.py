@@ -17,10 +17,13 @@ trials, or all rows of an enumeration oracle, at once.  An optional
 geometric schedule grows rho by a factor c >= 1 each iteration up to a
 cap, which drives the damped steps toward the plain projection.
 
-SolverConfig is validated once, when built; run_solver reads the rows,
-b and ||a_i||^2 into lists once and updates x in place.  It checks x once
-per draw block (a non-finite x stays non-finite under the step); a block
-that fails the check or raises is replayed from its starting (x, z, rho),
+A run uses the problem it is given, rows as they are (a caller that wants
+unit rows passes normalize_rows(problem)); residual_of and error_sq_of are
+the one definition of a run's residual and squared error.  SolverConfig
+is validated once, when built; run_solver reads the rows, b and
+||a_i||^2 into lists once and updates x in place.  It checks x once per
+draw block (a non-finite x stays non-finite under the step); a block that
+fails the check or raises is replayed from its starting (x, z, rho),
 checking every step, so NumericFailureError names the first failing k.
 Trace records reach the sink only after their block passes.
 """
@@ -35,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import DenseMatrix, as_vector, least_norm_solution
-from .problems import Problem, ProblemKind, normalize_rows
+from .problems import Problem, ProblemKind
 from .projection import distance_to_feasible
 from .sampling import build_sampler
 from .traces import TraceRecord
@@ -153,6 +156,22 @@ def rak_step_lf(x, z: float, a: DenseMatrix, b, i: int, rho: float):
     return _row_step(x, z, a, b, i, rho, True)
 
 
+def residual_of(problem: Problem, x: np.ndarray) -> float:
+    """The residual of x: max |Ax - b| for equalities, max(max(Ax - b), 0)
+    for feasibility."""
+    r = problem.a.data @ x - problem.b
+    return float(np.abs(r).max()) if problem.kind is ProblemKind.LS else max(float(r.max()), 0.0)
+
+
+def error_sq_of(problem: Problem, x: np.ndarray, x_star: np.ndarray | None) -> float:
+    """The squared error of x: ||x - x_star||^2 for equalities, d(x, X)^2
+    (X the feasible set) for feasibility, where x_star is unused."""
+    if problem.kind is ProblemKind.LS:
+        d = x - x_star
+        return float(d @ d)
+    return distance_to_feasible(x, problem) ** 2
+
+
 def advance_rho(rho: float, c: float, rho_max: float) -> float:
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -173,10 +192,7 @@ class SolverConfig:
     rho_max: float = 1e12
     seed: int = 0
     residual_tol: float | None = None
-    normalize: bool = False
     x0: np.ndarray | None = None
-    # carry one multiplier per row instead of a single scalar (RAK only)
-    z_per_row: bool = False
     trace_stride: int = 10
 
     def __post_init__(self):
@@ -204,7 +220,7 @@ class SolverConfig:
 @dataclass
 class SolverState:
     x: np.ndarray
-    z: float | np.ndarray
+    z: float
     rho: float
     k: int
 
@@ -226,16 +242,13 @@ def run_solver(
     loop skips all distance and residual work unless residual_tol asks
     for the latter.
     """
-    if cfg.normalize and not problem.normalized:
-        problem = normalize_rows(problem)
     a, b = problem.a, problem.b
-    m, n = a.rows, a.cols
+    n = a.cols
     is_ls = problem.kind is ProblemKind.LS
     method = cfg.method
 
     x = np.zeros(n) if cfg.x0 is None else as_vector(cfg.x0, n).copy()
-    per_row = cfg.z_per_row and method is Method.RAK
-    z: float | np.ndarray = np.zeros(m) if per_row else 0.0
+    z = 0.0
     rho = cfg.rho0
     sampler = build_sampler(a, cfg.seed)
 
@@ -244,18 +257,8 @@ def run_solver(
     if tracing and is_ls and x_star is None:
         x_star = least_norm_solution(a, b, x)
 
-    def residual_of(v: np.ndarray) -> float:
-        r = a.data @ v - b
-        return float(np.abs(r).max()) if is_ls else max(float(r.max()), 0.0)
-
-    def error_of(v: np.ndarray) -> float:
-        if is_ls:
-            d = v - x_star
-            return float(d @ d)
-        return distance_to_feasible(v, problem) ** 2
-
-    residual = residual_of(x) if need_residual else 0.0
-    error_sq = error_of(x) if tracing else 0.0
+    residual = residual_of(problem, x) if need_residual else 0.0
+    error_sq = error_sq_of(problem, x, x_star) if tracing else 0.0
     if tracing:
         trace_sink(TraceRecord(0, -1, rho, error_sq, residual, 0.0, error_sq, True))
     tol = cfg.residual_tol
@@ -269,7 +272,7 @@ def run_solver(
     k = 0
     for start in range(0, cfg.max_iters, _DRAW_BLOCK):
         block = sampler.sample_rows(min(_DRAW_BLOCK, cfg.max_iters - start)).tolist()
-        saved = (x.copy(), z.copy() if per_row else z, rho, k, error_sq)
+        saved = (x.copy(), z, rho, k, error_sq)
         for careful in (False, True):
             if careful:
                 x[:], z, rho, k, error_sq = saved
@@ -280,30 +283,25 @@ def run_solver(
                 for i in block:
                     k += 1
                     row = rows[i]
-                    if per_row:
-                        z_arg = z[i]
                     coef, moves = _step_coef(float(row.dot(x)) - bs[i], z_arg, norms_sq[i], rho_arg, lf)
                     if moves:
                         np.multiply(row, coef, tmp)
                         np.subtract(x, tmp, x)
                     else:
                         coef = 0.0
-                    if per_row:
-                        z[i] = coef
-                    elif rak:
+                    if rak:
                         z = z_arg = coef
                     if careful and not np.isfinite(x).all():
                         raise NumericFailureError(k)
                     if scheduled:
                         rho = rho_arg = advance_rho(rho, c, rho_max)
                     if need_residual:
-                        residual = residual_of(x)
+                        residual = residual_of(problem, x)
                     if tracing:
                         fresh = is_ls or k % stride == 0
                         if fresh:
-                            error_sq = error_of(x)
-                        z_sq = float((z * z).sum()) if per_row else z * z
-                        lyap = error_sq + z_sq / rho if rak else error_sq
+                            error_sq = error_sq_of(problem, x, x_star)
+                        lyap = error_sq + z * z / rho if rak else error_sq
                         emit(TraceRecord(k, i, rho, error_sq, residual, coef if rak else 0.0, lyap, fresh))
                     if tol is not None and residual <= tol:
                         break

@@ -30,7 +30,7 @@ from .problems import (
 )
 from .projection import _hildreth, distance_to_feasible, project_polyhedron
 from .sampling import make_rng
-from .solvers import Method, SolverConfig, SolverState, run_solver
+from .solvers import Method, SolverConfig, SolverState, residual_of, run_solver
 from .traces import TraceRecord
 
 
@@ -457,9 +457,7 @@ def check_lf_run_feasibility(
             cfg = SolverConfig(
                 method=method, max_iters=iters, rho0=1.0, c=1.1, seed=seed + p
             )
-            state = run_solver(problem, cfg)
-            r = problem.a.data @ state.x - problem.b
-            worst = max(worst, max(float(r.max()), 0.0))
+            worst = max(worst, residual_of(problem, run_solver(problem, cfg).x))
     return _result("lf-run-feasibility", worst <= tol, f"max_final_residual={worst:.3e}")
 
 

@@ -19,10 +19,9 @@ from kaczpen.analysis import (
     ExpectedStepReport,
     _ENUMERATION_CAP,
     _sampling_weights,
-    _scalar_multiplier,
 )
 from kaczpen.linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution
-from kaczpen.problems import Problem, ProblemKind, normalize_rows
+from kaczpen.problems import Problem, ProblemKind
 from kaczpen.projection import distance_to_feasible
 from kaczpen.sampling import build_sampler
 from kaczpen.solvers import Method, NumericFailureError, SolverConfig, SolverState, advance_rho
@@ -179,7 +178,7 @@ def reference_expected_step(
     if problem.m > _ENUMERATION_CAP:
         raise ValueError(f"enumeration over {problem.m} rows exceeds the cap")
     x = as_vector(state.x, problem.n)
-    z = _scalar_multiplier(state)
+    z = float(state.z)
     is_ls = problem.kind is ProblemKind.LS
     if is_ls:
         if x_star is None:
@@ -251,7 +250,7 @@ def reference_adaptive_report(
     if rho <= 0.0:
         raise ValueError("state.rho must be positive")
     x = as_vector(state.x, problem.n)
-    z = _scalar_multiplier(state)
+    z = float(state.z)
     rho_next = c * rho
     is_ls = problem.kind is ProblemKind.LS
     m = problem.m
@@ -296,25 +295,19 @@ def reference_adaptive_report(
 
 
 def reference_run(problem: Problem, method: Method, max_iters: int, rho0: float = 1.0,
-                  c: float = 1.0, rho_max: float = 1e12, seed: int = 0,
-                  normalize: bool = False, x0=None, z_per_row: bool = False):
+                  c: float = 1.0, rho_max: float = 1e12, seed: int = 0, x0=None):
     """The step-by-step solver loop over the reference steps, untraced.
     Returns the final state and each step's (row, z record, rho)."""
-    if normalize and not problem.normalized:
-        problem = normalize_rows(problem)
     a, b = problem.a, problem.b
-    m, n = a.rows, a.cols
     is_ls = problem.kind is ProblemKind.LS
-    x = np.zeros(n) if x0 is None else as_vector(x0, n).copy()
-    per_row = z_per_row and method is Method.RAK
-    z = np.zeros(m) if per_row else 0.0
+    x = np.zeros(a.cols) if x0 is None else as_vector(x0, a.cols).copy()
+    z = 0.0
     rho = rho0
     sampler = build_sampler(a, seed)
     state = SolverState(x=x, z=z, rho=rho, k=0)
     steps = []
     for k in range(1, max_iters + 1):
         i = sampler.sample_row()
-        zi = float(z[i]) if per_row else z
         if method is Method.RK:
             x = rk_step_ls(x, a, b, i) if is_ls else rk_step_lf(x, a, b, i)
             z_rec = 0.0
@@ -327,14 +320,10 @@ def reference_run(problem: Problem, method: Method, max_iters: int, rho0: float 
             z_rec = 0.0
         else:
             if is_ls:
-                x, z_new = rak_step_ls(x, zi, a, b, i, rho)
+                x, z = rak_step_ls(x, z, a, b, i, rho)
             else:
-                x, z_new = rak_step_lf(x, zi, a, b, i, rho)
-            if per_row:
-                z[i] = z_new
-            else:
-                z = z_new
-            z_rec = z_new
+                x, z = rak_step_lf(x, z, a, b, i, rho)
+            z_rec = z
         if not np.all(np.isfinite(x)):
             raise NumericFailureError(k)
         if method is not Method.RK:
@@ -348,14 +337,11 @@ def reference_solve(problem: Problem, cfg: SolverConfig, trace_sink=None, x_star
     """run_solver's loop as it was with a finiteness check after every
     step, over the reference steps and one sample_row draw per iteration:
     the same trace records, residual stop and NumericFailureError."""
-    if cfg.normalize and not problem.normalized:
-        problem = normalize_rows(problem)
     a, b = problem.a, problem.b
     is_ls = problem.kind is ProblemKind.LS
     method = cfg.method
     x = np.zeros(a.cols) if cfg.x0 is None else as_vector(cfg.x0, a.cols).copy()
-    per_row = cfg.z_per_row and method is Method.RAK
-    z = np.zeros(a.rows) if per_row else 0.0
+    z = 0.0
     rho = cfg.rho0
     sampler = build_sampler(a, cfg.seed)
     tracing = trace_sink is not None
@@ -382,10 +368,8 @@ def reference_solve(problem: Problem, cfg: SolverConfig, trace_sink=None, x_star
     k = 0
     for k in range(1, cfg.max_iters + 1):
         i = sampler.sample_row()
-        x, z_new = _apply_step(problem, x, float(z[i]) if per_row else z, method, rho, i)
-        if per_row:
-            z[i] = z_new
-        elif method is Method.RAK:
+        x, z_new = _apply_step(problem, x, z, method, rho, i)
+        if method is Method.RAK:
             z = z_new
         if not np.all(np.isfinite(x)):
             raise NumericFailureError(k)
@@ -398,9 +382,8 @@ def reference_solve(problem: Problem, cfg: SolverConfig, trace_sink=None, x_star
             if fresh:
                 error_sq = error_of(x)
             if method is Method.RAK:
-                z_sq = float((z * z).sum()) if per_row else z * z
                 trace_sink(TraceRecord(k, i, rho, error_sq, residual, z_new,
-                                       error_sq + z_sq / rho, fresh))
+                                       error_sq + z * z / rho, fresh))
             else:
                 trace_sink(TraceRecord(k, i, rho, error_sq, residual, 0.0, error_sq, fresh))
         if cfg.residual_tol is not None and residual <= cfg.residual_tol:

@@ -456,23 +456,6 @@ def test_expected_step_validation():
         exact_expected_step(p, state, Method.RPK, rho=0.0)
 
 
-def test_oracles_reject_per_row_multipliers():
-    """A z_per_row state carries one multiplier per row; both enumeration
-    oracles follow a single z, so they refuse it with a ValueError that
-    names the cause (it used to be a TypeError from float(array))."""
-    for p in (
-        normalize_rows(generate_consistent_ls(6, 3, seed=22)),
-        normalize_rows(generate_feasible_lf(6, 3, seed=23, active_fraction=0.3)),
-    ):
-        cfg = SolverConfig(method=Method.RAK, max_iters=10, z_per_row=True, seed=4)
-        state = run_solver(p, cfg)
-        assert state.z.shape == (p.m,)
-        with pytest.raises(ValueError, match="per-row multipliers"):
-            exact_expected_step(p, state, Method.RAK, rho=1.0)
-        with pytest.raises(ValueError, match="per-row multipliers"):
-            adaptive_step_report(p, state, c=1.0)
-
-
 # ---------------------------------------------------------------------------
 # adaptive_step_report
 
@@ -601,9 +584,7 @@ def _reference_means(problem, cfg, n_trials, checkpoints):
                 c=cfg.c,
                 rho_max=cfg.rho_max,
                 seed=cfg.seed + t,
-                normalize=cfg.normalize,
                 x0=cfg.x0,
-                z_per_row=cfg.z_per_row,
             )
             state = run_solver(problem, run_cfg)
             if is_ls:
@@ -612,7 +593,7 @@ def _reference_means(problem, cfg, n_trials, checkpoints):
             else:
                 err = distance_to_feasible(state.x, problem) ** 2
             if cfg.method is Method.RAK:
-                err += float(np.sum(np.square(state.z))) / state.rho
+                err += state.z * state.z / state.rho
             sums[j] += err
     return [s / n_trials for s in sums]
 
@@ -620,19 +601,17 @@ def _reference_means(problem, cfg, n_trials, checkpoints):
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("kind", ["ls", "lf"])
 @pytest.mark.parametrize("normalize", [False, True])
-@pytest.mark.parametrize("z_per_row", [False, True])
+@pytest.mark.parametrize("nonzero_x0", [False, True])
 @pytest.mark.parametrize("c", [1.0, 1.05])
-def test_mc_batched_matches_per_trial_reruns(method, kind, normalize, z_per_row, c):
+def test_mc_batched_matches_per_trial_reruns(method, kind, normalize, nonzero_x0, c):
     if kind == "ls":
         p = generate_consistent_ls(9, 4, seed=66)
     else:
         p = generate_feasible_lf(7, 5, seed=67, active_fraction=0.3)
-    # a nonzero start on half the cases
-    x0 = np.linspace(-1.0, 2.0, p.n) if normalize == z_per_row else None
-    cfg = SolverConfig(
-        method=method, max_iters=0, rho0=0.7, c=c, seed=13,
-        normalize=normalize, x0=x0, z_per_row=z_per_row,
-    )
+    if normalize:
+        p = normalize_rows(p)
+    x0 = np.linspace(-1.0, 2.0, p.n) if nonzero_x0 else None
+    cfg = SolverConfig(method=method, max_iters=0, rho0=0.7, c=c, seed=13, x0=x0)
     checkpoints = [0, 3, 3, 17, 60]
     rep = monte_carlo_error_curve(p, cfg, 4, checkpoints, hoffman_l=2.0)
     assert rep.checkpoints == checkpoints
@@ -644,7 +623,7 @@ def test_mc_batched_spans_several_draw_blocks():
     full blocks see the same row streams as per-trial reruns."""
     block = analysis._DRAW_BLOCK
     p = generate_consistent_ls(12, 5, seed=68)
-    cfg = SolverConfig(method=Method.RAK, max_iters=0, rho0=0.5, c=1.01, seed=4, z_per_row=True)
+    cfg = SolverConfig(method=Method.RAK, max_iters=0, rho0=0.5, c=1.01, seed=4)
     checkpoints = [1, block, block + 1, 2 * block + 1]
     rep = monte_carlo_error_curve(p, cfg, 3, checkpoints)
     assert rep.means == _reference_means(p, cfg, 3, checkpoints)

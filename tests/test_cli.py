@@ -11,7 +11,9 @@ import pytest
 import kaczpen
 from kaczpen.cli import _solver_config, build_parser, main
 from kaczpen.fileio import format_float
-from kaczpen.problems import load_problem
+from kaczpen.linalg import DenseMatrix
+from kaczpen.problems import Problem, ProblemKind, load_problem, save_problem
+from kaczpen.solvers import Method
 from kaczpen.traces import parse_trace_csv
 
 
@@ -321,6 +323,19 @@ def test_solve_traced_computes_x_star_once(capsys, tmp_path, ls_problem, monkeyp
     assert len(calls) == 1
 
 
+def test_overflowing_solution_exits_3(capsys, tmp_path):
+    """x* of this 2x2 system is (-3.4e308, 3.4e308), beyond the float64
+    range: solve and compare fail fast instead of reporting an inf error."""
+    path = tmp_path / "p.txt"
+    path.write_text("kaczmarz-problem v1 ls 2 2\n1 1 1.7e308\n1 0.5 0\n")
+    for argv in (["solve", str(path), "--method", "rk", "--iters", "10"],
+                 ["compare", str(path), "--methods", "rk", "--trials", "2", "--checkpoints", "5"]):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 3
+        assert stdout == ""
+        assert "float64 range" in stderr
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -348,18 +363,24 @@ def test_compare_stdout_when_no_output(capsys, tmp_path, ls_problem):
     assert len(lines) == 3
 
 
-def test_compare_single_trial_matches_solve(capsys, tmp_path, ls_problem):
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]], ids=["plain", "normalize"])
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+def test_compare_single_trial_matches_solve(
+    capsys, tmp_path, ls_problem, lf_problem, kind, normalize
+):
+    """One trial's means are the solve trace's lyapunov column bit for bit,
+    also when --normalize rescales the rows both runs use."""
+    path = ls_problem if kind == "ls" else lf_problem
     trace = str(tmp_path / "t.csv")
-    assert main(["solve", ls_problem, "--method", "rpk", "--iters", "10",
-                 "--seed", "6", "--trace", trace]) == 0
+    assert main(["solve", path, "--method", "rak", "--iters", "10", "--seed", "6",
+                 "--trace", trace, "--trace-stride", "1", *normalize]) == 0
     out = str(tmp_path / "c.csv")
-    assert main(["compare", ls_problem, "--methods", "rpk", "--trials", "1",
-                 "--checkpoints", "0,5,10", "--seed", "6", "-o", out]) == 0
+    assert main(["compare", path, "--methods", "rak", "--trials", "1",
+                 "--checkpoints", "0,5,10", "--seed", "6", "-o", out, *normalize]) == 0
     capsys.readouterr()
-    by_k = {r.k: r.error_sq for r in parse_trace_csv(trace)}
-    for line in open(out).read().strip().splitlines()[1:]:
-        method, k, mean, env = line.split(",")
-        assert float(mean) == pytest.approx(by_k[int(k)], rel=1e-12)
+    by_k = {r.k: r.lyapunov for r in parse_trace_csv(trace)}
+    lines = open(out).read().strip().splitlines()[1:]
+    assert [float(line.split(",")[2]) for line in lines] == [by_k[0], by_k[5], by_k[10]]
 
 
 def test_compare_huge_rho_rpk_matches_rk(capsys, tmp_path):
@@ -393,6 +414,24 @@ def test_compare_envelope_holds_without_normalization(capsys, tmp_path):
     for line in open(out).read().strip().splitlines()[1:]:
         _, _, mean, env = line.split(",")
         assert float(mean) <= float(env) * 1.15
+
+
+def test_compare_envelope_holds_with_normalization(capsys, tmp_path):
+    """Under --normalize the means, the envelope and its factor all come
+    from the normalized rows: on a file whose rows differ in norm by 100x
+    the envelope still bounds the means."""
+    rng = np.random.default_rng(0)
+    a = np.vstack([100.0 * np.eye(4), 1.0 + 0.01 * rng.standard_normal((60, 4))])
+    x_p = rng.standard_normal(4)
+    path = str(tmp_path / "p.txt")
+    save_problem(Problem(ProblemKind.LS, DenseMatrix(a), a @ x_p, x_planted=x_p), path)
+    out = str(tmp_path / "c.csv")
+    assert main(["compare", path, "--methods", "rk,rpk,rak", "--trials", "200",
+                 "--checkpoints", "5,20,50", "--normalize", "-o", out]) == 0
+    capsys.readouterr()
+    for line in open(out).read().strip().splitlines()[1:]:
+        _, _, mean, env = line.split(",")
+        assert float(mean) <= float(env) * 1.10
 
 
 def test_compare_bad_checkpoints_exits_2(capsys, tmp_path, ls_problem):
@@ -457,9 +496,8 @@ def test_compare_estimates_hoffman_once(capsys, tmp_path, lf_problem, monkeypatc
     problem = load_problem(lf_problem)
     expected = ["method,checkpoint,mean_error_sq,envelope"]
     for method in ("rk", "rpk", "rak"):
-        args.method = method
         curve = analysis.monte_carlo_error_curve(
-            problem, _solver_config(args, 20), 3, [0, 5, 20]
+            problem, _solver_config(args, Method(method), 20), 3, [0, 5, 20]
         )
         for k, mean, env in zip(curve.checkpoints, curve.means, curve.envelope):
             expected.append(f"{method},{k},{format_float(mean)},{format_float(env)}")

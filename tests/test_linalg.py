@@ -157,6 +157,21 @@ def test_least_norm_inconsistent_system_raises():
         least_norm_solution(a, np.array([0.0, 1.0]), np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "rows, b, x0",
+    [
+        # x* = (-3.4e308, 3.4e308) itself is beyond the float64 range
+        ([[1.0, 1.0], [1.0, 0.5]], [1.7e308, 0.0], [0.0, 0.0]),
+        # x* = (0, 0.1) is fine, but A x0 overflows on the way
+        ([[0.0, 30.0], [2.0, 0.0]], [3.0, 0.0], [1.7e308, 5.0]),
+    ],
+)
+def test_least_norm_overflow_raises(rows, b, x0):
+    """The residual turns nan there, which a `resid > tol` test lets pass."""
+    with pytest.raises(InconsistentSystemError, match="float64 range"):
+        least_norm_solution(DenseMatrix(rows), np.array(b), np.array(x0))
+
+
 def test_least_norm_is_minimum_norm():
     """From x0 = 0 the returned solution has the smallest norm among solutions."""
     rng = np.random.default_rng(23)

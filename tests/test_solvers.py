@@ -369,16 +369,6 @@ def test_run_solver_rak_lf_multiplier_nonnegative():
     assert all(r.z >= 0.0 for r in records)
 
 
-def test_run_solver_z_per_row_smoke():
-    p = generate_consistent_ls(5, 4, seed=11)
-    state = run_solver(
-        p,
-        SolverConfig(method=Method.RAK, max_iters=100, z_per_row=True, seed=6),
-    )
-    assert isinstance(state.z, np.ndarray)
-    assert state.z.shape == (5,)
-
-
 def test_run_solver_numeric_failure_carries_iteration():
     # a start so large the row inner product overflows to inf makes the
     # first step non-finite; the error must carry the iteration index

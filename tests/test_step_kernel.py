@@ -4,6 +4,8 @@ and all of them go through it.  run_solver checks x once per draw block,
 so its residual stop, its numeric failures and the penalty cap are also
 compared against a loop that checks every step."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,20 +99,18 @@ def _problem(kind):
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("kind", ["ls", "lf"])
 @pytest.mark.parametrize("c", [1.0, 1.05])
-@pytest.mark.parametrize("z_per_row", [False, True])
-def test_run_solver_matches_reference_loop(method, kind, c, z_per_row):
+@pytest.mark.parametrize("nonzero_x0", [False, True])
+def test_run_solver_matches_reference_loop(method, kind, c, nonzero_x0):
     """Final x, z, rho and k, and each traced step's row, z and rho, equal
     those of the reference loop (which draws with sample_row)."""
     p = _problem(kind)
-    # more iterations than one draw block, from a nonzero start
+    # more iterations than one draw block, from the origin or a nonzero start
     iters = solvers._DRAW_BLOCK + 44
-    x0 = np.linspace(-1.0, 2.0, p.n)
-    want, steps = ref.reference_run(
-        p, method, iters, rho0=0.7, c=c, rho_max=20.0, seed=5, x0=x0, z_per_row=z_per_row
-    )
+    x0 = np.linspace(-1.0, 2.0, p.n) if nonzero_x0 else None
+    want, steps = ref.reference_run(p, method, iters, rho0=0.7, c=c, rho_max=20.0, seed=5, x0=x0)
     cfg = SolverConfig(
         method=method, max_iters=iters, rho0=0.7, c=c, rho_max=20.0, seed=5,
-        x0=x0, z_per_row=z_per_row, trace_stride=50,
+        x0=x0, trace_stride=50,
     )
     records = []
     for sink in (None, records.append):
@@ -165,28 +165,31 @@ def test_tol_stop_inside_second_block(method, kind):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "method, z_per_row",
-    [(Method.RK, False), (Method.RPK, False), (Method.RAK, False), (Method.RAK, True)],
-)
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("kind", [ProblemKind.LS, ProblemKind.LF])
-def test_numeric_failure_mid_block_reports_first_k(method, z_per_row, kind):
+def test_numeric_failure_mid_block_reports_first_k(method, traced, kind):
     """From x0 = (1.7e308, 5) row 0 moves x[1] toward 0.1, slowly for the
     damped steps, and row 1's residual overflows.  Row 1 has 4/904 of the
     weight, and seed 7 first draws it at k = 296: inside the second block,
-    not its first step.  The error carries that k, and a sink holds
-    exactly records 0..295, with the rho schedule's values.  On the
-    feasibility file the fresh record at k = 300 would project a
-    non-finite x, which raises inside the block before its check."""
+    not its first step.  The error carries that k, traced or not, and a
+    sink holds exactly records 0..295, with the rho schedule's values.
+    On the feasibility file the fresh record at k = 300 would project a
+    non-finite x, which raises inside the block before its check.  The
+    equality runs are given x* = (0, 0.1): A x0 overflows, so computing
+    x* from x0 fails fast."""
     a = DenseMatrix([[0.0, 30.0], [2.0, 0.0]])
     p = Problem(kind, a, np.array([3.0, 0.0]), x_planted=np.array([0.0, 0.1]))
     cfg = SolverConfig(
-        method=method, max_iters=2 * BLOCK, rho0=1e-6, c=1.001, seed=7, x0=[1.7e308, 5.0],
-        z_per_row=z_per_row,
+        method=method, max_iters=2 * BLOCK, rho0=1e-6, c=1.001, seed=7, x0=[1.7e308, 5.0]
     )
-    outcome, records = _same_as_per_step_loop(p, cfg)
+    x_star = p.x_planted if kind is ProblemKind.LS else None
+    outcome, records = _outcome(partial(run_solver, x_star=x_star), p, cfg, traced)
+    assert (outcome, records) == _outcome(
+        partial(ref.reference_solve, x_star=x_star), p, cfg, traced
+    )
     assert outcome == ("failed", 296)
-    assert [r[0] for r in records] == list(range(296))
+    assert [r[0] for r in records] == (list(range(296)) if traced else [])
 
 
 def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
@@ -221,17 +224,16 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
     assert [r[0] for r in got[0]] == list(range(290))
 
 
-@pytest.mark.parametrize(
-    "method, z_per_row", [(Method.RPK, False), (Method.RAK, False), (Method.RAK, True)]
-)
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("method", [Method.RPK, Method.RAK])
 @pytest.mark.parametrize("kind", ["ls", "lf"])
-def test_rho_reaches_cap_mid_block(method, z_per_row, kind):
+def test_rho_reaches_cap_mid_block(method, normalized, kind):
     """rho0 0.7 grows by 1.01 a step and meets the cap of 20 at k = 337,
-    in the middle of the second block."""
-    p = _problem(kind)
+    in the middle of the second block, whatever the row scaling."""
+    p = normalize_rows(_problem(kind)) if normalized else _problem(kind)
     cfg = SolverConfig(
         method=method, max_iters=2 * BLOCK + 30, rho0=0.7, c=1.01, rho_max=20.0, seed=5,
-        x0=np.linspace(-1.0, 2.0, p.n), z_per_row=z_per_row, trace_stride=50,
+        x0=np.linspace(-1.0, 2.0, p.n), trace_stride=50,
     )
     _, records = _same_as_per_step_loop(p, cfg)
     capped = [r[0] for r in records if r[2] == ref.bits(20.0)]
