@@ -171,12 +171,49 @@ def hoffman_ball(problem: Problem) -> tuple[np.ndarray, float]:
 
     The centre is the planted point, or the projection of the origin onto
     the feasible set when no point was planted; the radius is
-    2 (1 + ||centre||).
+    2 (1 + ||centre||).  The ball is computed once per problem and kept on
+    it, so the default estimate, which needs the radius before
+    hoffman_estimate needs the centre, projects the origin once.
     """
-    center = problem.x_planted
-    if center is None:
-        center = project_polyhedron(np.zeros(problem.n), problem.a, problem.b)
-    return center, 2.0 * (1.0 + float(np.sqrt(center @ center)))
+    ball = problem.__dict__.get("_hoffman_ball")
+    if ball is None:
+        center = problem.x_planted
+        if center is None:
+            center = project_polyhedron(np.zeros(problem.n), problem.a, problem.b)
+            center.flags.writeable = False
+        ball = (center, 2.0 * (1.0 + float(np.sqrt(center @ center))))
+        # a frozen dataclass takes a cached attribute through object.__setattr__
+        object.__setattr__(problem, "_hoffman_ball", ball)
+    return ball
+
+
+# a sample is projected unless its ratio bound times 1 + _SKIP_MARGIN falls
+# below the best ratio so far (the margin is derived in hoffman_estimate)
+_SKIP_MARGIN = 1e-6
+# the Cholesky bound is used only where its relative rounding is below this
+_CHOLESKY_ROUNDING = 1e-8
+
+
+def _least_norm_step_factor(a: DenseMatrix) -> np.ndarray | None:
+    """The inverse of the Cholesky factor C of A A^T, so that
+    ||C^-1 r|| = sqrt(r^T (A A^T)^-1 r) is the length of the least-norm
+    step A^T mu with A A^T mu = r; or None when m > n, A A^T has no
+    Cholesky factor, or the rounding bound 2 (m + n + 1) eps kappa(A A^T),
+    with kappa(A A^T) = kappa(C)^2 <= (||C||_F ||C^-1||_F)^2, exceeds
+    _CHOLESKY_ROUNDING."""
+    m, n = a.shape
+    if m > n:
+        return None
+    try:
+        chol = np.linalg.cholesky(a.data @ a.data.T)
+        inv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError:
+        return None
+    kappa = (np.linalg.norm(chol) * np.linalg.norm(inv)) ** 2
+    # `not <=` so that an overflowed (inf or NaN) kappa turns the bound off
+    if not 2.0 * (m + n + 1) * np.finfo(np.float64).eps * kappa <= _CHOLESKY_ROUNDING:
+        return None
+    return inv
 
 
 def hoffman_estimate(
@@ -185,9 +222,51 @@ def hoffman_estimate(
     """Estimate the constant L with d(x, X) <= L ||(Ax - b)+||_2.
 
     Samples points uniformly from the ball of the given radius around the
-    centre given by hoffman_ball, skips feasible ones, and maximizes the ratio
-    d(x, X) / ||(Ax - b)+||_2 over the rest.  The maximum can only grow
-    with more samples under the same seed.
+    centre c given by hoffman_ball (each sample draws standard_normal(n),
+    then random(), from the seeded PCG64 stream), skips feasible ones, and
+    maximizes the ratio d(x, X) / ||(Ax - b)+||_2 over the rest.  The
+    maximum can only grow with more samples under the same seed.
+
+    The maximum is found by a bounded search that returns, bit for bit,
+    the value and contributing count of projecting every contributing
+    sample.  All samples are drawn first.  Each contributing sample x, with
+    r+ = (Ax - b)+, gets an upper bound U on its ratio, the smaller of
+
+    (i)  ||x - c|| / ||r+||, as c is feasible;
+    (ii) sqrt(r+^T (A A^T)^-1 r+) / ||r+||, when m <= n and A A^T has a
+         Cholesky factor whose rounding is covered (below).  This is
+         ||A^T mu|| / ||r+|| for A A^T mu = r+, and y = x - A^T mu is
+         feasible: Ay = Ax - r+ <= b.
+
+    Samples are projected in descending order of U, and the search stops
+    at the first one with U (1 + delta) < best, the largest ratio so far;
+    no later sample can raise it.
+
+    The margin delta = 1e-6 covers the distance between the exact
+    quantities that bound each other and the computed ones:
+
+    - the centre: a planted point satisfies its system to
+      1e-10 (1 + ||b||_inf), the file's witness tolerance, and a projected
+      origin to 1e-8 (1 + ||b||_inf), the projection certificate's
+      feasibility tolerance, so c lies within that relative order of X
+      and bound (i) can be short by as much;
+    - the projection: a computed distance comes from a result the
+      certificate accepts when it is feasible, and complementary, to
+      1e-8 relative, so it can exceed the exact distance by that order;
+    - the Cholesky rounding: forming A A^T, factoring it and inverting the
+      factor perturb bound (ii) by at most 2 (m + n + 1) eps kappa(A A^T)
+      relative, and bound (ii) is used only where that is at most 1e-8.
+
+    Their sum, about 3e-8 relative at worst, stays more than 30 times
+    below delta; the bounds' own rounding (n eps) is smaller still.  On the
+    package's instances the errors actually incurred are at rounding
+    level.
+
+    Errors: ValueError for bad arguments and NoEstimateError when no
+    sample contributes, as without the search.  A projection that is not
+    certified raises ConvergenceError, but only for a sample the search
+    projects: a skipped sample's projection can no longer raise, and of
+    two failing samples the one with the larger bound raises first.
     """
     if problem.kind is not ProblemKind.LF:
         raise ValueError("hoffman_estimate needs a feasibility problem")
@@ -199,8 +278,7 @@ def hoffman_estimate(
     rng = make_rng(seed)
     n = problem.n
     b_scale = 1.0 + float(np.abs(problem.b).max())
-    best = 0.0
-    contributing = 0
+    points, r_pluses, r_norms = [], [], []
     for _ in range(n_samples):
         direction = rng.standard_normal(n)
         u = rng.random()
@@ -212,15 +290,28 @@ def hoffman_estimate(
         r_norm = float(np.sqrt(r_plus @ r_plus))
         if r_norm <= 1e-12 * b_scale:
             continue
-        ratio = distance_to_feasible(point, problem) / r_norm
-        contributing += 1
-        if ratio > best:
-            best = ratio
-    if contributing == 0:
+        points.append(point)
+        r_pluses.append(r_plus)
+        r_norms.append(r_norm)
+    if not points:
         raise NoEstimateError(
             f"all {n_samples} sampled points were feasible; grow the radius"
         )
-    return HoffmanEstimate(value=best, n_contributing=contributing, n_samples=n_samples)
+    reach = np.linalg.norm(np.array(points) - center, axis=1)
+    factor = _least_norm_step_factor(problem.a)
+    if factor is not None:
+        reach = np.minimum(reach, np.linalg.norm(np.array(r_pluses) @ factor.T, axis=1))
+    bounds = reach / np.array(r_norms)
+    best = 0.0
+    # NaN bounds sort last; only an overflowed sample has one, and its ratio
+    # (NaN or 0) cannot raise the maximum
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] * (1.0 + _SKIP_MARGIN) < best:
+            break
+        ratio = distance_to_feasible(points[i], problem) / r_norms[i]
+        if ratio > best:
+            best = ratio
+    return HoffmanEstimate(value=best, n_contributing=len(points), n_samples=n_samples)
 
 
 def _sampled_hoffman_l(problem: Problem, seed: int, n_samples: int = 200) -> float:

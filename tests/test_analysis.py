@@ -3,6 +3,7 @@ one-step expectation oracles."""
 
 import numpy as np
 import pytest
+from hoffman_reference import reference_hoffman_estimate
 
 from kaczpen import analysis
 from kaczpen.analysis import (
@@ -385,6 +386,107 @@ def test_hoffman_requires_lf():
     p = generate_consistent_ls(3, 2, seed=1)
     with pytest.raises(ValueError):
         hoffman_estimate(p, n_samples=10, radius=1.0, seed=0)
+
+
+def _lf_instance(rng, m, n, planted=True, duplicate=False, rescale=False):
+    """A feasibility problem with a witness: about 60% of its rows tight."""
+    a = rng.standard_normal((m, n))
+    if duplicate:
+        a[1] = a[0]
+    if rescale:
+        a *= 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+    xp = rng.standard_normal(n)
+    b = a @ xp + np.abs(rng.standard_normal(m)) * (rng.random(m) > 0.6)
+    return Problem(
+        kind=ProblemKind.LF, a=DenseMatrix(a), b=b, x_planted=xp if planted else None
+    )
+
+
+def _estimate_or_error(estimate, problem, n_samples, radius, seed):
+    try:
+        est = estimate(problem, n_samples, radius, seed)
+    except Exception as exc:  # the search must raise what the loop raises
+        return type(exc).__name__, str(exc)
+    return type(est.value), est.value.hex(), est.n_contributing, est.n_samples
+
+
+HOFFMAN_CASES = [
+    ("tall-planted", dict(m=30, n=6)),
+    ("tall-unplanted", dict(m=30, n=6, planted=False)),
+    ("square-planted", dict(m=8, n=8)),
+    ("square-unplanted", dict(m=8, n=8, planted=False)),
+    ("wide-planted", dict(m=6, n=15)),
+    ("wide-unplanted", dict(m=6, n=15, planted=False)),
+    ("wide-duplicated-rows", dict(m=6, n=15, duplicate=True)),
+    ("wide-rescaled-rows", dict(m=6, n=15, rescale=True)),
+    ("tall-rescaled-rows", dict(m=30, n=6, planted=False, rescale=True)),
+    ("halfspace", dict(m=1, n=3)),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,shape", [(i, kw) for i, (_, kw) in enumerate(HOFFMAN_CASES)],
+    ids=[name for name, _ in HOFFMAN_CASES],
+)
+def test_hoffman_search_matches_reference(seed, shape):
+    """The bounded search returns the exhaustive loop's maximum and count
+    bit for bit, on the default ball and on a larger one."""
+    p = _lf_instance(np.random.default_rng(seed), **shape)
+    _, radius = analysis.hoffman_ball(p)
+    for r, sample_seed in ((radius, 999_983), (10.0 * radius, 5)):
+        expected = _estimate_or_error(reference_hoffman_estimate, p, 200, r, sample_seed)
+        assert expected[0] is float
+        assert _estimate_or_error(hoffman_estimate, p, 200, r, sample_seed) == expected
+
+
+def test_hoffman_cholesky_bound_gate():
+    """Bound (ii) needs m <= n and a Cholesky factor of A A^T whose rounding
+    is covered: duplicated rows and tall systems fall back to bound (i)."""
+    rng = np.random.default_rng(0)
+    assert analysis._least_norm_step_factor(_lf_instance(rng, 6, 15).a) is not None
+    assert analysis._least_norm_step_factor(_lf_instance(rng, 1, 3).a) is not None
+    assert analysis._least_norm_step_factor(_lf_instance(rng, 6, 15, duplicate=True).a) is None
+    assert analysis._least_norm_step_factor(_lf_instance(rng, 30, 6).a) is None
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_hoffman_search_matches_reference_random(block):
+    """50 random instances per block, 400 in all: tall, square and wide
+    shapes, planted and unplanted centres, duplicated and rescaled rows,
+    default and arbitrary radii.  Value, count and any error match the
+    exhaustive loop."""
+    rng = np.random.default_rng(7919 + block)
+    for t in range(50):
+        m, n = (int(v) for v in rng.integers(1, 16, size=2))
+        p = _lf_instance(
+            rng, m, n, planted=t % 2 == 0, duplicate=m >= 2 and t % 5 == 1,
+            rescale=t % 5 == 2,
+        )
+        radius = analysis.hoffman_ball(p)[1] if t % 3 == 0 else float(10.0 ** rng.uniform(-1, 1.5))
+        n_samples, seed = int(rng.integers(1, 60)), int(rng.integers(0, 10**6))
+        assert _estimate_or_error(hoffman_estimate, p, n_samples, radius, seed) == (
+            _estimate_or_error(reference_hoffman_estimate, p, n_samples, radius, seed)
+        ), (block, t, m, n)
+
+
+def test_hoffman_ball_projects_origin_once(monkeypatch):
+    """Without a planted point the default estimate projects the origin
+    once, for both its radius and its centre."""
+    p = _lf_instance(np.random.default_rng(3), 8, 5, planted=False)
+    calls = []
+    original = analysis.project_polyhedron
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "project_polyhedron", counted)
+    analysis._sampled_hoffman_l(p, seed=0, n_samples=16)
+    assert len(calls) == 1
+    center, radius = analysis.hoffman_ball(p)
+    assert len(calls) == 1
+    assert not center.flags.writeable
+    assert radius == 2.0 * (1.0 + float(np.sqrt(center @ center)))
 
 
 # ---------------------------------------------------------------------------

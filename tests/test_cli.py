@@ -504,6 +504,34 @@ def test_compare_estimates_hoffman_once(capsys, tmp_path, lf_problem, monkeypatc
     assert out == "\n".join(expected) + "\n"
 
 
+@pytest.mark.parametrize("rows,cols", [(60, 10), (10, 20)])
+def test_solve_skips_hoffman_projections(capsys, tmp_path, monkeypatch, rows, cols):
+    """The summary factor's estimate projects strictly fewer samples than
+    contribute, on a tall and on a wide feasibility file."""
+    analysis = kaczpen.analysis
+    path = str(tmp_path / "p.txt")
+    assert main(["generate", "--kind", "lf", "--rows", str(rows), "--cols", str(cols),
+                 "--active-fraction", "0.3", "--seed", "1", "-o", path]) == 0
+    projections, estimates = [], []
+    distance, estimate = analysis.distance_to_feasible, analysis.hoffman_estimate
+
+    def counted_distance(*args):
+        projections.append(args)
+        return distance(*args)
+
+    def kept_estimate(*args):
+        estimates.append(estimate(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(analysis, "distance_to_feasible", counted_distance)
+    monkeypatch.setattr(analysis, "hoffman_estimate", kept_estimate)
+    code, out, _ = run_cli(capsys, "solve", path, "--method", "rak", "--iters", "50")
+    assert code == 0
+    assert "per_step_factor=nan" not in out
+    assert len(estimates) == 1
+    assert 0 < len(projections) < estimates[0].n_contributing
+
+
 # ---------------------------------------------------------------------------
 # verify
 
