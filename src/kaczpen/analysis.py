@@ -190,30 +190,85 @@ def hoffman_ball(problem: Problem) -> tuple[np.ndarray, float]:
 # a sample is projected unless its ratio bound times 1 + _SKIP_MARGIN falls
 # below the best ratio so far (the margin is derived in hoffman_estimate)
 _SKIP_MARGIN = 1e-6
-# the Cholesky bound is used only where its relative rounding is below this
+# projected-gradient steps that tighten bound (iii) from its start at r+
+_DUAL_STEPS = 20
+# bound (iii) is used only where its relative rounding is below this
 _CHOLESKY_ROUNDING = 1e-8
+# eigvalsh's eigenvalues are taken to be off by up to this many times
+# m eps lambda_max, the order of its rounding
+_EIGVALSH_SAFETY = 10.0
 
 
-def _least_norm_step_factor(a: DenseMatrix) -> np.ndarray | None:
-    """The inverse of the Cholesky factor C of A A^T, so that
-    ||C^-1 r|| = sqrt(r^T (A A^T)^-1 r) is the length of the least-norm
-    step A^T mu with A A^T mu = r; or None when m > n, A A^T has no
-    Cholesky factor, or the rounding bound 2 (m + n + 1) eps kappa(A A^T),
-    with kappa(A A^T) = kappa(C)^2 <= (||C||_F ||C^-1||_F)^2, exceeds
-    _CHOLESKY_ROUNDING."""
+def _least_norm_step_factor(a: DenseMatrix) -> tuple[np.ndarray, float] | None:
+    """The inverse of the Cholesky factor C of G = A A^T, so that
+    ||C^-1 v|| = sqrt(v^T G^-1 v) is the length of the least-norm step
+    A^T mu with G mu = v, and lambda_min(G); or None when m > n, G is not
+    safely positive definite, or the rounding bound
+    2 (m + n + 1) eps kappa(G) exceeds _CHOLESKY_ROUNDING.
+
+    kappa(G) = lambda_max / lambda_min is taken from eigvalsh, whose
+    eigenvalues are off by at most about m eps lambda_max.  With
+    s = _EIGVALSH_SAFETY m eps lambda_max the gate uses
+    (lambda_max + s) / (lambda_min - s), an upper bound on the exact
+    kappa, and needs lambda_min > s."""
     m, n = a.shape
     if m > n:
         return None
+    gram = a.data @ a.data.T
+    eps = np.finfo(np.float64).eps
     try:
-        chol = np.linalg.cholesky(a.data @ a.data.T)
-        inv = np.linalg.inv(chol)
+        eig = np.linalg.eigvalsh(gram)
+        lam_min, lam_max = float(eig[0]), float(eig[-1])
+        slack = _EIGVALSH_SAFETY * m * eps * lam_max
+        # a NaN eigenvalue (overflowed gram) fails `>` and turns the bound off
+        kappa = (lam_max + slack) / (lam_min - slack) if lam_min > slack else np.inf
+        if not 2.0 * (m + n + 1) * eps * kappa <= _CHOLESKY_ROUNDING:
+            return None
+        inv = np.linalg.inv(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
         return None
-    kappa = (np.linalg.norm(chol) * np.linalg.norm(inv)) ** 2
-    # `not <=` so that an overflowed (inf or NaN) kappa turns the bound off
-    if not 2.0 * (m + n + 1) * np.finfo(np.float64).eps * kappa <= _CHOLESKY_ROUNDING:
-        return None
-    return inv
+    return inv, lam_min
+
+
+def _hoffman_samples(
+    problem: Problem, n_samples: int, radius: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hoffman_estimate's contributing samples, in draw order: their
+    points, ||r+|| and the upper bounds U on their ratios."""
+    center, _ = hoffman_ball(problem)
+    rng = make_rng(seed)
+    n = problem.n
+    b_scale = 1.0 + float(np.abs(problem.b).max())
+    directions = np.empty((n_samples, n))
+    draws = []
+    for t in range(n_samples):
+        directions[t] = rng.standard_normal(n)
+        draws.append(rng.random())
+    norms = np.sqrt(_row_dots(directions, directions))
+    drawn = norms != 0.0
+    scales = np.array([radius * u ** (1.0 / n) for u in draws])[drawn]
+    # the stacked matmuls take each sample's a @ point and r+ @ r+ as the
+    # matrix-vector and vector dots of one sample at a time
+    points = center + scales[:, None] * directions[drawn] / norms[drawn, None]
+    residuals = np.matmul(problem.a.data, points[:, :, None])[:, :, 0] - problem.b
+    r_plus = np.maximum(residuals, 0.0)
+    r_norms = np.sqrt(_row_dots(r_plus, r_plus))
+    keep = ~(r_norms <= 1e-12 * b_scale)
+    if not keep.any():
+        raise NoEstimateError(
+            f"all {n_samples} sampled points were feasible; grow the radius"
+        )
+    points, residuals, r_plus, r_norms = points[keep], residuals[keep], r_plus[keep], r_norms[keep]
+    reach = np.linalg.norm(points - center, axis=1)
+    factor = _least_norm_step_factor(problem.a)
+    if factor is not None:
+        inv, alpha = factor
+        gram_inv = inv.T @ inv
+        v = r_plus
+        for _ in range(_DUAL_STEPS):
+            v = np.maximum(residuals, v - alpha * (v @ gram_inv))
+        reach = np.minimum(reach, np.linalg.norm(v @ inv.T, axis=1))
+    return points, r_norms, reach / r_norms
 
 
 def hoffman_estimate(
@@ -229,14 +284,24 @@ def hoffman_estimate(
 
     The maximum is found by a bounded search that returns, bit for bit,
     the value and contributing count of projecting every contributing
-    sample.  All samples are drawn first.  Each contributing sample x, with
-    r+ = (Ax - b)+, gets an upper bound U on its ratio, the smaller of
+    sample.  All samples are drawn first and their points and residuals
+    formed together, with the per-sample arithmetic of one draw at a time.
+    Each contributing sample x, with r = Ax - b, gets an upper bound U on
+    its ratio, the smaller of
 
-    (i)  ||x - c|| / ||r+||, as c is feasible;
-    (ii) sqrt(r+^T (A A^T)^-1 r+) / ||r+||, when m <= n and A A^T has a
-         Cholesky factor whose rounding is covered (below).  This is
-         ||A^T mu|| / ||r+|| for A A^T mu = r+, and y = x - A^T mu is
-         feasible: Ay = Ax - r+ <= b.
+    (i)   ||x - c|| / ||r+||, as c is feasible;
+    (iii) ||C^-1 v|| / ||r+|| for a v >= r, when m <= n and
+          _least_norm_step_factor gives the inverse Cholesky factor C^-1
+          of G = A A^T.  For any v >= r, y = x - A^T G^-1 v is feasible,
+          as Ay = Ax - v <= b, and ||x - y||^2 = v^T G^-1 v = ||C^-1 v||^2;
+          the minimum over v >= r is d(x, X)^2 exactly.  v starts at r+,
+          where y is x minus the least-norm step A^T mu with G mu = r+,
+          and takes _DUAL_STEPS projected-gradient steps
+          v <- max(r, v - lambda_min(G) v G^-1), all samples in one
+          product per step.  The elementwise max keeps v >= r exactly, so
+          every iterate is a certified bound whatever the step's rounding;
+          the step length lambda_min(G) = 1 / lambda_max(G^-1) makes each
+          step descend.
 
     Samples are projected in descending order of U, and the search stops
     at the first one with U (1 + delta) < best, the largest ratio so far;
@@ -253,14 +318,21 @@ def hoffman_estimate(
     - the projection: a computed distance comes from a result the
       certificate accepts when it is feasible, and complementary, to
       1e-8 relative, so it can exceed the exact distance by that order;
-    - the Cholesky rounding: forming A A^T, factoring it and inverting the
-      factor perturb bound (ii) by at most 2 (m + n + 1) eps kappa(A A^T)
-      relative, and bound (ii) is used only where that is at most 1e-8.
+    - the factor's rounding: forming G, factoring it and inverting the
+      factor perturb v^T G^-1 v by at most 2 (m + n + 1) eps kappa(G)
+      relative, for every v, and bound (iii) is used only where that is
+      at most 1e-8.  The projected-gradient steps add no error of their
+      own: each iterate is an exact v >= r, and only its final norm is
+      rounded, as above.  kappa(G) is the spectral condition number from
+      eigvalsh, whose own rounding (at most about m eps lambda_max in
+      each eigenvalue) is covered tenfold before kappa enters the gate.
 
     Their sum, about 3e-8 relative at worst, stays more than 30 times
     below delta; the bounds' own rounding (n eps) is smaller still.  On the
     package's instances the errors actually incurred are at rounding
-    level.
+    level.  Bound (iii) is tight, so on wide systems the search usually
+    projects one sample; tall systems (m > n, G singular) use bound (i)
+    alone.
 
     Errors: ValueError for bad arguments and NoEstimateError when no
     sample contributes, as without the search.  A projection that is not
@@ -274,41 +346,14 @@ def hoffman_estimate(
         raise ValueError("n_samples must be positive")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    center, _ = hoffman_ball(problem)
-    rng = make_rng(seed)
-    n = problem.n
-    b_scale = 1.0 + float(np.abs(problem.b).max())
-    points, r_pluses, r_norms = [], [], []
-    for _ in range(n_samples):
-        direction = rng.standard_normal(n)
-        u = rng.random()
-        norm = float(np.sqrt(direction @ direction))
-        if norm == 0.0:
-            continue
-        point = center + radius * u ** (1.0 / n) * direction / norm
-        r_plus = np.maximum(problem.a.data @ point - problem.b, 0.0)
-        r_norm = float(np.sqrt(r_plus @ r_plus))
-        if r_norm <= 1e-12 * b_scale:
-            continue
-        points.append(point)
-        r_pluses.append(r_plus)
-        r_norms.append(r_norm)
-    if not points:
-        raise NoEstimateError(
-            f"all {n_samples} sampled points were feasible; grow the radius"
-        )
-    reach = np.linalg.norm(np.array(points) - center, axis=1)
-    factor = _least_norm_step_factor(problem.a)
-    if factor is not None:
-        reach = np.minimum(reach, np.linalg.norm(np.array(r_pluses) @ factor.T, axis=1))
-    bounds = reach / np.array(r_norms)
+    points, r_norms, bounds = _hoffman_samples(problem, n_samples, radius, seed)
     best = 0.0
     # NaN bounds sort last; only an overflowed sample has one, and its ratio
     # (NaN or 0) cannot raise the maximum
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] * (1.0 + _SKIP_MARGIN) < best:
             break
-        ratio = distance_to_feasible(points[i], problem) / r_norms[i]
+        ratio = distance_to_feasible(points[i], problem) / float(r_norms[i])
         if ratio > best:
             best = ratio
     return HoffmanEstimate(value=best, n_contributing=len(points), n_samples=n_samples)

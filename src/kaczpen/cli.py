@@ -158,6 +158,11 @@ def cmd_solve(args) -> int:
     wall = time.perf_counter() - start
     if args.trace:
         write_trace_csv(records, args.trace)
+    # a fresh last record holds error_sq_of at this same x
+    if records and records[-1].k == state.k and records[-1].fresh:
+        final_error_sq = records[-1].error_sq
+    else:
+        final_error_sq = error_sq_of(problem, state.x, x_star)
 
     summary = RunSummary(
         method=cfg.method.value,
@@ -168,7 +173,7 @@ def cmd_solve(args) -> int:
         c=cfg.c,
         seed=cfg.seed,
         iterations_executed=state.k,
-        final_error_sq=error_sq_of(problem, state.x, x_star),
+        final_error_sq=final_error_sq,
         final_residual=residual_of(problem, state.x),
         per_step_factor=_estimate_factor(problem, cfg.method, cfg.rho0, cfg.seed),
         wall_time_seconds=wall,

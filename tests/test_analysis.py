@@ -449,15 +449,89 @@ def test_hoffman_cholesky_bound_gate():
     assert analysis._least_norm_step_factor(_lf_instance(rng, 30, 6).a) is None
 
 
-@pytest.mark.parametrize("block", range(8))
+def _conditioned_matrix(rng, m, n, kappa):
+    """An m x n matrix (m <= n) whose A A^T has condition number kappa."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    return (u * np.sqrt(np.geomspace(1.0, kappa, m))) @ v.T
+
+
+def test_hoffman_spectral_gate():
+    """The factor is gated on the spectral kappa(A A^T): a well-conditioned
+    200 x 400 matrix keeps it, a nearly singular A A^T loses it, and the
+    gate 2 (m + n + 1) eps kappa <= 1e-8 falls between kappa = 1e6 and
+    2e6 at m = 5, n = 10."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((200, 400))
+    factor = analysis._least_norm_step_factor(DenseMatrix(a))
+    assert factor is not None
+    inv, lam_min = factor
+    gram = a @ a.T
+    assert lam_min == pytest.approx(np.linalg.eigvalsh(gram)[0], rel=1e-10)
+    np.testing.assert_allclose(inv @ gram @ inv.T, np.eye(200), atol=1e-10)
+    near_singular = rng.standard_normal((6, 15))
+    near_singular[1] = near_singular[0] + 1e-7 * rng.standard_normal(15)
+    assert analysis._least_norm_step_factor(DenseMatrix(near_singular)) is None
+    inside = _conditioned_matrix(rng, 5, 10, 1e6)
+    outside = _conditioned_matrix(rng, 5, 10, 2e6)
+    assert analysis._least_norm_step_factor(DenseMatrix(inside)) is not None
+    assert analysis._least_norm_step_factor(DenseMatrix(outside)) is None
+
+
+def _gate_instance(rng, m, n):
+    """A feasibility problem whose A A^T sits just inside the gate."""
+    a = _conditioned_matrix(rng, m, n, 0.9e-8 / (2.0 * (m + n + 1) * np.finfo(float).eps))
+    xp = rng.standard_normal(n)
+    b = a @ xp + np.abs(rng.standard_normal(m)) * (rng.random(m) > 0.6)
+    return Problem(kind=ProblemKind.LF, a=DenseMatrix(a), b=b, x_planted=xp)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_hoffman_bounds_certify_every_sample(block):
+    """Every contributing sample's ratio bound is at least its projected
+    ratio over 1 + 1e-8, on random wide instances: 1-row halfspaces,
+    instances just inside the factor's gate, duplicated rows and
+    unplanted centres."""
+    rng = np.random.default_rng(104_729 + block)
+    checked = 0
+    for t in range(12):
+        m = 1 if t % 4 == 0 else int(rng.integers(2, 16))
+        n = int(rng.integers(m, 31))
+        if t % 4 == 1:
+            p = _gate_instance(rng, m, n)
+            assert analysis._least_norm_step_factor(p.a) is not None
+        else:
+            p = _lf_instance(
+                rng, m, n, planted=t % 4 != 3, duplicate=m >= 2 and t % 4 == 2
+            )
+        # the smaller ball puts samples near the feasible set, where bound
+        # (i) is loose and bound (iii) decides
+        radius = analysis.hoffman_ball(p)[1] * (1.0 if (t // 4) % 2 else 0.2)
+        try:
+            points, r_norms, bounds = analysis._hoffman_samples(p, 40, radius, t)
+        except NoEstimateError:
+            continue
+        for point, r_norm, bound in zip(points, r_norms, bounds):
+            ratio = distance_to_feasible(point, p) / r_norm
+            assert bound >= ratio / (1.0 + 1e-8), (block, t, m, n, bound, ratio)
+            checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("block", range(10))
 def test_hoffman_search_matches_reference_random(block):
-    """50 random instances per block, 400 in all: tall, square and wide
-    shapes, planted and unplanted centres, duplicated and rescaled rows,
-    default and arbitrary radii.  Value, count and any error match the
-    exhaustive loop."""
+    """50 random instances per block, 500 in all: tall, square and wide
+    shapes up to 15 x 15 (blocks 0-7) and wide shapes up to 30 x 60
+    (blocks 8-9), planted and unplanted centres, duplicated and rescaled
+    rows, default and arbitrary radii.  Value, count and any error match
+    the exhaustive loop."""
     rng = np.random.default_rng(7919 + block)
     for t in range(50):
-        m, n = (int(v) for v in rng.integers(1, 16, size=2))
+        if block < 8:
+            m, n = (int(v) for v in rng.integers(1, 16, size=2))
+        else:
+            m = int(rng.integers(1, 31))
+            n = int(rng.integers(m, 2 * m + 1))
         p = _lf_instance(
             rng, m, n, planted=t % 2 == 0, duplicate=m >= 2 and t % 5 == 1,
             rescale=t % 5 == 2,

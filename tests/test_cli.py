@@ -532,6 +532,64 @@ def test_solve_skips_hoffman_projections(capsys, tmp_path, monkeypatch, rows, co
     assert 0 < len(projections) < estimates[0].n_contributing
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_solve_projects_few_hoffman_samples_on_wide_files(capsys, tmp_path, monkeypatch, seed):
+    """On a 30 x 60 feasibility file the tightened least-norm bound leaves
+    the summary factor's estimate at most three projections."""
+    analysis = kaczpen.analysis
+    path = str(tmp_path / "p.txt")
+    assert main(["generate", "--kind", "lf", "--rows", "30", "--cols", "60",
+                 "--active-fraction", "0.3", "--seed", str(seed), "-o", path]) == 0
+    projections = []
+    distance = analysis.distance_to_feasible
+
+    def counted_distance(*args):
+        projections.append(args)
+        return distance(*args)
+
+    monkeypatch.setattr(analysis, "distance_to_feasible", counted_distance)
+    code, out, _ = run_cli(capsys, "solve", path, "--method", "rpk", "--iters", "50")
+    assert code == 0
+    assert "per_step_factor=nan" not in out
+    assert 1 <= len(projections) <= 3
+
+
+@pytest.mark.parametrize("iters", [20, 25])
+def test_solve_reuses_fresh_trace_error_sq(capsys, tmp_path, monkeypatch, iters):
+    """A traced feasibility solve whose last record is fresh takes the
+    summary's final_error_sq from it instead of projecting x again; a
+    stale last record leaves the summary to project.  Either way the
+    summary is the untraced solve's."""
+    path = str(tmp_path / "p.txt")
+    assert main(["generate", "--kind", "lf", "--rows", "10", "--cols", "20",
+                 "--active-fraction", "0.3", "--seed", "3", "-o", path]) == 0
+    argv = ["solve", path, "--method", "rak", "--iters", str(iters), "--trace-stride", "10"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    solvers = kaczpen.solvers
+    projections = []
+    distance = solvers.distance_to_feasible
+
+    def counted_distance(*args):
+        projections.append(args)
+        return distance(*args)
+
+    monkeypatch.setattr(solvers, "distance_to_feasible", counted_distance)
+    trace = str(tmp_path / "t.csv")
+    code, traced, _ = run_cli(capsys, *argv, "--trace", trace)
+    assert code == 0
+    records = parse_trace_csv(trace)
+    assert records[-1].fresh == (iters % 10 == 0)
+    assert len(projections) == sum(r.fresh for r in records) + (not records[-1].fresh)
+
+    def masked(line):
+        return [f for f in line.split() if not f.startswith("wall_time_seconds=")]
+
+    assert masked(traced) == masked(plain)
+    reused = f"final_error_sq={format_float(records[-1].error_sq)}" in traced.split()
+    assert reused == records[-1].fresh
+
+
 # ---------------------------------------------------------------------------
 # verify
 
