@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution
+from .linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution, row_dots
 from .problems import Problem, ProblemKind
 from .projection import distance_to_feasible, project_polyhedron
 from .sampling import build_sampler, make_rng
@@ -71,7 +71,7 @@ def _contraction_factor(
     s_min: float, weight: float,
 ) -> tuple[float, float]:
     """(damping, per-step factor), the damping taken at rho * s_min:
-    1 - damping lambda_min / weight (LS) or 1 - damping s_min / (weight L^2)
+    1 - damping lambda_min / weight (LS) or 1 - damping / (weight L^2)
     (LF).  s_min is the smallest squared row norm and weight the sampling
     weights' normalizer: m for unit rows, ||A||_F^2 in general."""
     damping = _damping(method, rho * s_min)
@@ -81,7 +81,7 @@ def _contraction_factor(
         return damping, 1.0 - damping * conditioning / weight
     if conditioning <= 0.0:
         raise ValueError("the distance constant L must be positive")
-    return damping, 1.0 - damping * s_min / (weight * conditioning**2)
+    return damping, 1.0 - damping / (weight * conditioning**2)
 
 
 def rate_constants(
@@ -140,12 +140,14 @@ def instance_rate_factor(
 
         E ||x' - x*||^2 <= (1 - damping(rho s_min) lambda_min / ||A||_F^2) ||x - x*||^2
 
-    which follows from summing the per-row progress s_i r_i^2 weighted by
+    which follows from summing the per-row progress r_i^2 / s_i weighted by
     s_i / ||A||_F^2 and bounding sum_i r_i^2 >= lambda_min ||x - x*||^2.
     The multiplier method's dual term contracts by at least the same
     damping, so the bound covers its Lyapunov value too.  For feasibility
-    systems the same substitution is applied to the unit-row form (it can
-    only push the factor toward 1 when rows are uneven).
+    systems the same sum over the positive parts r_i+ and Hoffman's
+    ||r+|| >= d(x, X) / L give (Leventhal & Lewis, 2010)
+
+        E d(x', X)^2 <= (1 - damping(rho s_min) / (||A||_F^2 L^2)) d(x, X)^2
     """
     if isinstance(method, str):
         method = Method(method)
@@ -244,7 +246,7 @@ def _hoffman_samples(
     for t in range(n_samples):
         directions[t] = rng.standard_normal(n)
         draws.append(rng.random())
-    norms = np.sqrt(_row_dots(directions, directions))
+    norms = np.sqrt(row_dots(directions, directions))
     drawn = norms != 0.0
     scales = np.array([radius * u ** (1.0 / n) for u in draws])[drawn]
     # the stacked matmuls take each sample's a @ point and r+ @ r+ as the
@@ -252,7 +254,7 @@ def _hoffman_samples(
     points = center + scales[:, None] * directions[drawn] / norms[drawn, None]
     residuals = np.matmul(problem.a.data, points[:, :, None])[:, :, 0] - problem.b
     r_plus = np.maximum(residuals, 0.0)
-    r_norms = np.sqrt(_row_dots(r_plus, r_plus))
+    r_norms = np.sqrt(row_dots(r_plus, r_plus))
     keep = ~(r_norms <= 1e-12 * b_scale)
     if not keep.any():
         raise NoEstimateError(
@@ -371,14 +373,6 @@ def _sampling_weights(a: DenseMatrix) -> np.ndarray:
     return a.row_norms_sq / a.frobenius_sq
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise u[t] . v[t] (v may be one vector for all rows); the stacked
-    matmul takes the same dot as the scalar float(u[t] @ v[t])."""
-    if v.ndim == 1:
-        v = np.broadcast_to(v, u.shape)
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: float, x_star):
     """The enumeration oracles' shared core: the state's z, the squared
     error at its x, and each row's squared error and multiplier z' after
@@ -406,7 +400,7 @@ def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: f
         base_err = float(d @ d)
     z_arg, rho_arg = solvers._kernel_args(method, z, rho)
     coef, moves = solvers._step_coef(
-        _row_dots(a.data, x) - problem.b, z_arg, a.row_norms_sq, rho_arg, lf
+        row_dots(a.data, x) - problem.b, z_arg, a.row_norms_sq, rho_arg, lf
     )
     x_new = x - coef[:, None] * a.data
     if lf:
@@ -418,7 +412,7 @@ def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: f
         coef = np.where(moves, coef, 0.0)
     else:
         d = x_new - x_star
-        err = _row_dots(d, d)
+        err = row_dots(d, d)
     return z, base_err, err, (coef if method is Method.RAK else np.full(problem.m, z))
 
 
@@ -636,7 +630,7 @@ def monte_carlo_error_curve(
         rows = a[idx]
         z_arg, rho_arg = solvers._kernel_args(method, z, rho)
         coef, moves = solvers._step_coef(
-            _row_dots(rows, x) - b[idx], z_arg, norms_sq[idx], rho_arg, not is_ls
+            row_dots(rows, x) - b[idx], z_arg, norms_sq[idx], rho_arg, not is_ls
         )
         step = x - coef[:, None] * rows
         if is_ls:

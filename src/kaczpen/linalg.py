@@ -72,6 +72,14 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u[t] . v[t] (v may be one vector for all rows); the stacked
+    matmul takes the same dot as the scalar float(u[t] @ v[t])."""
+    if v.ndim == 1:
+        v = np.broadcast_to(v, u.shape)
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
 def gram_matrix(a: DenseMatrix) -> DenseMatrix:
     """A^T A with symmetry exact by construction (upper triangle mirrored)."""
     g = a.data.T @ a.data

@@ -136,6 +136,22 @@ def test_instance_rate_worked_values_uneven_rows():
     assert instance_rate_factor(p, Method.RAK, 1.0, 1.0) == pytest.approx(0.90)
 
 
+def test_instance_rate_worked_values_uneven_rows_lf():
+    """Feasibility rows of squared norms 4 and 9 (s_min = 4, ||A||_F^2 =
+    13) at L = 1: the factor is 1 - damping(4 rho) / 13, with no further
+    s_min (which would give 1 - 4 / 13 for the plain step)."""
+    p = Problem(
+        kind=ProblemKind.LF,
+        a=DenseMatrix(np.array([[2.0, 0.0], [0.0, 3.0]])),
+        b=np.ones(2),
+    )
+    assert instance_rate_factor(p, Method.RK, 1.0, 1.0) == pytest.approx(12.0 / 13.0)
+    # damping(4) is 24 / 25 for the penalty step and 4 / 5 for the multiplier step
+    assert instance_rate_factor(p, Method.RPK, 1.0, 1.0) == pytest.approx(1.0 - 0.96 / 13.0)
+    assert instance_rate_factor(p, Method.RAK, 1.0, 1.0) == pytest.approx(1.0 - 0.8 / 13.0)
+    assert instance_rate_factor(p, Method.RK, 1.0, 2.0) == pytest.approx(1.0 - 1.0 / 52.0)
+
+
 def test_instance_rate_reduces_to_unit_row_constants():
     p = normalize_rows(generate_consistent_ls(6, 4, seed=70))
     for method in (Method.RK, Method.RPK, Method.RAK):

@@ -273,6 +273,20 @@ def test_solve_lf_runs(capsys, tmp_path, lf_problem):
     assert records[-1].residual < records[0].residual
 
 
+def test_solve_lf_factor_on_uneven_rows(capsys, tmp_path):
+    """The 10x20 file's squared row norms run from 16.8 to 27.2, so the
+    feasibility factor 1 - damping / (||A||_F^2 L^2) is 0.9237; with a
+    stray s_min in the numerator it read -0.2816, not a contraction."""
+    path = str(tmp_path / "lf.txt")
+    assert main(["generate", "--kind", "lf", "--rows", "10", "--cols", "20", "--seed", "1007",
+                 "--active-fraction", "0.3", "-o", path]) == 0
+    code, stdout, stderr = run_cli(
+        capsys, "solve", path, "--method", "rk", "--iters", "100", "--seed", "7"
+    )
+    assert code == 0, stderr
+    assert "per_step_factor=0.9237" in stdout
+
+
 def test_solve_more_rows_than_old_cap(capsys, tmp_path):
     """m = 2500 exceeds the 2000-row cap of the Jacobi solver x* once used."""
     path = str(tmp_path / "big.txt")

@@ -136,12 +136,12 @@ def _outcome(solve, p, cfg, traced):
     )
 
 
-def _same_as_per_step_loop(p, cfg):
+def _same_as_per_step_loop(p, cfg, x_star=None):
     """run_solver and the per-step reference agree, untraced and traced;
     returns the traced outcome and records."""
     for traced in (False, True):
-        got = _outcome(run_solver, p, cfg, traced)
-        assert got == _outcome(ref.reference_solve, p, cfg, traced)
+        got = _outcome(partial(run_solver, x_star=x_star), p, cfg, traced)
+        assert got == _outcome(partial(ref.reference_solve, x_star=x_star), p, cfg, traced)
     return got
 
 
@@ -162,6 +162,96 @@ def test_tol_stop_inside_second_block(method, kind):
     (k, *_), records = _same_as_per_step_loop(p, SolverConfig(**base, residual_tol=tol))
     assert BLOCK + 1 < k < 2 * BLOCK
     assert [r[0] for r in records] == list(range(k + 1))
+
+
+@pytest.fixture(scope="module")
+def bench_problems():
+    """The shapes the benchmark solves: ls-reference's 60x15 equality
+    files, lf-projection's 10x20 feasibility files, and the tall 300x50
+    feasibility file, whose chunks of 23 steps end neither on a draw
+    block nor on a trace stride."""
+    return {
+        "ls60x15": generate_consistent_ls(60, 15, seed=1001),
+        "lf10x20": generate_feasible_lf(10, 20, seed=1, active_fraction=0.3),
+        "lf300x50": generate_feasible_lf(300, 50, seed=1, active_fraction=0.3),
+    }
+
+
+@pytest.mark.parametrize("name", ["ls60x15", "lf10x20", "lf300x50"])
+def test_stacked_residuals_match_residual_of(bench_problems, name):
+    """One stacked matmul gives residual_of of every row of xs, and one
+    stacked dot error_sq_of of every equality iterate, bit for bit and so
+    with the sign of every zero: at the origin, its negative, the planted
+    point (zero residuals) and points of every scale, also with b = 0.  A
+    numpy or BLAS whose batched products round unlike A @ x fails here."""
+    p = bench_problems[name]
+    rng = np.random.default_rng(41)
+    special = [np.zeros(p.n), -np.zeros(p.n), p.x_planted, -p.x_planted]
+    scaled = [10.0 ** e * rng.standard_normal(p.n) for e in range(-12, 13, 2)]
+    xs = np.array(special + scaled + list(p.x_planted + 1e-9 * rng.standard_normal((40, p.n))))
+    zero_b = Problem(p.kind, p.a, np.zeros(p.m))
+    for q in (p, zero_b):
+        got = solvers._stacked_residuals(q, xs)
+        assert [ref.bits(r) for r in got] == [ref.bits(solvers.residual_of(q, x)) for x in xs]
+    assert 0.0 in got
+    if p.kind is ProblemKind.LS:
+        d = xs - p.x_planted
+        errors = solvers.row_dots(d, d)
+        assert [ref.bits(e) for e in errors] == [
+            ref.bits(solvers.error_sq_of(p, x, p.x_planted)) for x in xs
+        ]
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_tol_stop_at_benchmark_shape(bench_problems, method):
+    """ls-reference's solve: a 60x15 equality file run to --tol 1e-8,
+    about 1,000 steps over several chunks of 109, here with a growing rho,
+    so the stop must restore the rho of its step."""
+    cfg = SolverConfig(method=method, max_iters=100_000, c=1.001, seed=3, residual_tol=1e-8)
+    (k, *_), records = _same_as_per_step_loop(bench_problems["ls60x15"], cfg)
+    assert 2 * BLOCK < k < 100_000
+    last, before = (np.frombuffer(r[4])[0] for r in (records[-1], records[-2]))
+    assert last <= 1e-8 < before
+
+
+@pytest.mark.parametrize(
+    "name, iters, method",
+    [("lf10x20", 2 * BLOCK + 44, method) for method in Method] + [("lf300x50", 300, Method.RAK)],
+)
+def test_traced_lf_at_benchmark_shapes(bench_problems, name, iters, method):
+    """Traced feasibility runs at lf-projection's 10x20 shape and on the
+    tall 300x50 file, whose stride projections fall inside chunks."""
+    cfg = SolverConfig(method=method, max_iters=iters, rho0=0.7, c=1.01, seed=5)
+    (k, *_), records = _same_as_per_step_loop(bench_problems[name], cfg)
+    assert k == iters and len(records) == iters + 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("kind", [ProblemKind.LS, ProblemKind.LF])
+def test_tol_stop_then_overflow_in_same_block(method, kind):
+    """Rows 1 and 2 start with residual 1e307 and one step on each brings
+    it to at most 1e301; the 20 rows 0.1 x_2 = -2e306 keep residual 2e306
+    until drawn, and a step on one of them overflows (coef = 2e306 / 0.01).
+    Row 0 (weight 100, zero residual) spaces the draws: seed 42 has drawn
+    rows 1 and 2 by k = 297 and first draws a row 0.1 x_2 at k = 410, both
+    in the second block.  With tol 5e306 the run stops at k = 297 as the
+    per-step loop does, traced or not, although its block fails the check."""
+    amp = 20
+    a = DenseMatrix(
+        [[0.0, 0.0, 0.0, 10.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+        + [[0.0, 0.0, 0.1, 0.0]] * amp
+    )
+    b = np.array([0.0, -1e307, -1e307] + [-2e306] * amp)
+    p = Problem(kind, a, b, x_planted=np.array([-1e307, -1e307, -2e307, 0.0]))
+    x_star = p.x_planted if kind is ProblemKind.LS else None
+    base = dict(method=method, max_iters=3 * BLOCK, rho0=1e6, seed=42)
+    assert _outcome(partial(run_solver, x_star=x_star), p, SolverConfig(**base), False)[0] == (
+        "failed", 410
+    )
+    outcome, records = _same_as_per_step_loop(p, SolverConfig(**base, residual_tol=5e306), x_star)
+    assert outcome[0] == 297
+    assert [r[0] for r in records] == list(range(298))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
