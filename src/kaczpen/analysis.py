@@ -398,18 +398,16 @@ def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: f
             x_star = least_norm_solution(a, problem.b, np.zeros(problem.n))
         d = x - x_star
         base_err = float(d @ d)
-    z_arg, rho_arg = solvers._kernel_args(method, z, rho)
-    coef, moves = solvers._step_coef(
-        row_dots(a.data, x) - problem.b, z_arg, a.row_norms_sq, rho_arg, lf
+    x_new, coef, moves = solvers._step_rows(
+        a.data, x, problem.b, a.row_norms_sq, method, z, rho, lf
     )
-    x_new = x - coef[:, None] * a.data
     if lf:
         err = np.full(problem.m, base_err)
+        # moves, not coef != 0: a moving row's coef can underflow to 0
         for i in np.flatnonzero(moves):
             # an array of its own, as the step functions return
             dist = distance_to_feasible(x_new[i].copy(), problem)
             err[i] = dist * dist
-        coef = np.where(moves, coef, 0.0)
     else:
         d = x_new - x_star
         err = row_dots(d, d)
@@ -627,18 +625,9 @@ def monte_carlo_error_curve(
             count = min(_DRAW_BLOCK, ks[-1] - k + 1)
             drawn = np.stack([s.sample_rows(count) for s in samplers])
         idx = drawn[:, j]
-        rows = a[idx]
-        z_arg, rho_arg = solvers._kernel_args(method, z, rho)
-        coef, moves = solvers._step_coef(
-            row_dots(rows, x) - b[idx], z_arg, norms_sq[idx], rho_arg, not is_ls
+        x, coef, _ = solvers._step_rows(
+            a[idx], x, b[idx], norms_sq[idx], method, z, rho, not is_ls
         )
-        step = x - coef[:, None] * rows
-        if is_ls:
-            x = step
-        else:
-            # the step functions leave x (and zero z) when the row does not move
-            x = np.where(moves[:, None], step, x)
-            coef = np.where(moves, coef, 0.0)
         if method is Method.RAK:
             z = coef
         finite = np.isfinite(x).all(axis=1)

@@ -21,7 +21,8 @@ which near a degenerate vertex (more tight rows than columns) can cost
 the result its certificate; the method then reruns with QR solves.
 Each run stops after 3m + 30 passive-set solves, so a projection does
 bounded work.  A point too large to square (beyond 2^500) that neither
-run certifies is projected again at unit scale, scaled by a power of two.
+run certifies is projected again at unit scale, scaled by a power of two;
+a result that leaves the float64 range when scaled back is refused.
 
 A result is returned only after it passes the feasibility and
 complementary-slackness certificate (with y = x - A^T lam and lam >= 0
@@ -192,7 +193,8 @@ def project_polyhedron(x, a: DenseMatrix, b) -> np.ndarray:
     nonnegative multipliers have small complementary slackness.  When
     neither result is certified, a point or bound beyond 2^500 is
     projected again at unit scale, and otherwise ConvergenceError names
-    both runs' certificate errors.
+    both runs' certificate errors.  ConvergenceError also names the float64
+    range when the unit-scale result, scaled back, leaves it.
     """
     x = as_vector(x, a.cols)
     b = as_vector(b, a.rows)
@@ -214,7 +216,12 @@ def project_polyhedron(x, a: DenseMatrix, b) -> np.ndarray:
         # by a power of two is exact: a point too large to square is solved
         # (and certified) again at unit scale.
         e = math.frexp(big)[1]
-        return np.ldexp(project_polyhedron(np.ldexp(x, -e), a, np.ldexp(b, -e)), e)
+        y = np.ldexp(project_polyhedron(np.ldexp(x, -e), a, np.ldexp(b, -e)), e)
+        if not np.isfinite(y).all():
+            raise ConvergenceError(
+                "projection lies beyond the float64 range (largest finite value 1.8e308)"
+            )
+        return y
     raise ConvergenceError(
         f"projection not certified: Gram run: {errors[0]}; QR run: {errors[1]}"
     )

@@ -12,7 +12,7 @@ step at 1 / rho = 0, the exact projection.  On feasibility rows x moves
 only when arg > 0, the positive-part clip.  The formula lives in one
 kernel, _step_coef, which works on a float or on an array of independent
 steps: the six public step functions wrap it for one row, run_solver calls
-it once per iteration, and the analysis module calls it on all Monte Carlo
+it once per iteration, and _step_rows applies it to all Monte Carlo
 trials, or all rows of an enumeration oracle, at once.  An optional
 geometric schedule grows rho by a factor c >= 1 each iteration up to a
 cap, which drives the damped steps toward the plain projection.
@@ -23,19 +23,20 @@ the one definition of a run's residual and squared error.  SolverConfig
 is validated once, when built; run_solver reads the rows, b and
 ||a_i||^2 into lists once and updates x in place.  It checks x once per
 chunk of a draw block (a non-finite x stays non-finite under the step).
-The fast pass over a chunk only steps.  When a metric is needed (a trace
-sink or residual_tol) it also keeps each step's x in a preallocated
-buffer, with its row, z and rho; once the chunk passes the check, every
-residual comes from one stacked matmul, every equality error from one
-stacked dot (both equal residual_of and error_sq_of bit for bit), and a
-feasibility error from error_sq_of at each stride point.  A residual_tol
-stop is the first kept step at or below the tolerance: the records end
-there and (x, z, rho) are restored from that step.  A chunk that fails
-the check or raises is replayed from its starting (x, z, rho), checking
-every step and taking its metrics one step at a time, so
-NumericFailureError names the first failing k and a stop before the
-failure still ends the run.  Trace records reach the sink only after
-their chunk passes.
+The pass over a chunk only steps.  When a metric is needed (a trace sink
+or residual_tol) it also keeps each step's x in a preallocated buffer,
+with its row, z and rho.  A chunk that fails the check is replayed from
+its starting (x, z, rho) with a check after every step, only to find the
+first non-finite k; the steps before it are kept.  The kept steps of
+every chunk then take one metric path: every residual comes from one
+stacked matmul, every equality error from one stacked dot (both equal
+residual_of and error_sq_of bit for bit), and a feasibility error from
+error_sq_of at each stride point.  A residual_tol stop is the first kept
+step at or below the tolerance: the records end there and (x, z, rho)
+are restored from that step.  Trace records go to the sink one at a time
+as they are built, so a metric that raises leaves the sink holding the
+records before it, and NumericFailureError is raised after the records
+of the steps before the failure, unless a stop came first.
 """
 
 from __future__ import annotations
@@ -102,6 +103,21 @@ def _kernel_args(method: Method, z, rho: float):
     """The (z, rho) the kernel takes for a method: only the multiplier
     step carries z, and the plain step is the kernel at 1 / rho = 0."""
     return (z if method is Method.RAK else None), (math.inf if method is Method.RK else rho)
+
+
+def _step_rows(rows, x, b, norms_sq, method: Method, z, rho: float, lf: bool):
+    """The kernel on many independent steps at once: row t of rows, with
+    b[t], norms_sq[t] and z[t] (or z itself when z is one value), steps
+    x[t] (or x itself when x is one vector).  Returns (x_new, coef,
+    moves); where a row does not move, x_new keeps x and coef is 0, as
+    the step functions leave x and zero z."""
+    z_arg, rho_arg = _kernel_args(method, z, rho)
+    coef, moves = _step_coef(row_dots(rows, x) - b, z_arg, norms_sq, rho_arg, lf)
+    x_new = x - coef[:, None] * rows
+    if lf:
+        x_new = np.where(moves[:, None], x_new, x)
+        coef = np.where(moves, coef, 0.0)
+    return x_new, coef, moves
 
 
 def _check_step_args(x, a: DenseMatrix, i: int, rho: float = math.inf):
@@ -209,17 +225,17 @@ def _stacked_residuals(problem: Problem, xs: np.ndarray) -> list[float]:
     return [max(v, 0.0) for v in r.max(axis=1).tolist()]
 
 
-def _trace_records(problem, xs, kept, residuals, k0, error_sq, x_star, stride, rak):
-    """The trace records of steps k0 + 1, k0 + 2, ... from each step's
-    (row, z, rho) in kept, its x in xs and its residual, and the last
-    error_sq.  Equality errors come from one stacked dot, equal to
-    error_sq_of bit for bit; a feasibility error is error_sq_of at each
-    stride point, carried to the records between them."""
+def _trace_records(problem, xs, kept, residuals, k0, error_sq, x_star, stride, rak, sink):
+    """Send sink the trace records of steps k0 + 1, k0 + 2, ... one at a
+    time, from each step's (row, z, rho) in kept, its x in xs and its
+    residual, and return the last error_sq.  Equality errors come from one
+    stacked dot, equal to error_sq_of bit for bit; a feasibility error is
+    error_sq_of at each stride point, carried to the records between them,
+    so a projection that raises leaves sink holding the records before it."""
     is_ls = problem.kind is ProblemKind.LS
     if is_ls:
         d = xs[: len(kept)] - x_star
         errors = row_dots(d, d).tolist()
-    records = []
     for j, (i, z, rho) in enumerate(kept):
         k = k0 + j + 1
         fresh = is_ls or k % stride == 0
@@ -228,8 +244,8 @@ def _trace_records(problem, xs, kept, residuals, k0, error_sq, x_star, stride, r
         elif fresh:
             error_sq = error_sq_of(problem, xs[j], x_star)
         lyap = error_sq + z * z / rho if rak else error_sq
-        records.append(TraceRecord(k, i, rho, error_sq, residuals[j], z if rak else 0.0, lyap, fresh))
-    return records, error_sq
+        sink(TraceRecord(k, i, rho, error_sq, residuals[j], z if rak else 0.0, lyap, fresh))
+    return error_sq
 
 
 def advance_rho(rho: float, c: float, rho_max: float) -> float:
@@ -335,67 +351,52 @@ def run_solver(
         xs = np.empty((chunk, n))
     k = 0
     for part in _chunks(sampler, cfg.max_iters, chunk):
-        saved = (x.copy(), z, rho, k, error_sq)
+        saved = (x.copy(), z, rho, k)
+        failed = None
+        # the replay only finds the first non-finite k of a failed chunk
         for careful in (False, True):
             if careful:
-                x[:], z, rho, k, error_sq = saved
+                x[:], z, rho, k = saved
             z_arg, rho_arg = _kernel_args(method, z, rho)
-            kept, records = [], []  # each kept step's (row, z, rho); its x is in xs
-            try:
-                for i in part:
-                    k += 1
-                    row = rows[i]
-                    coef, moves = _step_coef(float(row.dot(x)) - bs[i], z_arg, norms_sq[i], rho_arg, lf)
-                    if moves:
-                        np.multiply(row, coef, tmp)
-                        np.subtract(x, tmp, x)
-                    else:
-                        coef = 0.0
-                    if rak:
-                        z = z_arg = coef
-                    if careful and not np.isfinite(x).all():
-                        raise NumericFailureError(k)
-                    if scheduled:
-                        rho = rho_arg = advance_rho(rho, c, rho_max)
-                    if not careful:
-                        if need_residual:
-                            xs[len(kept)] = x
-                            kept.append((i, z, rho))
-                        continue
-                    if need_residual:
-                        residual = residual_of(problem, x)
-                    if tracing:
-                        fresh = is_ls or k % stride == 0
-                        if fresh:
-                            error_sq = error_sq_of(problem, x, x_star)
-                        lyap = error_sq + z * z / rho if rak else error_sq
-                        trace_sink(TraceRecord(k, i, rho, error_sq, residual, coef if rak else 0.0, lyap, fresh))
-                    if tol is not None and residual <= tol:
-                        break
-                finite = careful or bool(np.isfinite(x).all())
-                if finite and kept:
-                    # a non-finite x stays non-finite, so every kept x is finite
-                    res = _stacked_residuals(problem, xs[: len(kept)])
-                    if tol is not None:
-                        stop = next((j for j, r in enumerate(res) if r <= tol), None)
-                        if stop is not None:
-                            del kept[stop + 1 :]
-                            x[:] = xs[stop]
-                            _, z, rho = kept[stop]
-                            k = saved[3] + stop + 1
-                    residual = res[len(kept) - 1]
-                    if tracing:
-                        records, error_sq = _trace_records(
-                            problem, xs, kept, res, saved[3], error_sq, x_star, stride, rak
-                        )
-            except Exception:  # replayed: it recurs, or a non-finite x comes first
-                if careful:
-                    raise
-                continue
-            if finite:
+            kept = []  # each kept step's (row, z, rho); its x is in xs
+            for i in part:
+                k += 1
+                row = rows[i]
+                coef, moves = _step_coef(float(row.dot(x)) - bs[i], z_arg, norms_sq[i], rho_arg, lf)
+                if moves:
+                    np.multiply(row, coef, tmp)
+                    np.subtract(x, tmp, x)
+                else:
+                    coef = 0.0
+                if rak:
+                    z = z_arg = coef
+                if careful and not np.isfinite(x).all():
+                    failed = k
+                    break
+                if scheduled:
+                    rho = rho_arg = advance_rho(rho, c, rho_max)
+                if need_residual:
+                    xs[len(kept)] = x
+                    kept.append((i, z, rho))
+            if careful or np.isfinite(x).all():
                 break
-        for rec in records:
-            trace_sink(rec)
+        if kept:
+            # every kept x is finite: a non-finite x stays non-finite
+            res = _stacked_residuals(problem, xs[: len(kept)])
+            if tol is not None:
+                stop = next((j for j, r in enumerate(res) if r <= tol), None)
+                if stop is not None:
+                    del kept[stop + 1 :]
+                    x[:] = xs[stop]
+                    _, z, rho = kept[stop]
+                    k = saved[3] + stop + 1
+            residual = res[len(kept) - 1]
+            if tracing:
+                error_sq = _trace_records(
+                    problem, xs, kept, res, saved[3], error_sq, x_star, stride, rak, trace_sink
+                )
         if tol is not None and residual <= tol:
             break
+        if failed is not None:
+            raise NumericFailureError(failed)
     return SolverState(x=x, z=z, rho=rho, k=k)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fileio import atomic_write_text, format_float, read_text
 
@@ -14,14 +15,15 @@ class TraceFormatError(Exception):
     """A trace CSV failed to parse; message names the offending line."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One solver iteration.
 
     k is the iteration counter (0 for the pre-loop snapshot, whose row is
     -1).  error_sq is the squared distance to the solution set; for
     feasibility runs it is refreshed only every trace stride, and fresh
-    says whether this record recomputed it.
+    says whether this record recomputed it.  A named tuple, because a run
+    builds one per step: it unpacks, and compares equal to the plain
+    tuple of its fields.
     """
 
     k: int

@@ -350,6 +350,46 @@ def test_overflowing_solution_exits_3(capsys, tmp_path):
         assert "float64 range" in stderr
 
 
+FAR_2X2 = "kaczmarz-problem v1 lf 2 2\n1e-150 0 -1e300\n0 1 0\n"
+FAR_1X1 = "kaczmarz-problem v1 lf 1 1\n1e-160 -1e300\n"
+FAR_MESSAGE = "projection lies beyond the float64 range (largest finite value 1.8e308)"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (FAR_2X2, ["solve", "--method", "rk", "--iters", "10"], FAR_MESSAGE),
+        (FAR_2X2, ["solve", "--method", "rak", "--iters", "10", "--trace", "t.csv"],
+         FAR_MESSAGE),
+        (FAR_2X2, ["compare", "--methods", "rk", "--trials", "2", "--checkpoints", "0,5"],
+         FAR_MESSAGE),
+        (FAR_1X1, ["solve", "--method", "rk", "--iters", "1000"],
+         "non-finite iterate at iteration 1"),
+        (FAR_1X1, ["solve", "--method", "rk", "--iters", "1000", "--tol", "1e-9"],
+         "non-finite iterate at iteration 1"),
+        (FAR_1X1, ["solve", "--method", "rk", "--iters", "1000", "--trace", "t.csv"],
+         FAR_MESSAGE),
+    ],
+    ids=["solve", "traced", "compare", "one-row", "one-row-tol", "one-row-traced"],
+)
+def test_polyhedron_beyond_float_range_exits_3(capsys, tmp_path, text, argv, message):
+    """Every feasible point of these files lies beyond 1e450 (2x2) or 1e460
+    (one row) in magnitude, so the distance from the start is not a
+    float64: measuring it (a trace, the Hoffman estimate, compare) fails
+    naming the range, and a traced solve writes no trace (an inf error_sq
+    would be a trace that plot refuses).  On the one-row file an untraced
+    solve measures no distance; its first step overflows instead."""
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    argv = [argv[0], str(path)] + [str(tmp_path / v) if v == "t.csv" else v for v in argv[1:]]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 3
+    assert stdout == ""
+    assert f"error: {message}" in stderr
+    assert not (tmp_path / "t.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 

@@ -153,6 +153,17 @@ def test_huge_point_projected_at_unit_scale():
     assert np.abs(y).max() <= 1e-8 * 1.5e308
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_projection_beyond_float_range_raises():
+    """The polyhedron {1e-150 y1 <= -1e300, y2 <= 0} lies beyond -1e450 in
+    y1.  The unit-scale solve certifies its projection of 0, and scaling it
+    back overflows to -inf: the projection names the float64 range instead
+    of returning a non-finite point."""
+    a = DenseMatrix([[1e-150, 0.0], [0.0, 1.0]])
+    with pytest.raises(ConvergenceError, match="float64 range"):
+        project_polyhedron(np.zeros(2), a, np.array([-1e300, 0.0]))
+
+
 @pytest.mark.parametrize(
     "y, lam",
     [([np.nan, 0.0], [0.0]), ([0.0, 0.0], [np.nan])],

@@ -286,7 +286,8 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
     """A step that raises inside a block (here a projection refused once x
     is close enough, first at the fresh record k = 290) raises from
     run_solver as from the per-step loop, after exactly records 0..289;
-    records 257..259 keep the distance taken at k = 250."""
+    records 257..259 keep the distance taken at k = 250.  run_solver takes
+    each of its 2 x 256 steps once: the chunk is not replayed."""
     p = _problem("lf")
     cfg = SolverConfig(
         method=Method.RPK, max_iters=2 * BLOCK, rho0=0.05, seed=5, x0=p.x_planted + 6.0
@@ -303,8 +304,16 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
             raise ConvergenceError("close enough")
         return d
 
+    steps = []
+    real_coef = solvers._step_coef
+
+    def counted(*args):
+        steps.append(None)
+        return real_coef(*args)
+
     monkeypatch.setattr(solvers, "distance_to_feasible", refusing)
     monkeypatch.setattr(ref, "distance_to_feasible", refusing)
+    monkeypatch.setattr(solvers, "_step_coef", counted)
     got = []
     for solve, sink in ((run_solver, []), (ref.reference_solve, [])):
         with pytest.raises(ConvergenceError, match="close enough"):
@@ -312,6 +321,7 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
         got.append(ref.record_bits(sink))
     assert got[0] == got[1]
     assert [r[0] for r in got[0]] == list(range(290))
+    assert len(steps) == 2 * BLOCK
 
 
 @pytest.mark.parametrize("normalized", [False, True])
