@@ -16,7 +16,7 @@ import numpy as np
 from . import solvers
 from .linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution, row_dots
 from .problems import Problem, ProblemKind
-from .projection import distance_to_feasible, project_polyhedron
+from .projection import _warm_distance, distance_to_feasible, project_polyhedron
 from .sampling import build_sampler, make_rng
 from .solvers import _DRAW_BLOCK, Method, NumericFailureError, SolverConfig, SolverState
 
@@ -376,7 +376,8 @@ def _sampling_weights(a: DenseMatrix) -> np.ndarray:
 def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: float, x_star):
     """The enumeration oracles' shared core: the state's z, the squared
     error at its x, and each row's squared error and multiplier z' after
-    one step on that row, from one call of the step kernel over all m rows.
+    one step on that row, from one call of the step kernel over all m rows;
+    each moving row's projection starts from the base point's support.
 
     The error is the squared distance to x_star (equality; by default the
     solution nearest the origin) or to the feasible set (feasibility, where
@@ -391,7 +392,7 @@ def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: f
     if lf:
         if method is Method.RAK and z < 0.0:
             raise ValueError("multiplier z must be nonnegative in feasibility mode")
-        base_dist = distance_to_feasible(x, problem)
+        base_dist, support = _warm_distance(x, problem)
         base_err = base_dist * base_dist
     else:
         if x_star is None:
@@ -406,7 +407,7 @@ def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: f
         # moves, not coef != 0: a moving row's coef can underflow to 0
         for i in np.flatnonzero(moves):
             # an array of its own, as the step functions return
-            dist = distance_to_feasible(x_new[i].copy(), problem)
+            dist = _warm_distance(as_vector(x_new[i]).copy(), problem, support)[0]
             err[i] = dist * dist
     else:
         d = x_new - x_star
@@ -563,7 +564,10 @@ def monte_carlo_error_curve(
     cfg.seed + t, and a checkpoint value is solvers.error_sq_of (plus
     z^2 / rho for the multiplier method) at its state after exactly that
     many iterations, so a single trial reproduces the solve trace's
-    lyapunov column (at its fresh records) bit for bit.  All trials
+    lyapunov column (at its fresh records) bit for bit.  A feasibility
+    checkpoint's projection starts from the same trial's previous
+    checkpoint, or at its first from the trial before it, with the cold
+    start's result bit for bit (see projection._certified).  All trials
     advance together in one pass
     to the largest checkpoint: trial t's iterate is row t of an
     (n_trials, n) array, its rows come from its own sampler, drawn ahead
@@ -603,6 +607,8 @@ def monte_carlo_error_curve(
     z = np.zeros(n_trials)
     rho = cfg.rho0
     sums = [0.0 for _ in ks]
+    # each trial's projection support at its last checkpoint
+    supports = [None] * n_trials
     failed_at = None
     next_j = 0
 
@@ -610,8 +616,12 @@ def monte_carlo_error_curve(
         nonlocal next_j
         while next_j < len(ks) and ks[next_j] == k:
             for t in range(len(x)):
+                start = supports[t]
+                if start is None and t > 0:
+                    # a trial's first checkpoint starts from the trial before it
+                    start = supports[t - 1]
                 # an array of its own, as run_solver's state.x is
-                err = solvers.error_sq_of(problem, x[t].copy(), x_star)
+                err, supports[t] = solvers._error_sq(problem, x[t].copy(), x_star, start)
                 if method is Method.RAK:
                     zt = float(z[t])
                     err += zt * zt / rho

@@ -10,6 +10,7 @@ numeric breakdown).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -239,7 +240,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: it is made from
+    constants only, and parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="kaczpen",
         description="Randomized row-action solvers for linear systems and feasibility",

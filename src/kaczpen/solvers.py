@@ -31,7 +31,9 @@ first non-finite k; the steps before it are kept.  The kept steps of
 every chunk then take one metric path: every residual comes from one
 stacked matmul, every equality error from one stacked dot (both equal
 residual_of and error_sq_of bit for bit), and a feasibility error from
-error_sq_of at each stride point.  A residual_tol stop is the first kept
+error_sq_of at each stride point, its projection started from the
+previous stride point's support (the same result as a cold start, bit
+for bit, see projection._certified).  A residual_tol stop is the first kept
 step at or below the tolerance: the records end there and (x, z, rho)
 are restored from that step.  Trace records go to the sink one at a time
 as they are built, so a metric that raises leaves the sink holding the
@@ -50,7 +52,7 @@ import numpy as np
 
 from .linalg import DenseMatrix, as_vector, least_norm_solution, row_dots
 from .problems import Problem, ProblemKind
-from .projection import distance_to_feasible
+from .projection import _warm_distance
 from .sampling import build_sampler
 from .traces import TraceRecord
 
@@ -198,10 +200,18 @@ def residual_of(problem: Problem, x: np.ndarray) -> float:
 def error_sq_of(problem: Problem, x: np.ndarray, x_star: np.ndarray | None) -> float:
     """The squared error of x: ||x - x_star||^2 for equalities, d(x, X)^2
     (X the feasible set) for feasibility, where x_star is unused."""
+    return _error_sq(problem, x, x_star)[0]
+
+
+def _error_sq(problem: Problem, x: np.ndarray, x_star, start=None):
+    """(error_sq_of, support): for feasibility, x's projection starts its
+    passive set at the row mask start and support is its rows lam > 0,
+    the start for the next point of a run; None for equalities."""
     if problem.kind is ProblemKind.LS:
         d = x - x_star
-        return float(d @ d)
-    return distance_to_feasible(x, problem) ** 2
+        return float(d @ d), None
+    dist, support = _warm_distance(x, problem, start)
+    return dist**2, support
 
 
 def _chunks(sampler, max_iters: int, chunk: int):
@@ -225,13 +235,15 @@ def _stacked_residuals(problem: Problem, xs: np.ndarray) -> list[float]:
     return [max(v, 0.0) for v in r.max(axis=1).tolist()]
 
 
-def _trace_records(problem, xs, kept, residuals, k0, error_sq, x_star, stride, rak, sink):
+def _trace_records(problem, xs, kept, residuals, k0, error_sq, support, x_star, stride, rak, sink):
     """Send sink the trace records of steps k0 + 1, k0 + 2, ... one at a
     time, from each step's (row, z, rho) in kept, its x in xs and its
-    residual, and return the last error_sq.  Equality errors come from one
-    stacked dot, equal to error_sq_of bit for bit; a feasibility error is
-    error_sq_of at each stride point, carried to the records between them,
-    so a projection that raises leaves sink holding the records before it."""
+    residual, and return the last (error_sq, support) of _error_sq.
+    Equality errors come from one stacked dot, equal to error_sq_of bit for
+    bit; a feasibility error is error_sq_of at each stride point, its
+    projection started from the previous stride point's support, and is
+    carried to the records between them, so a projection that raises
+    leaves sink holding the records before it."""
     is_ls = problem.kind is ProblemKind.LS
     if is_ls:
         d = xs[: len(kept)] - x_star
@@ -242,10 +254,10 @@ def _trace_records(problem, xs, kept, residuals, k0, error_sq, x_star, stride, r
         if is_ls:
             error_sq = errors[j]
         elif fresh:
-            error_sq = error_sq_of(problem, xs[j], x_star)
+            error_sq, support = _error_sq(problem, xs[j], x_star, support)
         lyap = error_sq + z * z / rho if rak else error_sq
         sink(TraceRecord(k, i, rho, error_sq, residuals[j], z if rak else 0.0, lyap, fresh))
-    return error_sq
+    return error_sq, support
 
 
 def advance_rho(rho: float, c: float, rho_max: float) -> float:
@@ -334,7 +346,7 @@ def run_solver(
         x_star = least_norm_solution(a, b, x)
 
     residual = residual_of(problem, x) if need_residual else 0.0
-    error_sq = error_sq_of(problem, x, x_star) if tracing else 0.0
+    error_sq, support = _error_sq(problem, x, x_star) if tracing else (0.0, None)
     if tracing:
         trace_sink(TraceRecord(0, -1, rho, error_sq, residual, 0.0, error_sq, True))
     tol = cfg.residual_tol
@@ -392,8 +404,9 @@ def run_solver(
                     k = saved[3] + stop + 1
             residual = res[len(kept) - 1]
             if tracing:
-                error_sq = _trace_records(
-                    problem, xs, kept, res, saved[3], error_sq, x_star, stride, rak, trace_sink
+                error_sq, support = _trace_records(
+                    problem, xs, kept, res, saved[3], error_sq, support, x_star, stride, rak,
+                    trace_sink,
                 )
         if tol is not None and residual <= tol:
             break

@@ -390,6 +390,30 @@ def test_polyhedron_beyond_float_range_exits_3(capsys, tmp_path, text, argv, mes
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--method", "rk", "--iters", "10"],
+        ["solve", "--method", "rak", "--iters", "10", "--trace", "t.csv"],
+        ["compare", "--methods", "rk", "--trials", "2", "--checkpoints", "0,5"],
+    ],
+    ids=["solve", "traced", "compare"],
+)
+def test_polyhedron_beyond_float_range_prints_one_line(capsys, tmp_path, argv):
+    """With warnings as errors, a polyhedron beyond the float64 range
+    fails with its error line alone: h_i / ||a_i|| overflows, so the
+    full-scale runs stop before any arithmetic on it and the unit-scale
+    solve, scaled back, is refused without a numpy warning."""
+    path = tmp_path / "p.txt"
+    path.write_text(FAR_2X2)
+    argv = [argv[0], str(path)] + [str(tmp_path / v) if v == "t.csv" else v for v in argv[1:]]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 3
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: {FAR_MESSAGE}"]
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -608,6 +632,37 @@ def test_solve_projects_few_hoffman_samples_on_wide_files(capsys, tmp_path, monk
     assert 1 <= len(projections) <= 3
 
 
+def test_warm_started_projections_bound_the_work(capsys, tmp_path, monkeypatch):
+    """Passive-set solves on the tall 300x50 file: a traced 2,000-step rak
+    solve, whose stride points start from the previous one's support, makes
+    at most 2,000 (13,924 when each started at the rows violated there),
+    and compare --trials 20 --checkpoints 100,500, whose checkpoints start
+    from the trial's previous one or the trial before, fewer than the
+    13,033 of cold starts."""
+    from kaczpen import projection
+
+    path = str(tmp_path / "lf.txt")
+    assert main(["generate", "--kind", "lf", "--rows", "300", "--cols", "50",
+                 "--seed", "1", "--active-fraction", "0.3", "-o", path]) == 0
+    solves = []
+    real = projection._passive_solve
+
+    def counted(*args):
+        solves.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(projection, "_passive_solve", counted)
+    code, _, stderr = run_cli(capsys, "solve", path, "--method", "rak", "--iters", "2000",
+                              "--trace", str(tmp_path / "t.csv"))
+    assert code == 0, stderr
+    assert len(solves) <= 2000
+    solves.clear()
+    code, _, stderr = run_cli(capsys, "compare", path, "--trials", "20",
+                              "--checkpoints", "100,500", "-o", str(tmp_path / "c.csv"))
+    assert code == 0, stderr
+    assert len(solves) < 13_033
+
+
 @pytest.mark.parametrize("iters", [20, 25])
 def test_solve_reuses_fresh_trace_error_sq(capsys, tmp_path, monkeypatch, iters):
     """A traced feasibility solve whose last record is fresh takes the
@@ -622,13 +677,13 @@ def test_solve_reuses_fresh_trace_error_sq(capsys, tmp_path, monkeypatch, iters)
     assert code == 0
     solvers = kaczpen.solvers
     projections = []
-    distance = solvers.distance_to_feasible
+    distance = solvers._warm_distance
 
     def counted_distance(*args):
         projections.append(args)
         return distance(*args)
 
-    monkeypatch.setattr(solvers, "distance_to_feasible", counted_distance)
+    monkeypatch.setattr(solvers, "_warm_distance", counted_distance)
     trace = str(tmp_path / "t.csv")
     code, traced, _ = run_cli(capsys, *argv, "--trace", trace)
     assert code == 0
@@ -723,6 +778,42 @@ def test_plot_malformed_trace_exits_3(capsys, tmp_path):
     code, _, stderr = run_cli(capsys, "plot", str(bad), "-o", str(tmp_path / "o.svg"))
     assert code == 3
     assert "line 1" in stderr
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+def test_parser_built_once_answers_as_a_fresh_one(capsys, tmp_path, monkeypatch):
+    """build_parser returns one parser per process.  A run of generate,
+    solve, a usage error, --help and solve again through main prints and
+    exits as the same run with a freshly built parser for every call."""
+    from kaczpen import cli
+
+    assert build_parser() is build_parser()
+    path = str(tmp_path / "p.txt")
+    runs = [
+        ["generate", "--kind", "lf", "--rows", "6", "--cols", "4", "--seed", "2", "-o", path],
+        ["solve", path, "--method", "rak", "--iters", "30"],
+        ["solve", path, "--iters", "30"],
+        ["--help"],
+        ["solve", "--help"],
+        ["solve", path, "--method", "rpk", "--iters", "20", "--seed", "3"],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            masked = [f for f in out.split(" ") if not f.startswith("wall_time_seconds=")]
+            got.append((code, masked, err))
+        return got
+
+    cached = outcomes()
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert outcomes() == cached
 
 
 # ---------------------------------------------------------------------------

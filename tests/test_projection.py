@@ -128,7 +128,7 @@ def test_qr_rerun_when_gram_uncertified(monkeypatch):
     x = p.x_planted + 2.0 * np.random.default_rng(2).standard_normal(6)
     runs = []
 
-    def gram_gives_up(x, a, b, use_qr=False):
+    def gram_gives_up(x, a, b, use_qr=False, start=None, floors=None):
         runs.append(use_qr)
         return _least_distance(x, a, b, True) if use_qr else None
 
@@ -189,9 +189,9 @@ def test_nan_slack_point_reaches_unit_scale(monkeypatch):
     scales = []
     real = projection._least_distance
 
-    def spy(x, a, b, use_qr=False):
+    def spy(x, a, b, use_qr=False, start=None, floors=None):
         scales.append(float(np.abs(x).max()))
-        return real(x, a, b, use_qr)
+        return real(x, a, b, use_qr, start, floors)
 
     monkeypatch.setattr(projection, "_least_distance", spy)
     y = project_polyhedron(x, a, b)
@@ -223,7 +223,7 @@ def test_both_exact_runs_failing_raises(monkeypatch, capsys, tmp_path, exact):
     p = generate_feasible_lf(12, 6, seed=2, active_fraction=0.3)
     x = p.x_planted + 2.0 * np.random.default_rng(2).standard_normal(6)
 
-    def broken(x, a, b, use_qr=False):
+    def broken(x, a, b, use_qr=False, start=None, floors=None):
         if exact == "gives up":
             return None
         if use_qr:
@@ -243,7 +243,7 @@ def test_both_exact_runs_failing_raises(monkeypatch, capsys, tmp_path, exact):
         project_polyhedron(x, p.a, p.b)
     assert str(info.value) == f"projection not certified: Gram run: {gram}; QR run: {qr}"
 
-    def infeasible(x, a, b, use_qr=False):
+    def infeasible(x, a, b, use_qr=False, start=None, floors=None):
         return None if exact == "gives up" else (x.copy(), np.zeros(a.rows))
 
     monkeypatch.setattr(projection, "_least_distance", infeasible)
@@ -272,3 +272,147 @@ def test_project_polyhedron_never_calls_hildreth(monkeypatch):
     with pytest.raises(ConvergenceError):
         project_polyhedron(x, p.a, p.b)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# warm starts: a start set changes the work, never the result
+
+
+def _duplicated_rows(seed):
+    """Rows 5..9 are rows 0..4 scaled by 1, 2 or 1/2 (so exactly parallel),
+    with the bound scaled alike: every constraint appears twice."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((5, 6))
+    factors = rng.choice([1.0, 2.0, 0.5], 5)
+    rows = np.vstack([base, factors[:, None] * base])
+    xp = rng.standard_normal(6)
+    slack = np.abs(rng.standard_normal(5))
+    slack[:2] = 0.0
+    b0 = base @ xp + slack
+    return DenseMatrix(rows), np.concatenate([b0, factors * b0]), xp
+
+
+def _warm_instance(shape, seed):
+    if shape == "degenerate 40x5":
+        p = generate_feasible_lf(40, 5, seed=seed % 4, active_fraction=0.5)
+        return p.a, p.b, p.x_planted
+    if shape == "degenerate 300x50":
+        p = generate_feasible_lf(300, 50, seed=seed % 2, active_fraction=0.3)
+        return p.a, p.b, p.x_planted
+    if shape == "duplicated":
+        return _duplicated_rows(seed)
+    m, n = shape
+    return _instance(m, n, seed % (min(m, n) + 1), seed)
+
+
+def _support_or_none(x, a, b):
+    try:
+        return projection._certified(x, a, b)[1] > 0.0
+    except ConvergenceError:
+        return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(
+        [(10, 20), (20, 10), (12, 6), (30, 4), (5, 5), "degenerate 40x5",
+         "degenerate 300x50", "duplicated"]
+    ),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.sampled_from([1e-12, 1e-3, 0.5, 3.0, 30.0, 1e6]),
+    near_boundary=st.booleans(),
+    mask=st.sampled_from(["empty", "all", "random", "outside", "nearby"]),
+)
+def test_warm_start_bit_identical_to_cold(shape, seed, scale, near_boundary, mask):
+    """Degenerate vertices (more tight rows than columns), exactly parallel
+    rows, points within 1e-12 of the set or 1e6 away, and points just
+    outside the boundary: from any start mask (none, every row, random
+    rows, the final support plus rows outside it, the support of a nearby
+    point's projection) the projection and its multipliers are those of
+    the cold start, bit for bit, and a point whose cold projection is not
+    certified fails with the same error."""
+    a, b, xp = _warm_instance(shape, seed)
+    rng = np.random.default_rng(seed)
+    x = xp + scale * rng.standard_normal(a.cols)
+    nearby = x + 0.05 * scale * rng.standard_normal(a.cols)
+    try:
+        if near_boundary:
+            x = projection._certified(x, a, b)[0] + 1e-11 * rng.standard_normal(a.cols)
+        y, lam = projection._certified(x, a, b)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as info:
+            projection._certified(x, a, b, rng.random(a.rows) < 0.5)
+        assert str(info.value) == str(exc)
+        return
+    start = {
+        "empty": lambda: np.zeros(a.rows, dtype=bool),
+        "all": lambda: np.ones(a.rows, dtype=bool),
+        "random": lambda: rng.random(a.rows) < 0.3,
+        "outside": lambda: (lam > 0.0) | (rng.random(a.rows) < 0.3),
+        "nearby": lambda: _support_or_none(nearby, a, b),
+    }[mask]()
+    y_warm, lam_warm = projection._certified(x, a, b, start)
+    assert np.array_equal(y_warm, y) and np.array_equal(lam_warm, lam)
+    assert np.array_equal(project_polyhedron(x, a, b), y)
+
+
+def test_warm_start_rejected_falls_back_to_the_cold_runs(monkeypatch):
+    """A warm Gram run whose result is not kept is followed by exactly the
+    cold runs, which ignore the start set: the Gram run, then the QR
+    rerun when the Gram result is not certified."""
+    p = generate_feasible_lf(12, 6, seed=2, active_fraction=0.3)
+    x = p.x_planted + 2.0 * np.random.default_rng(2).standard_normal(6)
+    y, lam = projection._certified(x, p.a, p.b)
+    runs = []
+    real = projection._least_distance
+
+    def gram_gives_up(x, a, b, use_qr=False, start=None, floors=None):
+        runs.append((use_qr, start is not None))
+        return real(x, a, b, use_qr, start, floors) if use_qr else None
+
+    monkeypatch.setattr(projection, "_least_distance", gram_gives_up)
+    got = projection._certified(x, p.a, p.b, lam > 0.0)
+    assert runs == [(False, True), (False, False), (True, False)]
+    assert all(np.array_equal(u, v) for u, v in zip(got, real(x, p.a, p.b, True)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mask", ["all", "first"])
+def test_warm_start_at_unit_scale_matches_cold(mask):
+    """The point of test_huge_point_projected_at_unit_scale with a start
+    set: neither full-scale run certifies, and the unit-scale solve, which
+    starts cold, gives the cold result."""
+    a = DenseMatrix([[-1.0, 1.0], [3.0, 0.0]])
+    x = np.array([0.0, 1.5e308])
+    start = np.array([True, mask == "all"])
+    y, lam = projection._certified(x, a, np.zeros(2))
+    y_warm, lam_warm = projection._certified(x, a, np.zeros(2), start)
+    assert np.array_equal(y_warm, y) and np.array_equal(lam_warm, lam)
+    assert np.array_equal(y, project_polyhedron(x, a, np.zeros(2)))
+
+
+def test_traced_stride_points_project_as_cold(monkeypatch):
+    """The 200 stride points of a traced 2,000-step rak run on the tall
+    300x50 file, each projected from the previous one's support, in
+    order: every distance is the cold distance_to_feasible, bit for bit,
+    and a support is what the next stride point starts from."""
+    from kaczpen import solvers
+    from kaczpen.solvers import Method, SolverConfig, run_solver
+
+    p = generate_feasible_lf(300, 50, seed=1, active_fraction=0.3)
+    calls = []
+    real = solvers._warm_distance
+
+    def kept(x, problem, start=None):
+        result = real(x, problem, start)
+        calls.append((x.copy(), start, result))
+        return result
+
+    monkeypatch.setattr(solvers, "_warm_distance", kept)
+    run_solver(p, SolverConfig(method=Method.RAK, max_iters=2000), lambda r: None)
+    assert len(calls) == 201
+    assert calls[0][1] is None
+    for (_, _, (_, support)), (_, start, _) in zip(calls, calls[1:]):
+        assert start is support
+    for x, _, (dist, _) in calls:
+        assert dist == projection.distance_to_feasible(x, p)

@@ -296,13 +296,19 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
     ref.reference_solve(p, cfg, records.append)
     limit = records[290].error_sq
     assert records[280].error_sq > limit
-    real = solvers.distance_to_feasible
+    real, real_warm = ref.distance_to_feasible, solvers._warm_distance
 
     def refusing(x, problem):
         d = real(x, problem)
         if d * d <= limit:
             raise ConvergenceError("close enough")
         return d
+
+    def refusing_warm(x, problem, start=None):
+        d, support = real_warm(x, problem, start)
+        if d * d <= limit:
+            raise ConvergenceError("close enough")
+        return d, support
 
     steps = []
     real_coef = solvers._step_coef
@@ -311,7 +317,7 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
         steps.append(None)
         return real_coef(*args)
 
-    monkeypatch.setattr(solvers, "distance_to_feasible", refusing)
+    monkeypatch.setattr(solvers, "_warm_distance", refusing_warm)
     monkeypatch.setattr(ref, "distance_to_feasible", refusing)
     monkeypatch.setattr(solvers, "_step_coef", counted)
     got = []
