@@ -20,6 +20,7 @@ from .analysis import (
     NoEstimateError,
     RateConstants,
     adaptive_step_report,
+    envelope_factor,
     exact_expected_step,
     hoffman_ball,
     hoffman_estimate,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution, row_dots
+from .linalg import DenseMatrix, as_vector, lambda_min_variants, row_dots
 from .problems import Problem, ProblemKind
 from .projection import _warm_distance, distance_to_feasible, project_polyhedron
 from .sampling import build_sampler, make_rng
@@ -30,6 +30,7 @@ __all__ = [
     "NoEstimateError",
     "hoffman_ball",
     "hoffman_estimate",
+    "envelope_factor",
     "ExpectedStepReport",
     "exact_expected_step",
     "AdaptiveStepReport",
@@ -177,16 +178,15 @@ def hoffman_ball(problem: Problem) -> tuple[np.ndarray, float]:
     it, so the default estimate, which needs the radius before
     hoffman_estimate needs the centre, projects the origin once.
     """
-    ball = problem.__dict__.get("_hoffman_ball")
-    if ball is None:
+
+    def build():
         center = problem.x_planted
         if center is None:
             center = project_polyhedron(np.zeros(problem.n), problem.a, problem.b)
             center.flags.writeable = False
-        ball = (center, 2.0 * (1.0 + float(np.sqrt(center @ center))))
-        # a frozen dataclass takes a cached attribute through object.__setattr__
-        object.__setattr__(problem, "_hoffman_ball", ball)
-    return ball
+        return center, 2.0 * (1.0 + float(np.sqrt(center @ center)))
+
+    return problem.memo("hoffman_ball", build)
 
 
 # a sample is projected unless its ratio bound times 1 + _SKIP_MARGIN falls
@@ -361,26 +361,49 @@ def hoffman_estimate(
     return HoffmanEstimate(value=best, n_contributing=len(points), n_samples=n_samples)
 
 
-def _sampled_hoffman_l(problem: Problem, seed: int, n_samples: int = 200) -> float:
-    """The seeded estimate of L that stands in for the true constant in the
-    envelopes and summary factors: hoffman_estimate over hoffman_ball's
-    default ball, seeded with the run seed plus 999,983."""
-    _, radius = hoffman_ball(problem)
-    return hoffman_estimate(problem, n_samples, radius, seed + 999_983).value
+def _lambda_min(problem: Problem) -> float:
+    """lambda_min(A^T A), computed once per problem and kept on it."""
+    return problem.memo("lambda_min", lambda: lambda_min_variants(problem.a)[0])
+
+
+def envelope_factor(
+    problem: Problem, method: Method, rho: float, seed: int, n_samples: int = 200
+) -> float:
+    """The per-step factor of solve's summary and compare's envelope:
+    instance_rate_factor at penalty rho, with lambda_min(A^T A) for
+    equality systems.  For feasibility systems a seeded estimate stands in
+    for the true constant L: hoffman_estimate with n_samples over
+    hoffman_ball's default ball, seeded with seed + 999,983, kept on the
+    problem per (seed, n_samples).  It is only a sampled lower bound on L,
+    and the factor is nan when no sample contributes to it."""
+
+    def sampled_l():
+        radius = hoffman_ball(problem)[1]
+        try:
+            return hoffman_estimate(problem, n_samples, radius, seed + 999_983).value
+        except NoEstimateError:
+            return float("nan")
+
+    if problem.kind is ProblemKind.LS:
+        conditioning = _lambda_min(problem)
+    else:
+        conditioning = problem.memo(("hoffman_l", seed, n_samples), sampled_l)
+    # a nan L passes instance_rate_factor's checks and gives a nan factor
+    return instance_rate_factor(problem, method, rho, conditioning)
 
 
 def _sampling_weights(a: DenseMatrix) -> np.ndarray:
     return a.row_norms_sq / a.frobenius_sq
 
 
-def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: float, x_star):
+def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: float):
     """The enumeration oracles' shared core: the state's z, the squared
     error at its x, and each row's squared error and multiplier z' after
     one step on that row, from one call of the step kernel over all m rows;
     each moving row's projection starts from the base point's support.
 
-    The error is the squared distance to x_star (equality; by default the
-    solution nearest the origin) or to the feasible set (feasibility, where
+    The error is the squared distance to the solution nearest the origin
+    (equality) or to the feasible set (feasibility, where
     a row that does not move keeps the base error).  Steps that carry no
     multiplier keep z.
     """
@@ -395,8 +418,7 @@ def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: f
         base_dist, support = _warm_distance(x, problem)
         base_err = base_dist * base_dist
     else:
-        if x_star is None:
-            x_star = least_norm_solution(a, problem.b, np.zeros(problem.n))
+        x_star = solvers.solution_nearest(problem)
         d = x - x_star
         base_err = float(d @ d)
     x_new, coef, moves = solvers._step_rows(
@@ -420,7 +442,7 @@ class ExpectedStepReport:
     """Row-enumerated one-step expectations from a fixed state.
 
     error_sq is squared distance to the solution set (equality: to the
-    solution nearest the run start; feasibility: to the feasible set).
+    solution nearest the origin; feasibility: to the feasible set).
     The lyapunov fields add z^2 / rho and are filled for the multiplier
     method only.
     """
@@ -440,7 +462,6 @@ def exact_expected_step(
     state: SolverState,
     method: Method,
     rho: float,
-    x_star: np.ndarray | None = None,
 ) -> ExpectedStepReport:
     """Exact E_i over the row distribution of the post-step error (and
     Lyapunov value for the multiplier method), by full enumeration."""
@@ -448,7 +469,7 @@ def exact_expected_step(
         method = Method(method)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    z, base_err, errs, zs = _enumerate_rows(problem, state, method, rho, x_star)
+    z, base_err, errs, zs = _enumerate_rows(problem, state, method, rho)
     exp_err = 0.0
     exp_zsq = 0.0
     # summed row by row in row order; a vectorised sum would round differently
@@ -488,7 +509,6 @@ def adaptive_step_report(
     problem: Problem,
     state: SolverState,
     c: float,
-    x_star: np.ndarray | None = None,
 ) -> AdaptiveStepReport:
     """Evaluate the multiplier method's per-step inequality under the
     geometric penalty schedule rho' = c rho.
@@ -510,12 +530,11 @@ def adaptive_step_report(
     rho = state.rho
     if rho <= 0.0:
         raise ValueError("state.rho must be positive")
-    z, base_err, errs, zs = _enumerate_rows(problem, state, Method.RAK, rho, x_star)
+    z, base_err, errs, zs = _enumerate_rows(problem, state, Method.RAK, rho)
     rho_next = c * rho
     m = problem.m
     if problem.kind is ProblemKind.LS:
-        lam_min, _ = lambda_min_variants(problem.a)
-        contraction = rho * lam_min / (m * (1.0 + rho)) * base_err
+        contraction = rho * _lambda_min(problem) / (m * (1.0 + rho)) * base_err
     else:
         x = as_vector(state.x, problem.n)
         r_plus = np.maximum(problem.a.data @ x - problem.b, 0.0)
@@ -555,7 +574,6 @@ def monte_carlo_error_curve(
     cfg: SolverConfig,
     n_trials: int,
     checkpoints: list[int],
-    hoffman_l: float | None = None,
 ) -> CurveReport:
     """Mean squared error (Lyapunov value for the multiplier method) at
     the given iteration checkpoints, averaged over n_trials runs.
@@ -580,12 +598,12 @@ def monte_carlo_error_curve(
 
     The rows are used as given, by the runs, the metric and the envelope
     alike; a caller that wants unit rows passes normalize_rows(problem).
-    The envelope uses the fixed-penalty instance factor at rho0, which is
-    a true expectation bound for equality systems.  For feasibility
-    problems the distance constant is taken from hoffman_l or, failing
-    that, a seeded internal estimate; the estimate is only a sampled lower
-    bound on the true constant, so that envelope is a reference curve
-    rather than a guarantee.
+    The envelope uses envelope_factor at rho0 and cfg.seed, the
+    fixed-penalty instance factor, which is a true expectation bound for
+    equality systems.  For feasibility problems the distance constant is a
+    sampled lower bound on the true one, so that envelope is a reference
+    curve rather than a guarantee, and nan past k = 0 when no sample
+    contributes to the estimate.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -598,7 +616,7 @@ def monte_carlo_error_curve(
     method = cfg.method
 
     x0 = np.zeros(problem.n) if cfg.x0 is None else as_vector(cfg.x0, problem.n)
-    x_star = least_norm_solution(problem.a, problem.b, x0) if is_ls else None
+    x_star = solvers.solution_nearest(problem, cfg.x0) if is_ls else None
     initial = solvers.error_sq_of(problem, x0, x_star)
 
     a, b, norms_sq = problem.a.data, problem.b, problem.a.row_norms_sq
@@ -657,14 +675,7 @@ def monte_carlo_error_curve(
         raise NumericFailureError(failed_at)
     means = [s / n_trials for s in sums]
 
-    if is_ls:
-        lam_min, _ = lambda_min_variants(problem.a)
-        conditioning = lam_min
-    else:
-        if hoffman_l is None:
-            hoffman_l = _sampled_hoffman_l(problem, cfg.seed)
-        conditioning = hoffman_l
-    factor = instance_rate_factor(problem, method, cfg.rho0, conditioning)
+    factor = envelope_factor(problem, method, cfg.rho0, cfg.seed)
     envelope = [factor**k * initial for k in ks]
     return CurveReport(
         method=method,

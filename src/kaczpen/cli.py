@@ -17,19 +17,9 @@ import time
 
 import numpy as np
 
-from .analysis import (
-    NoEstimateError,
-    _sampled_hoffman_l,
-    instance_rate_factor,
-    monte_carlo_error_curve,
-)
+from .analysis import NoEstimateError, envelope_factor, monte_carlo_error_curve
 from .fileio import atomic_write_text, format_float
-from .linalg import (
-    ConvergenceError,
-    InconsistentSystemError,
-    lambda_min_variants,
-    least_norm_solution,
-)
+from .linalg import ConvergenceError, InconsistentSystemError
 from .problems import (
     Problem,
     ProblemFormatError,
@@ -70,6 +60,14 @@ def _parse_methods(text: str) -> list[Method]:
     return methods
 
 
+def _seed(text: str) -> int:
+    """--seed's type: the PCG64 streams take nonnegative integers only."""
+    seed = int(text)  # argparse reports a ValueError as an invalid value
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _parse_checkpoints(text: str) -> list[int]:
     try:
         ks = [int(t) for t in text.split(",") if t.strip()]
@@ -78,20 +76,6 @@ def _parse_checkpoints(text: str) -> list[int]:
     if not ks or any(k < 0 for k in ks):
         raise UsageError("checkpoints must be nonnegative integers")
     return sorted(set(ks))
-
-
-def _estimate_factor(problem: Problem, method: Method, rho0: float, seed: int) -> float:
-    """Theoretical per-step factor for the summary line.  For feasibility
-    problems the distance constant comes from a seeded sampling estimate
-    and the factor degrades to nan when no sample contributes."""
-    if problem.kind is ProblemKind.LS:
-        conditioning = lambda_min_variants(problem.a)[0]
-    else:
-        try:
-            conditioning = _sampled_hoffman_l(problem, seed, n_samples=64)
-        except NoEstimateError:
-            return float("nan")
-    return instance_rate_factor(problem, method, rho0, conditioning)
 
 
 def cmd_generate(args) -> int:
@@ -146,16 +130,10 @@ def _solver_config(args, method: Method, max_iters: int, trace_stride: int = 10)
 def cmd_solve(args) -> int:
     problem = _load_run_problem(args)
     cfg = _solver_config(args, Method(args.method), args.iters, args.trace_stride)
-    # x* serves both the trace's error_sq and the summary's final error
-    x_star = (
-        least_norm_solution(problem.a, problem.b, np.zeros(problem.n))
-        if problem.kind is ProblemKind.LS
-        else None
-    )
     records = []
     sink = records.append if args.trace else None
     start = time.perf_counter()
-    state = run_solver(problem, cfg, trace_sink=sink, x_star=x_star)
+    state = run_solver(problem, cfg, trace_sink=sink)
     wall = time.perf_counter() - start
     if args.trace:
         write_trace_csv(records, args.trace)
@@ -163,7 +141,7 @@ def cmd_solve(args) -> int:
     if records and records[-1].k == state.k and records[-1].fresh:
         final_error_sq = records[-1].error_sq
     else:
-        final_error_sq = error_sq_of(problem, state.x, x_star)
+        final_error_sq = error_sq_of(problem, state.x)
 
     summary = RunSummary(
         method=cfg.method.value,
@@ -176,7 +154,7 @@ def cmd_solve(args) -> int:
         iterations_executed=state.k,
         final_error_sq=final_error_sq,
         final_residual=residual_of(problem, state.x),
-        per_step_factor=_estimate_factor(problem, cfg.method, cfg.rho0, cfg.seed),
+        per_step_factor=envelope_factor(problem, cfg.method, cfg.rho0, cfg.seed, n_samples=64),
         wall_time_seconds=wall,
     )
     print(summary.as_line())
@@ -194,13 +172,10 @@ def cmd_compare(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     cfgs = [_solver_config(args, method, max(checkpoints)) for method in methods]
-    # one estimate of L per problem, shared by every method
-    hoffman_l = _sampled_hoffman_l(problem, args.seed) if problem.kind is ProblemKind.LF else None
     lines = ["method,checkpoint,mean_error_sq,envelope"]
     for cfg in cfgs:
-        curve = monte_carlo_error_curve(
-            problem, cfg, args.trials, checkpoints, hoffman_l=hoffman_l
-        )
+        # the problem keeps its estimate of L, so every method shares one
+        curve = monte_carlo_error_curve(problem, cfg, args.trials, checkpoints)
         for k, mean, env in zip(curve.checkpoints, curve.means, curve.envelope):
             lines.append(
                 f"{cfg.method.value},{k},{format_float(mean)},{format_float(env)}"
@@ -254,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["ls", "lf"], required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--active-fraction",
         type=float,
@@ -272,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--rho-max", dest="rho_max", type=float, default=1e12)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--trace", default=None, help="write a per-iteration CSV here")
@@ -287,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-max", dest="rho_max", type=float, default=1e12)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--checkpoints", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("-o", "--output", default=None)
@@ -297,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", choices=["steps", "theorems", "lf", "all"], default="all"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="render trace CSVs to an SVG chart")

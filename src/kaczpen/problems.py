@@ -8,7 +8,7 @@ float64 values exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,15 @@ class ProblemKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Problem:
-    """A linear system or feasibility instance with cached row geometry."""
+    """A linear system or feasibility instance with cached row geometry; the
+    reference values derived from it (x*, lambda_min, ...) go through memo."""
 
     kind: ProblemKind
     a: DenseMatrix
     b: np.ndarray
     x_planted: np.ndarray | None = None
     normalized: bool = False
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = as_vector(self.b, self.a.rows)
@@ -69,6 +71,16 @@ class Problem:
                 raise ValueError(
                     f"normalized flag set but row norms drift by {drift:.3e}"
                 )
+
+    def memo(self, key, build):
+        """build(), called the first time key is asked for and kept on the
+        problem (an array read-only, as every caller shares it); a build
+        that raises keeps nothing."""
+        if key not in self._memo:
+            value = self._memo[key] = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return self._memo[key]
 
     @property
     def m(self) -> int:

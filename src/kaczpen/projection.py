@@ -313,9 +313,8 @@ def _distance(x, y) -> float:
 
 
 def _warm_distance(x, problem, start=None) -> tuple[float, np.ndarray]:
-    """distance_to_feasible for the callers that project many points of
-    one problem, and the rows lam > 0 of the projection, the start for a
-    nearby point's.
+    """distance_to_feasible without its checks, and the rows lam > 0 of the
+    projection, the start for a nearby point's.
 
     x must be a finite vector of length n: nothing is checked again, as
     the problem's rows and b were checked when it was built, and the
@@ -323,11 +322,7 @@ def _warm_distance(x, problem, start=None) -> tuple[float, np.ndarray]:
     row mask the passive set starts from (see _certified); None or an
     empty mask starts cold, at the rows violated at x.
     """
-    floors = problem.__dict__.get("_projection_floors")
-    if floors is None:
-        floors = _floors(problem.a, problem.b)
-        # a frozen dataclass takes a cached attribute through object.__setattr__
-        object.__setattr__(problem, "_projection_floors", floors)
+    floors = problem.memo("projection_floors", lambda: _floors(problem.a, problem.b))
     y, lam = _certified(x, problem.a, problem.b, start, floors)
     return _distance(x, y), lam > 0.0
 
@@ -339,5 +334,4 @@ def distance_to_feasible(x, problem) -> float:
 
     if problem.kind is not ProblemKind.LF:
         raise ValueError("distance_to_feasible needs a feasibility problem")
-    x = as_vector(x, problem.n)
-    return _distance(x, project_polyhedron(x, problem.a, problem.b))
+    return _warm_distance(as_vector(x, problem.n), problem)[0]

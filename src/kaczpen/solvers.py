@@ -197,9 +197,18 @@ def residual_of(problem: Problem, x: np.ndarray) -> float:
     return float(np.abs(r).max()) if problem.kind is ProblemKind.LS else max(float(r.max()), 0.0)
 
 
-def error_sq_of(problem: Problem, x: np.ndarray, x_star: np.ndarray | None) -> float:
-    """The squared error of x: ||x - x_star||^2 for equalities, d(x, X)^2
-    (X the feasible set) for feasibility, where x_star is unused."""
+def solution_nearest(problem: Problem, x0: np.ndarray | None = None) -> np.ndarray:
+    """The equality system's solution nearest x0, by least_norm_solution;
+    the one nearest the origin (x0 None) is kept on the problem."""
+    if x0 is None:
+        return problem.memo("x_star", lambda: solution_nearest(problem, np.zeros(problem.n)))
+    return least_norm_solution(problem.a, problem.b, x0)
+
+
+def error_sq_of(problem: Problem, x: np.ndarray, x_star: np.ndarray | None = None) -> float:
+    """The squared error of x: ||x - x_star||^2 for equalities, x_star by
+    default the solution nearest the origin, and d(x, X)^2 (X the feasible
+    set) for feasibility, where x_star is unused."""
     return _error_sq(problem, x, x_star)[0]
 
 
@@ -208,7 +217,7 @@ def _error_sq(problem: Problem, x: np.ndarray, x_star, start=None):
     passive set at the row mask start and support is its rows lam > 0,
     the start for the next point of a run; None for equalities."""
     if problem.kind is ProblemKind.LS:
-        d = x - x_star
+        d = x - (solution_nearest(problem) if x_star is None else x_star)
         return float(d @ d), None
     dist, support = _warm_distance(x, problem, start)
     return dist**2, support
@@ -317,18 +326,16 @@ def run_solver(
     problem: Problem,
     cfg: SolverConfig,
     trace_sink: Callable[[TraceRecord], None] | None = None,
-    x_star: np.ndarray | None = None,
 ) -> SolverState:
     """Run the configured method and return the final state.
 
     When a trace sink is given it receives one record per iteration plus a
     k = 0 snapshot (row -1), so a run of K steps emits K + 1 records.  For
     equality problems error_sq is the squared distance to the solution
-    nearest the start (x_star may be passed in to skip recomputing it);
-    for feasibility problems it is the squared distance to the feasible
-    set, refreshed every cfg.trace_stride iterations.  Without a sink the
-    loop skips all distance and residual work unless residual_tol asks
-    for the latter.
+    nearest the start (solution_nearest); for feasibility problems it is
+    the squared distance to the feasible set, refreshed every
+    cfg.trace_stride iterations.  Without a sink the loop skips all
+    distance and residual work unless residual_tol asks for the latter.
     """
     a, b = problem.a, problem.b
     n = a.cols
@@ -342,8 +349,7 @@ def run_solver(
 
     tracing = trace_sink is not None
     need_residual = tracing or cfg.residual_tol is not None
-    if tracing and is_ls and x_star is None:
-        x_star = least_norm_solution(a, b, x)
+    x_star = solution_nearest(problem, cfg.x0) if tracing and is_ls else None
 
     residual = residual_of(problem, x) if need_residual else 0.0
     error_sq, support = _error_sq(problem, x, x_star) if tracing else (0.0, None)

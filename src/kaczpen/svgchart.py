@@ -7,6 +7,7 @@ formatting so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import math
+from html import escape
 
 WIDTH = 800.0
 HEIGHT = 500.0
@@ -191,7 +192,7 @@ def render_chart(
         )
         out.append(
             f'<text x="{_fmt(lx + 30)}" y="{_fmt(ly)}" font-size="12" '
-            f'fill="{ax_color}">{label}</text>'
+            f'fill="{ax_color}">{escape(label, quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

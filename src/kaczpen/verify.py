@@ -217,13 +217,10 @@ def check_ls_expected_contraction(
     for p in range(n_problems):
         problem = _normalized_ls(20, 10, seed + 4000 + p)
         lam_min = analysis.lambda_min_variants(problem.a)[0]
-        x_star = analysis.least_norm_solution(
-            problem.a, problem.b, np.zeros(problem.n)
-        )
         for _ in range(n_states):
             state = _random_ls_state(problem, rng, z_span)
             for rho in rhos:
-                rep = exact_expected_step(problem, state, method, rho, x_star=x_star)
+                rep = exact_expected_step(problem, state, method, rho)
                 rc = rate_constants(method, ProblemKind.LS, rho, lam_min, problem.m)
                 if method is Method.RAK:
                     bound = rc.per_step_factor * (
@@ -253,7 +250,7 @@ def check_ls_expected_tightness(seed: int, method: Method) -> PropertyResult:
                 x = 2.0 * rng.standard_normal(m)
                 z = float(rng.uniform(-5.0, 5.0)) if m == 1 else 0.0
                 state = SolverState(x=x, z=z, rho=rho, k=0)
-                rep = exact_expected_step(problem, state, method, rho, x_star=b)
+                rep = exact_expected_step(problem, state, method, rho)
                 rc = rate_constants(method, ProblemKind.LS, rho, 1.0, m)
                 if method is Method.RAK:
                     base = rep.base_error_sq + z * z / rho
@@ -298,15 +295,12 @@ def check_adaptive_slack(seed: int, n_problems: int = 4) -> PropertyResult:
     min_slack = np.inf
     for p in range(n_problems):
         problem = _normalized_ls(16, 8, seed + 5000 + p)
-        x_star = analysis.least_norm_solution(
-            problem.a, problem.b, np.zeros(problem.n)
-        )
         for rho in (0.5, 2.0):
             for c in (1.0, 2.0, 5.0):
                 x = 2.0 * rng.standard_normal(problem.n)
                 z = float(rng.uniform(-3.0, 3.0))
                 state = SolverState(x=x, z=z, rho=rho, k=0)
-                rep = adaptive_step_report(problem, state, c, x_star=x_star)
+                rep = adaptive_step_report(problem, state, c)
                 min_slack = min(min_slack, rep.slack)
         lf = _normalized_lf(16, 8, seed + 5500 + p, 0.3)
         for rho in (0.5, 2.0):

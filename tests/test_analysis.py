@@ -571,7 +571,7 @@ def test_hoffman_ball_projects_origin_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(analysis, "project_polyhedron", counted)
-    analysis._sampled_hoffman_l(p, seed=0, n_samples=16)
+    analysis.envelope_factor(p, Method.RK, 1.0, seed=0, n_samples=16)
     assert len(calls) == 1
     center, radius = analysis.hoffman_ball(p)
     assert len(calls) == 1
@@ -805,7 +805,7 @@ def test_mc_batched_matches_per_trial_reruns(method, kind, normalize, nonzero_x0
     x0 = np.linspace(-1.0, 2.0, p.n) if nonzero_x0 else None
     cfg = SolverConfig(method=method, max_iters=0, rho0=0.7, c=c, seed=13, x0=x0)
     checkpoints = [0, 3, 3, 17, 60]
-    rep = monte_carlo_error_curve(p, cfg, 4, checkpoints, hoffman_l=2.0)
+    rep = monte_carlo_error_curve(p, cfg, 4, checkpoints)
     assert rep.checkpoints == checkpoints
     assert rep.means == _reference_means(p, cfg, 4, checkpoints)
 
@@ -846,7 +846,7 @@ def test_mc_numeric_failure_names_lowest_failing_trial(seed, horizon, expected):
     with pytest.raises(NumericFailureError) as ref:
         _reference_means(p, cfg, 4, [3, horizon])
     with pytest.raises(NumericFailureError) as got:
-        monte_carlo_error_curve(p, cfg, 4, [3, horizon], hoffman_l=1.0)
+        monte_carlo_error_curve(p, cfg, 4, [3, horizon])
     assert got.value.iteration == ref.value.iteration == expected
 
 
@@ -862,5 +862,5 @@ def test_mc_nan_residual_moves_like_the_step_functions():
     with pytest.raises(NumericFailureError) as ref:
         _reference_means(p, cfg, 2, [4])
     with pytest.raises(NumericFailureError) as got:
-        monte_carlo_error_curve(p, cfg, 2, [4], hoffman_l=1.0)
+        monte_carlo_error_curve(p, cfg, 2, [4])
     assert got.value.iteration == ref.value.iteration == 1

@@ -1,9 +1,11 @@
 """End-to-end command line behavior: generate, solve, compare, verify, plot."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -84,6 +86,23 @@ def test_unknown_command_exits_2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "compare", "verify"])
+def test_negative_seed_is_usage_error(capsys, tmp_path, command):
+    """The seeded streams take nonnegative seeds only: a negative --seed is
+    a usage error (exit 2) that names the flag, not a runtime failure."""
+    path = str(tmp_path / "p.txt")
+    assert main(["generate", "--kind", "ls", "--rows", "4", "--cols", "3", "-o", path]) == 0
+    argv = {
+        "generate": ["generate", "--kind", "ls", "--rows", "4", "--cols", "3", "-o", path],
+        "solve": ["solve", path, "--method", "rk", "--iters", "5"],
+        "compare": ["compare", path, "--trials", "2", "--checkpoints", "0,5"],
+        "verify": ["verify", "--suite", "steps"],
+    }[command]
+    code, _, stderr = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert "--seed" in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +337,7 @@ def test_solve_traced_degenerate_lf_finishes(capsys, tmp_path):
 
 
 def test_solve_traced_computes_x_star_once(capsys, tmp_path, ls_problem, monkeypatch):
-    from kaczpen import cli, solvers
+    from kaczpen import solvers
 
     calls = []
 
@@ -326,8 +345,7 @@ def test_solve_traced_computes_x_star_once(capsys, tmp_path, ls_problem, monkeyp
         calls.append(args)
         return real(*args)
 
-    real = cli.least_norm_solution
-    monkeypatch.setattr(cli, "least_norm_solution", counted)
+    real = solvers.least_norm_solution
     monkeypatch.setattr(solvers, "least_norm_solution", counted)
     code, _, _ = run_cli(
         capsys, "solve", ls_problem, "--method", "rak", "--iters", "20",
@@ -582,6 +600,25 @@ def test_compare_estimates_hoffman_once(capsys, tmp_path, lf_problem, monkeypatc
     assert out == "\n".join(expected) + "\n"
 
 
+def test_all_feasible_samples_give_nan_factor_and_envelope(capsys, tmp_path):
+    """Every Hoffman sample around the origin satisfies x_1 <= 1e6, so L has
+    no estimate: solve prints a nan factor, and compare, on the same
+    factor path, prints nan envelopes past k = 0 rather than failing."""
+    path = str(tmp_path / "p.txt")
+    with open(path, "w") as fh:
+        fh.write("kaczmarz-problem v1 lf 1 2\n1 0 1000000\nplanted 0 0\n")
+    code, out, _ = run_cli(capsys, "solve", path, "--method", "rk", "--iters", "5")
+    assert code == 0
+    assert "per_step_factor=nan" in out.split()
+    code, out, stderr = run_cli(capsys, "compare", path, "--trials", "2", "--checkpoints", "0,5")
+    assert code == 0, stderr
+    assert out.splitlines()[1:] == [
+        f"{method},{k},0,{envelope}"
+        for method in ("rk", "rpk", "rak")
+        for k, envelope in ((0, "0"), (5, "nan"))
+    ]
+
+
 @pytest.mark.parametrize("rows,cols", [(60, 10), (10, 20)])
 def test_solve_skips_hoffman_projections(capsys, tmp_path, monkeypatch, rows, cols):
     """The summary factor's estimate projects strictly fewer samples than
@@ -780,6 +817,18 @@ def test_plot_malformed_trace_exits_3(capsys, tmp_path):
     assert "line 1" in stderr
 
 
+def test_plot_escapes_legend_labels(capsys, tmp_path, ls_problem):
+    """A trace whose name holds XML metacharacters still gives a
+    well-formed SVG, whose legend reads the name back."""
+    trace = str(tmp_path / "a&b<c.csv")
+    assert main(["solve", ls_problem, "--method", "rk", "--iters", "10", "--trace", trace]) == 0
+    svg = str(tmp_path / "chart.svg")
+    code, _, _ = run_cli(capsys, "plot", trace, "-o", svg)
+    assert code == 0
+    texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c" in texts
+
+
 # ---------------------------------------------------------------------------
 # the parser
 
@@ -814,6 +863,53 @@ def test_parser_built_once_answers_as_a_fresh_one(capsys, tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cli.build_parser() is not cli.build_parser()
     assert outcomes() == cached
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+
+
+def test_benchmark_tracer_installs_and_restores():
+    """benchmarks/tracer.py, as it is, wraps every function it names in the
+    loaded kaczpen modules and puts each one back: a traced benchmark run
+    looks up every target, so a renamed or deleted one would crash it."""
+    import kaczpen.cli  # noqa: F401  (the tracer rebinds names in loaded modules)
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracer", os.path.join(root, "benchmarks", "tracer.py")
+    )
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+
+    def bindings():
+        return {
+            (key, name): value
+            for key, mod in list(sys.modules.items())
+            if key == "kaczpen" or key.startswith("kaczpen.")
+            for name, value in vars(mod).items()
+        }
+
+    def targets():
+        found = []
+        for module_name, attr, _ in tracer_module.TARGETS:
+            owner = sys.modules[f"kaczpen.{module_name}"]
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            found.append(owner)
+        return found
+
+    before, originals = bindings(), targets()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert all(now is not was for now, was in zip(targets(), originals))
+    finally:
+        tracer.restore()
+    assert all(now is was for now, was in zip(targets(), originals))
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
 
 
 # ---------------------------------------------------------------------------

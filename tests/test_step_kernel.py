@@ -4,8 +4,6 @@ and all of them go through it.  run_solver checks x once per draw block,
 so its residual stop, its numeric failures and the penalty cap are also
 compared against a loop that checks every step."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,7 @@ from hypothesis import strategies as st
 import step_reference as ref
 from kaczpen import solvers
 from kaczpen.analysis import adaptive_step_report, exact_expected_step, monte_carlo_error_curve
-from kaczpen.linalg import ConvergenceError, DenseMatrix
+from kaczpen.linalg import ConvergenceError, DenseMatrix, InconsistentSystemError
 from kaczpen.problems import (
     Problem,
     ProblemKind,
@@ -136,12 +134,12 @@ def _outcome(solve, p, cfg, traced):
     )
 
 
-def _same_as_per_step_loop(p, cfg, x_star=None):
+def _same_as_per_step_loop(p, cfg):
     """run_solver and the per-step reference agree, untraced and traced;
     returns the traced outcome and records."""
     for traced in (False, True):
-        got = _outcome(partial(run_solver, x_star=x_star), p, cfg, traced)
-        assert got == _outcome(partial(ref.reference_solve, x_star=x_star), p, cfg, traced)
+        got = _outcome(run_solver, p, cfg, traced)
+        assert got == _outcome(ref.reference_solve, p, cfg, traced)
     return got
 
 
@@ -235,8 +233,9 @@ def test_tol_stop_then_overflow_in_same_block(method, kind):
     until drawn, and a step on one of them overflows (coef = 2e306 / 0.01).
     Row 0 (weight 100, zero residual) spaces the draws: seed 42 has drawn
     rows 1 and 2 by k = 297 and first draws a row 0.1 x_2 at k = 410, both
-    in the second block.  With tol 5e306 the run stops at k = 297 as the
-    per-step loop does, traced or not, although its block fails the check."""
+    in the second block.  Without a tol the run fails there, with records
+    0..409 when traced; with tol 5e306 it stops at k = 297 as the per-step
+    loop does, traced or not, although its block fails the check."""
     amp = 20
     a = DenseMatrix(
         [[0.0, 0.0, 0.0, 10.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
@@ -244,12 +243,11 @@ def test_tol_stop_then_overflow_in_same_block(method, kind):
     )
     b = np.array([0.0, -1e307, -1e307] + [-2e306] * amp)
     p = Problem(kind, a, b, x_planted=np.array([-1e307, -1e307, -2e307, 0.0]))
-    x_star = p.x_planted if kind is ProblemKind.LS else None
     base = dict(method=method, max_iters=3 * BLOCK, rho0=1e6, seed=42)
-    assert _outcome(partial(run_solver, x_star=x_star), p, SolverConfig(**base), False)[0] == (
-        "failed", 410
-    )
-    outcome, records = _same_as_per_step_loop(p, SolverConfig(**base, residual_tol=5e306), x_star)
+    outcome, records = _same_as_per_step_loop(p, SolverConfig(**base))
+    assert outcome == ("failed", 410)
+    assert [r[0] for r in records] == list(range(410))
+    outcome, records = _same_as_per_step_loop(p, SolverConfig(**base, residual_tol=5e306))
     assert outcome[0] == 297
     assert [r[0] for r in records] == list(range(298))
 
@@ -265,19 +263,24 @@ def test_numeric_failure_mid_block_reports_first_k(method, traced, kind):
     not its first step.  The error carries that k, traced or not, and a
     sink holds exactly records 0..295, with the rho schedule's values.
     On the feasibility file the fresh record at k = 300 would project a
-    non-finite x, which raises inside the block before its check.  The
-    equality runs are given x* = (0, 0.1): A x0 overflows, so computing
-    x* from x0 fails fast."""
+    non-finite x, which raises inside the block before its check.  A
+    traced equality run measures against the solution nearest x0, whose
+    computation overflows as A x0 does: it fails fast, before any record,
+    as the per-step loop does."""
     a = DenseMatrix([[0.0, 30.0], [2.0, 0.0]])
     p = Problem(kind, a, np.array([3.0, 0.0]), x_planted=np.array([0.0, 0.1]))
     cfg = SolverConfig(
         method=method, max_iters=2 * BLOCK, rho0=1e-6, c=1.001, seed=7, x0=[1.7e308, 5.0]
     )
-    x_star = p.x_planted if kind is ProblemKind.LS else None
-    outcome, records = _outcome(partial(run_solver, x_star=x_star), p, cfg, traced)
-    assert (outcome, records) == _outcome(
-        partial(ref.reference_solve, x_star=x_star), p, cfg, traced
-    )
+    if traced and kind is ProblemKind.LS:
+        for solve in (run_solver, ref.reference_solve):
+            records = []
+            with pytest.raises(InconsistentSystemError):
+                solve(p, cfg, records.append)
+            assert records == []
+        return
+    outcome, records = _outcome(run_solver, p, cfg, traced)
+    assert (outcome, records) == _outcome(ref.reference_solve, p, cfg, traced)
     assert outcome == ("failed", 296)
     assert [r[0] for r in records] == (list(range(296)) if traced else [])
 
