@@ -18,7 +18,6 @@ from .analysis import (
     ExpectedStepReport,
     HoffmanEstimate,
     NoEstimateError,
-    RateConstants,
     adaptive_step_report,
     envelope_factor,
     exact_expected_step,
@@ -28,7 +27,6 @@ from .analysis import (
     lyapunov_lf,
     lyapunov_ls,
     monte_carlo_error_curve,
-    rate_constants,
 )
 from .linalg import (
     ConvergenceError,

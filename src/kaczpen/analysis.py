@@ -1,4 +1,4 @@
-"""Verification-side analysis: contraction constants, Lyapunov values,
+"""Verification-side analysis: the per-step contraction factor, Lyapunov values,
 the Hoffman-constant estimate, exact one-step expectations, and Monte
 Carlo error curves.
 
@@ -21,8 +21,6 @@ from .sampling import build_sampler, make_rng
 from .solvers import _DRAW_BLOCK, Method, NumericFailureError, SolverConfig, SolverState
 
 __all__ = [
-    "RateConstants",
-    "rate_constants",
     "instance_rate_factor",
     "lyapunov_ls",
     "lyapunov_lf",
@@ -47,15 +45,6 @@ class NoEstimateError(Exception):
     """No sampled point contributed to the constant estimate."""
 
 
-@dataclass(frozen=True)
-class RateConstants:
-    """Damping factor of the step family and the per-step contraction
-    factor it yields.  The factor is meaningful for unit-norm rows."""
-
-    damping: float
-    per_step_factor: float
-
-
 def _damping(method: Method, rho: float) -> float:
     """Damping of the step family at penalty rho: rho (rho + 2) / (1 + rho)^2
     for the penalty step, rho / (1 + rho) for the multiplier step, and 1
@@ -65,46 +54,6 @@ def _damping(method: Method, rho: float) -> float:
     if method is Method.RAK:
         return rho / (1.0 + rho)
     return 1.0
-
-
-def _contraction_factor(
-    method: Method, kind: ProblemKind, rho: float, conditioning: float,
-    s_min: float, weight: float,
-) -> tuple[float, float]:
-    """(damping, per-step factor), the damping taken at rho * s_min:
-    1 - damping lambda_min / weight (LS) or 1 - damping / (weight L^2)
-    (LF).  s_min is the smallest squared row norm and weight the sampling
-    weights' normalizer: m for unit rows, ||A||_F^2 in general."""
-    damping = _damping(method, rho * s_min)
-    if kind is ProblemKind.LS:
-        if conditioning < 0.0:
-            raise ValueError("smallest eigenvalue must be nonnegative")
-        return damping, 1.0 - damping * conditioning / weight
-    if conditioning <= 0.0:
-        raise ValueError("the distance constant L must be positive")
-    return damping, 1.0 - damping / (weight * conditioning**2)
-
-
-def rate_constants(
-    method: Method, kind: ProblemKind, rho: float, conditioning: float, m: int
-) -> RateConstants:
-    """Per-step contraction constants for unit-norm rows.
-
-    conditioning is the smallest eigenvalue of A^T A for equality systems
-    and the residual-to-distance constant L for feasibility systems; the
-    damping is _damping(method, rho).
-    """
-    if isinstance(method, str):
-        method = Method(method)
-    if isinstance(kind, str):
-        kind = ProblemKind(kind)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if m < 1:
-        raise ValueError("m must be positive")
-    # unit rows: s_min = 1 leaves rho and the damping unchanged bit for bit
-    damping, factor = _contraction_factor(method, kind, rho, conditioning, 1.0, m)
-    return RateConstants(damping=damping, per_step_factor=factor)
 
 
 def lyapunov_ls(x, x_star, z: float, rho: float) -> float:
@@ -130,9 +79,12 @@ def lyapunov_lf(x, problem: Problem, z: float, rho: float) -> float:
 def instance_rate_factor(
     problem: Problem, method: Method, rho: float, conditioning: float
 ) -> float:
-    """Per-step envelope factor valid for arbitrary row norms.
+    """Per-step contraction factor valid for arbitrary row norms.
 
-    With unit rows this reduces exactly to rate_constants; in general the
+    conditioning is lambda_min(A^T A) for equality systems and the
+    residual-to-distance constant L for feasibility systems.  With unit
+    rows this is 1 - damping(rho) lambda_min / m (Strohmer & Vershynin,
+    2009) or 1 - damping(rho) / (m L^2); in general the
     damping is evaluated at rho * min_i ||a_i||^2 (each row's effective
     penalty is rho ||a_i||^2 and the damping grows with it, so the
     smallest row gives a uniform lower bound on per-row progress) and the
@@ -154,10 +106,15 @@ def instance_rate_factor(
         method = Method(method)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    s_min = float(problem.a.row_norms_sq.min())
-    return _contraction_factor(
-        method, problem.kind, rho, conditioning, s_min, problem.a.frobenius_sq
-    )[1]
+    damping = _damping(method, rho * float(problem.a.row_norms_sq.min()))
+    weight = problem.a.frobenius_sq
+    if problem.kind is ProblemKind.LS:
+        if conditioning < 0.0:
+            raise ValueError("smallest eigenvalue must be nonnegative")
+        return 1.0 - damping * conditioning / weight
+    if conditioning <= 0.0:
+        raise ValueError("the distance constant L must be positive")
+    return 1.0 - damping / (weight * conditioning**2)
 
 
 @dataclass(frozen=True)
@@ -396,11 +353,14 @@ def _sampling_weights(a: DenseMatrix) -> np.ndarray:
     return a.row_norms_sq / a.frobenius_sq
 
 
-def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: float):
+def _enumerate_rows(
+    problem: Problem, state: SolverState, method: Method, rho: float, rho_next: float
+):
     """The enumeration oracles' shared core: the state's z, the squared
-    error at its x, and each row's squared error and multiplier z' after
-    one step on that row, from one call of the step kernel over all m rows;
-    each moving row's projection starts from the base point's support.
+    error at its x, and the row-weighted expectations over one step,
+    E[err'], E[z'^2] and E[err' + z'^2 / rho_next].  Every row's step comes
+    from one call of the step kernel over all m rows; each moving row's
+    projection starts from the base point's support.
 
     The error is the squared distance to the solution nearest the origin
     (equality) or to the feasible set (feasibility, where
@@ -434,7 +394,14 @@ def _enumerate_rows(problem: Problem, state: SolverState, method: Method, rho: f
     else:
         d = x_new - x_star
         err = row_dots(d, d)
-    return z, base_err, err, (coef if method is Method.RAK else np.full(problem.m, z))
+    zs = coef if method is Method.RAK else np.full(problem.m, z)
+    exp_err = exp_zsq = exp_next = 0.0
+    # summed row by row in row order; a vectorised sum would round differently
+    for w, e, z_new in zip(_sampling_weights(a), err, zs):
+        exp_err += w * e
+        exp_zsq += w * z_new * z_new
+        exp_next += w * (e + z_new * z_new / rho_next)
+    return z, base_err, exp_err, exp_zsq, exp_next
 
 
 @dataclass(frozen=True)
@@ -469,14 +436,7 @@ def exact_expected_step(
         method = Method(method)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    z, base_err, errs, zs = _enumerate_rows(problem, state, method, rho)
-    exp_err = 0.0
-    exp_zsq = 0.0
-    # summed row by row in row order; a vectorised sum would round differently
-    for w, err, z_new in zip(_sampling_weights(problem.a), errs, zs):
-        exp_err += w * err
-        exp_zsq += w * z_new * z_new
-
+    z, base_err, exp_err, exp_zsq, _ = _enumerate_rows(problem, state, method, rho, rho)
     if method is Method.RAK:
         base_lyap = base_err + z * z / rho
         exp_lyap = exp_err + exp_zsq / rho
@@ -530,8 +490,7 @@ def adaptive_step_report(
     rho = state.rho
     if rho <= 0.0:
         raise ValueError("state.rho must be positive")
-    z, base_err, errs, zs = _enumerate_rows(problem, state, Method.RAK, rho)
-    rho_next = c * rho
+    z, base_err, _, exp_zsq, lhs = _enumerate_rows(problem, state, Method.RAK, rho, c * rho)
     m = problem.m
     if problem.kind is ProblemKind.LS:
         contraction = rho * _lambda_min(problem) / (m * (1.0 + rho)) * base_err
@@ -539,13 +498,6 @@ def adaptive_step_report(
         x = as_vector(state.x, problem.n)
         r_plus = np.maximum(problem.a.data @ x - problem.b, 0.0)
         contraction = rho / (m * (1.0 + rho)) * float(r_plus @ r_plus)
-
-    lhs = 0.0
-    exp_zsq = 0.0
-    # summed row by row in row order; a vectorised sum would round differently
-    for w, err, z_new in zip(_sampling_weights(problem.a), errs, zs):
-        lhs += w * (err + z_new * z_new / rho_next)
-        exp_zsq += w * z_new * z_new
 
     base_lyap = base_err + z * z / rho
     surcharge = (c - 1.0) / (c * rho) * exp_zsq

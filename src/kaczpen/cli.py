@@ -4,7 +4,7 @@ traces.
 
 Exit codes: 0 success, 1 a verification suite reported a failing
 property, 2 usage error, 3 runtime failure (bad files, non-convergence,
-numeric breakdown).
+numeric breakdown, an input too large for memory).
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ def _load_run_problem(args) -> Problem:
     return problem
 
 
-def _solver_config(args, method: Method, max_iters: int, trace_stride: int = 10) -> SolverConfig:
+def _solver_config(
+    args, method: Method, max_iters: int, tol: float | None = None, trace_stride: int = 10
+) -> SolverConfig:
     try:
         return SolverConfig(
             method=method,
@@ -120,7 +122,7 @@ def _solver_config(args, method: Method, max_iters: int, trace_stride: int = 10)
             c=args.c,
             rho_max=args.rho_max,
             seed=args.seed,
-            residual_tol=args.tol,
+            residual_tol=tol,
             trace_stride=trace_stride,
         )
     except ValueError as exc:
@@ -129,7 +131,7 @@ def _solver_config(args, method: Method, max_iters: int, trace_stride: int = 10)
 
 def cmd_solve(args) -> int:
     problem = _load_run_problem(args)
-    cfg = _solver_config(args, Method(args.method), args.iters, args.trace_stride)
+    cfg = _solver_config(args, Method(args.method), args.iters, args.tol, args.trace_stride)
     records = []
     sink = records.append if args.trace else None
     start = time.perf_counter()
@@ -162,10 +164,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.tol is not None:
-        raise UsageError(
-            "compare takes no --tol: its means are taken at fixed checkpoints"
-        )
     problem = _load_run_problem(args)
     methods = _parse_methods(args.methods)
     checkpoints = _parse_checkpoints(args.checkpoints)
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_compare)
@@ -294,6 +291,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
     except (
         ProblemFormatError,
         TraceFormatError,

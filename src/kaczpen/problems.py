@@ -43,7 +43,6 @@ class Problem:
     a: DenseMatrix
     b: np.ndarray
     x_planted: np.ndarray | None = None
-    normalized: bool = False
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,12 +64,6 @@ class Problem:
                 raise ValueError(
                     f"planted point violates the system by {gap:.3e} (tol {tol:.3e})"
                 )
-        if self.normalized:
-            drift = float(np.abs(self.a.row_norms_sq - 1.0).max())
-            if drift > _NORMALIZED_TOL:
-                raise ValueError(
-                    f"normalized flag set but row norms drift by {drift:.3e}"
-                )
 
     def memo(self, key, build):
         """build(), called the first time key is asked for and kept on the
@@ -81,6 +74,11 @@ class Problem:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         return self._memo[key]
+
+    @property
+    def normalized(self) -> bool:
+        """Whether every squared row norm is within _NORMALIZED_TOL of one."""
+        return bool(np.abs(self.a.row_norms_sq - 1.0).max() <= _NORMALIZED_TOL)
 
     @property
     def m(self) -> int:
@@ -133,7 +131,6 @@ def normalize_rows(problem: Problem) -> Problem:
         a=DenseMatrix(a),
         b=b,
         x_planted=problem.x_planted,
-        normalized=True,
     )
 
 
@@ -227,9 +224,7 @@ def load_problem(path: str) -> Problem:
         if len(rest) > 1:
             raise ProblemFormatError(f"line {rest[1][0]}: trailing content")
 
-    mat = DenseMatrix(a)
-    normalized = bool(np.abs(mat.row_norms_sq - 1.0).max() <= _NORMALIZED_TOL)
     try:
-        return Problem(kind=kind, a=mat, b=b, x_planted=x_planted, normalized=normalized)
+        return Problem(kind=kind, a=DenseMatrix(a), b=b, x_planted=x_planted)
     except ValueError as exc:
         raise ProblemFormatError(f"line {witness_line}: {exc}") from None

@@ -125,8 +125,10 @@ def parse_trace_csv(path: str) -> list[TraceRecord]:
             )
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: {exc}") from None
-        if not all(
-            map(math.isfinite, (rec.rho, rec.error_sq, rec.residual, rec.z, rec.lyapunov))
+        # rho may grow to +inf (--rho-max inf), where the step is the plain one
+        rho_ok = rec.rho == math.inf or math.isfinite(rec.rho)
+        if not rho_ok or not all(
+            map(math.isfinite, (rec.error_sq, rec.residual, rec.z, rec.lyapunov))
         ):
             raise TraceFormatError(f"{path}: line {lineno}: non-finite value")
         try:

@@ -1,4 +1,4 @@
-"""Rate constants, Lyapunov values, projections, estimates, and exact
+"""Per-step factors, Lyapunov values, projections, estimates, and exact
 one-step expectation oracles."""
 
 import numpy as np
@@ -15,7 +15,6 @@ from kaczpen.analysis import (
     lyapunov_lf,
     lyapunov_ls,
     monte_carlo_error_curve,
-    rate_constants,
 )
 from kaczpen.linalg import DenseMatrix, lambda_min_variants, least_norm_solution
 from kaczpen.problems import (
@@ -51,36 +50,41 @@ def halfspace_lf():
 
 
 # ---------------------------------------------------------------------------
-# rate_constants
+# instance_rate_factor on unit rows: 1 - damping(rho) conditioning / m (LS)
+# or 1 - damping(rho) / (m L^2) (LF)
+
+
+def unit_rows(kind, m):
+    """The m x m identity system: every ||a_i||^2 = 1 and ||A||_F^2 = m."""
+    return Problem(kind=kind, a=DenseMatrix(np.eye(m)), b=np.zeros(m))
 
 
 def test_rate_rpk_ls_worked_value():
-    rc = rate_constants(Method.RPK, ProblemKind.LS, rho=1.0, conditioning=1.0, m=2)
-    assert rc.damping == 0.75
-    assert rc.per_step_factor == 0.625
+    assert analysis._damping(Method.RPK, 1.0) == 0.75
+    assert instance_rate_factor(identity_ls(), Method.RPK, 1.0, 1.0) == 0.625
 
 
 def test_rate_rak_ls_worked_value():
-    rc = rate_constants(Method.RAK, ProblemKind.LS, rho=1.0, conditioning=1.0, m=2)
-    assert rc.damping == 0.5
-    assert rc.per_step_factor == 0.75
+    assert analysis._damping(Method.RAK, 1.0) == 0.5
+    assert instance_rate_factor(identity_ls(), Method.RAK, 1.0, 1.0) == 0.75
 
 
 def test_rate_large_rho_limit():
-    rc = rate_constants(Method.RPK, ProblemKind.LS, rho=1e12, conditioning=1.0, m=2)
-    assert abs(rc.per_step_factor - 0.5) <= 1e-6
+    factor = instance_rate_factor(identity_ls(), Method.RPK, 1e12, 1.0)
+    assert abs(factor - 0.5) <= 1e-6
 
 
 def test_rate_rk_has_unit_damping():
-    rc = rate_constants(Method.RK, ProblemKind.LS, rho=1.0, conditioning=1.0, m=4)
-    assert rc.damping == 1.0
-    assert rc.per_step_factor == 0.75
+    assert analysis._damping(Method.RK, 1.0) == 1.0
+    p = unit_rows(ProblemKind.LS, 4)
+    assert instance_rate_factor(p, Method.RK, 1.0, 1.0) == 0.75
 
 
 def test_rate_lf_uses_distance_constant():
-    rc = rate_constants(Method.RAK, ProblemKind.LF, rho=1.0, conditioning=2.0, m=5)
+    p = unit_rows(ProblemKind.LF, 5)
     # damping 0.5, m L^2 = 20
-    assert rc.per_step_factor == pytest.approx(1.0 - 0.5 / 20.0, abs=1e-15)
+    factor = instance_rate_factor(p, Method.RAK, 1.0, 2.0)
+    assert factor == pytest.approx(1.0 - 0.5 / 20.0, abs=1e-15)
 
 
 def test_rate_factor_in_unit_interval():
@@ -89,35 +93,36 @@ def test_rate_factor_in_unit_interval():
         rho = float(rng.uniform(0.05, 20))
         m = int(rng.integers(1, 30))
         lam = float(rng.uniform(0, m))  # lambda_min <= m for unit rows
-        rc = rate_constants(Method.RPK, ProblemKind.LS, rho, lam, m)
-        assert 0.0 <= rc.per_step_factor <= 1.0
+        factor = instance_rate_factor(unit_rows(ProblemKind.LS, m), Method.RPK, rho, lam)
+        assert 0.0 <= factor <= 1.0
 
 
 def test_rate_ordering_rpk_faster_than_rak():
     """The penalty damping dominates the multiplier damping at every rho."""
+    p = unit_rows(ProblemKind.LS, 3)
     for rho in [0.1, 0.5, 1.0, 3.0, 40.0]:
-        rpk = rate_constants(Method.RPK, ProblemKind.LS, rho, 1.0, 3)
-        rak = rate_constants(Method.RAK, ProblemKind.LS, rho, 1.0, 3)
-        assert rpk.per_step_factor <= rak.per_step_factor
+        rpk = instance_rate_factor(p, Method.RPK, rho, 1.0)
+        rak = instance_rate_factor(p, Method.RAK, rho, 1.0)
+        assert rpk <= rak
 
 
 def test_rate_monotone_in_rho():
-    factors = [
-        rate_constants(Method.RAK, ProblemKind.LS, rho, 1.0, 2).per_step_factor
-        for rho in [0.1, 0.5, 1.0, 5.0, 100.0]
-    ]
+    rhos = [0.1, 0.5, 1.0, 5.0, 100.0]
+    factors = [instance_rate_factor(identity_ls(), Method.RAK, rho, 1.0) for rho in rhos]
     assert all(b <= a for a, b in zip(factors, factors[1:]))
+    for method in (Method.RPK, Method.RAK):
+        dampings = [analysis._damping(method, rho) for rho in rhos]
+        assert all(b >= a for a, b in zip(dampings, dampings[1:]))
 
 
 def test_rate_validation():
+    ls, lf = unit_rows(ProblemKind.LS, 2), unit_rows(ProblemKind.LF, 2)
     with pytest.raises(ValueError):
-        rate_constants(Method.RPK, ProblemKind.LS, 0.0, 1.0, 2)
+        instance_rate_factor(ls, Method.RPK, 0.0, 1.0)
     with pytest.raises(ValueError):
-        rate_constants(Method.RPK, ProblemKind.LS, 1.0, -1.0, 2)
+        instance_rate_factor(ls, Method.RPK, 1.0, -1.0)
     with pytest.raises(ValueError):
-        rate_constants(Method.RPK, ProblemKind.LF, 1.0, 0.0, 2)
-    with pytest.raises(ValueError):
-        rate_constants(Method.RPK, ProblemKind.LS, 1.0, 1.0, 0)
+        instance_rate_factor(lf, Method.RPK, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +161,16 @@ def test_instance_rate_reduces_to_unit_row_constants():
     p = normalize_rows(generate_consistent_ls(6, 4, seed=70))
     for method in (Method.RK, Method.RPK, Method.RAK):
         for rho in (0.3, 1.0, 7.0):
-            rc = rate_constants(method, ProblemKind.LS, rho, 0.7, p.m)
+            unit = 1.0 - analysis._damping(method, rho) * 0.7 / p.m
             got = instance_rate_factor(p, method, rho, 0.7)
-            assert got == pytest.approx(rc.per_step_factor, rel=1e-12)
+            assert got == pytest.approx(unit, rel=1e-12)
 
 
 def test_instance_rate_reduces_to_unit_row_constants_lf():
     p = normalize_rows(generate_feasible_lf(6, 4, seed=71, active_fraction=0.5))
-    rc = rate_constants(Method.RAK, ProblemKind.LF, 2.0, 3.0, p.m)
+    unit = 1.0 - analysis._damping(Method.RAK, 2.0) / (p.m * 3.0**2)
     got = instance_rate_factor(p, Method.RAK, 2.0, 3.0)
-    assert got == pytest.approx(rc.per_step_factor, rel=1e-12)
+    assert got == pytest.approx(unit, rel=1e-12)
 
 
 def test_instance_rate_shrinking_rows_weakens_bound():
@@ -624,12 +629,35 @@ def test_expected_step_bound_random_states():
         state = SolverState(x=x, z=0.0, rho=1.0, k=0)
         for method in (Method.RPK, Method.RAK):
             rep = exact_expected_step(p, state, method, rho=1.0)
-            rc = rate_constants(method, ProblemKind.LS, 1.0, lam, p.m)
+            factor = instance_rate_factor(p, method, 1.0, lam)
             if method is Method.RAK:
                 got, base = rep.expected_lyapunov, rep.base_lyapunov
             else:
                 got, base = rep.expected_error_sq, rep.base_error_sq
-            assert got <= rc.per_step_factor * base + 1e-10
+            assert got <= factor * base + 1e-10
+
+
+def test_expected_step_bound_uneven_rows():
+    """The factor solve and compare print bounds the exact one-step
+    expectation on rows that are not unit norm, where it differs from the
+    unit-row form: the damping is taken at rho min ||a_i||^2 and m is
+    ||A||_F^2.  verify's instances are all normalized, so this is the
+    check on raw rows."""
+    for seed in range(4000, 4030):
+        p = generate_consistent_ls(20, 10, seed=seed)
+        rng = np.random.default_rng(seed)
+        for method in (Method.RK, Method.RPK, Method.RAK):
+            x = 2.0 * rng.standard_normal(p.n)
+            z = float(rng.uniform(-5.0, 5.0)) if method is Method.RAK else 0.0
+            for rho in (0.01, 0.1, 1.0, 10.0):
+                state = SolverState(x=x, z=z, rho=rho, k=0)
+                rep = exact_expected_step(p, state, method, rho)
+                factor = analysis.envelope_factor(p, method, rho, seed=0)
+                if method is Method.RAK:
+                    got, base = rep.expected_lyapunov, rep.base_lyapunov
+                else:
+                    got, base = rep.expected_error_sq, rep.base_error_sq
+                assert got <= factor * base, (seed, method, rho)
 
 
 def test_expected_step_lf_decreases():

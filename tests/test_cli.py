@@ -54,6 +54,32 @@ def test_generate_byte_identical_reruns(capsys, tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+@pytest.mark.parametrize(
+    "message, expected",
+    [
+        ("Unable to allocate 298. GiB for an array with shape (200000, 200000)",
+         "error: Unable to allocate 298. GiB for an array with shape (200000, 200000)\n"),
+        ("", "error: out of memory\n"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_generate_out_of_memory_exits_3(capsys, tmp_path, monkeypatch, message, expected):
+    """An input too large for memory is a runtime failure with one error
+    line, not a traceback with exit 1 (a failed verify property)."""
+
+    def refuse(m, n, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("kaczpen.cli.generate_consistent_ls", refuse)
+    out = tmp_path / "p.txt"
+    code, stdout, stderr = run_cli(
+        capsys, "generate", "--kind", "ls", "--rows", "200000", "--cols", "200000",
+        "-o", str(out),
+    )
+    assert (code, stdout, stderr) == (3, "", expected)
+    assert not out.exists()
+
+
 def test_generate_active_fraction_ls_is_usage_error(capsys, tmp_path):
     code, _, stderr = run_cli(
         capsys, "generate", "--kind", "ls", "--rows", "3", "--cols", "2",
@@ -815,6 +841,24 @@ def test_plot_malformed_trace_exits_3(capsys, tmp_path):
     code, _, stderr = run_cli(capsys, "plot", str(bad), "-o", str(tmp_path / "o.svg"))
     assert code == 3
     assert "line 1" in stderr
+
+
+def test_plot_reads_trace_whose_rho_reached_inf(capsys, tmp_path):
+    """With --rho-max inf the schedule overflows rho to inf, a valid value
+    (the plain step); plot takes the trace solve wrote."""
+    problem, trace = str(tmp_path / "p.txt"), str(tmp_path / "t.csv")
+    assert main([
+        "generate", "--kind", "lf", "--rows", "10", "--cols", "20", "--seed", "1",
+        "--active-fraction", "0.3", "-o", problem,
+    ]) == 0
+    assert main([
+        "solve", problem, "--method", "rak", "--iters", "50", "--c", "1e200",
+        "--rho-max", "inf", "--trace", trace,
+    ]) == 0
+    assert parse_trace_csv(trace)[-1].rho == float("inf")
+    code, stdout, stderr = run_cli(capsys, "plot", trace, "-o", str(tmp_path / "t.svg"))
+    assert (code, stderr) == (0, "")
+    assert "wrote" in stdout
 
 
 def test_plot_escapes_legend_labels(capsys, tmp_path, ls_problem):

@@ -52,9 +52,15 @@ def test_problem_checks_planted_witness_lf():
 
 
 def test_problem_checks_normalized_flag():
-    a = DenseMatrix(np.array([[3.0, 4.0]]))
-    with pytest.raises(ValueError, match="normalized"):
-        Problem(kind=ProblemKind.LS, a=a, b=np.array([1.0]), normalized=True)
+    """normalized is read from the rows, so it cannot disagree with them."""
+    def problem(rows):
+        return Problem(kind=ProblemKind.LS, a=DenseMatrix(np.array(rows)), b=np.ones(len(rows)))
+
+    assert not problem([[3.0, 4.0]]).normalized
+    assert problem([[0.6, 0.8], [1.0, 0.0]]).normalized
+    assert not problem([[1.0, 0.0], [np.sqrt(1.0 + 1e-11), 0.0]]).normalized
+    with pytest.raises(TypeError):
+        Problem(kind=ProblemKind.LS, a=DenseMatrix(np.eye(1)), b=np.ones(1), normalized=True)
 
 
 def test_problem_b_length_checked():

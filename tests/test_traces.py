@@ -74,6 +74,20 @@ def test_parse_rejects_non_numeric(tmp_path):
         parse_trace_csv(str(path))
 
 
+def test_parse_accepts_infinite_rho_only(tmp_path):
+    """A schedule with --rho-max inf grows rho to +inf, the plain step;
+    every other non-finite value, and a NaN or -inf rho, is refused."""
+    path = tmp_path / "t.csv"
+    path.write_text(TRACE_HEADER + "\n0,-1,1,4,2,0,4,1\n1,0,inf,1,1,0,1,0\n")
+    back = parse_trace_csv(str(path))
+    assert back[1].rho == float("inf")
+    for line in ("1,0,nan,1,1,0,1,0", "1,0,-inf,1,1,0,1,0", "1,0,1,inf,1,0,1,0",
+                 "1,0,1,1,1,0,inf,0"):
+        path.write_text(TRACE_HEADER + "\n" + line + "\n")
+        with pytest.raises(TraceFormatError, match="line 2: non-finite value"):
+            parse_trace_csv(str(path))
+
+
 def test_parse_requires_a_record(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(TRACE_HEADER + "\n")
