@@ -32,7 +32,6 @@ from .linalg import (
     ConvergenceError,
     DenseMatrix,
     InconsistentSystemError,
-    gram_matrix,
     lambda_min_variants,
     least_norm_solution,
 )

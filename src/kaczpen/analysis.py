@@ -81,20 +81,22 @@ def instance_rate_factor(
 ) -> float:
     """Per-step contraction factor valid for arbitrary row norms.
 
-    conditioning is lambda_min(A^T A) for equality systems and the
-    residual-to-distance constant L for feasibility systems.  With unit
-    rows this is 1 - damping(rho) lambda_min / m (Strohmer & Vershynin,
-    2009) or 1 - damping(rho) / (m L^2); in general the
-    damping is evaluated at rho * min_i ||a_i||^2 (each row's effective
-    penalty is rho ||a_i||^2 and the damping grows with it, so the
-    smallest row gives a uniform lower bound on per-row progress) and the
-    row count is replaced by ||A||_F^2, the normalizer of the sampling
-    weights.  For equality systems:
+    conditioning is the smallest of the min(m, n) eigenvalues of A^T A
+    (lambda_min) for equality systems and the residual-to-distance
+    constant L for feasibility systems.  With unit rows this is
+    1 - damping(rho) lambda_min / m (Strohmer & Vershynin, 2009) or
+    1 - damping(rho) / (m L^2); in general the damping is evaluated at
+    rho * min_i ||a_i||^2 (each row's effective penalty is rho ||a_i||^2
+    and the damping grows with it, so the smallest row gives a uniform
+    lower bound on per-row progress) and the row count is replaced by
+    ||A||_F^2, the normalizer of the sampling weights.  For equality systems:
 
         E ||x' - x*||^2 <= (1 - damping(rho s_min) lambda_min / ||A||_F^2) ||x - x*||^2
 
     which follows from summing the per-row progress r_i^2 / s_i weighted by
     s_i / ||A||_F^2 and bounding sum_i r_i^2 >= lambda_min ||x - x*||^2.
+    That holds for every error in row(A), where steps keep it (Gower &
+    Richtarik, 2015): every run measured from the solution nearest its start.
     The multiplier method's dual term contracts by at least the same
     damping, so the bound covers its Lyapunov value too.  For feasibility
     systems the same sum over the positive parts r_i+ and Hoffman's
@@ -319,20 +321,27 @@ def hoffman_estimate(
 
 
 def _lambda_min(problem: Problem) -> float:
-    """lambda_min(A^T A), computed once per problem and kept on it."""
-    return problem.memo("lambda_min", lambda: lambda_min_variants(problem.a)[0])
+    """The smallest of the min(m, n) eigenvalues of A^T A (of A A^T when
+    m < n), computed once per problem and kept on it."""
+
+    def build():
+        a = problem.a
+        return lambda_min_variants(DenseMatrix(a.data.T) if a.rows < a.cols else a)[0]
+
+    return problem.memo("lambda_min", build)
 
 
 def envelope_factor(
     problem: Problem, method: Method, rho: float, seed: int, n_samples: int = 200
 ) -> float:
     """The per-step factor of solve's summary and compare's envelope:
-    instance_rate_factor at penalty rho, with lambda_min(A^T A) for
-    equality systems.  For feasibility systems a seeded estimate stands in
-    for the true constant L: hoffman_estimate with n_samples over
-    hoffman_ball's default ball, seeded with seed + 999,983, kept on the
-    problem per (seed, n_samples).  It is only a sampled lower bound on L,
-    and the factor is nan when no sample contributes to it."""
+    instance_rate_factor at penalty rho, with _lambda_min's constant for
+    equality systems, a true bound on errors in row(A).  For feasibility
+    systems a seeded estimate stands in for the true constant L:
+    hoffman_estimate with n_samples over hoffman_ball's default ball,
+    seeded with seed + 999,983, kept on the problem per (seed, n_samples).
+    It is only a sampled lower bound on L, and the factor is nan when no
+    sample contributes to it."""
 
     def sampled_l():
         radius = hoffman_ball(problem)[1]
@@ -465,46 +474,39 @@ class AdaptiveStepReport:
     expected_dual_sq: float
 
 
-def adaptive_step_report(
-    problem: Problem,
-    state: SolverState,
-    c: float,
-) -> AdaptiveStepReport:
+def adaptive_step_report(problem: Problem, state: SolverState, c: float) -> AdaptiveStepReport:
     """Evaluate the multiplier method's per-step inequality under the
-    geometric penalty schedule rho' = c rho.
+    geometric penalty schedule rho' = c rho, for any row norms and shape.
 
     The left side is the exact row-enumerated expectation of the Lyapunov
     value at the next iterate, with the dual term weighted by 1 / rho'.
     The right side subtracts from the current Lyapunov value the
     contraction term, the dual decay term, and the schedule surcharge
-    (c - 1) / (c rho) E_i[z'^2].  For feasibility systems the contraction
-    term uses the positive-part residual directly, which avoids the
-    unknown distance constant and implies the rate form.  Requires unit
-    row norms; the expectation only matches the bound in that scaling.
+    (c - 1) / (c rho) E_i[z'^2].  On an equality system a step on row i
+    lowers the fixed-penalty value by exactly (rho r_i^2 + s_i z^2) /
+    (1 + rho s_i), s_i = ||a_i||^2; weighted by w_i = s_i / ||A||_F^2 this
+    is at least damping(rho s_min) ||r||^2 / ||A||_F^2 plus the dual decay
+    z^2 sum_i w_i s_i / (1 + rho s_i), with equality on unit rows.  For
+    feasibility systems r is the positive-part residual, which avoids the
+    unknown distance constant and implies the rate form.
     """
     if c < 1.0:
         raise ValueError("schedule factor c must be at least 1")
-    drift = float(np.abs(problem.a.row_norms_sq - 1.0).max())
-    if drift > 1e-8:
-        raise ValueError("the inequality is stated for unit-norm rows")
     rho = state.rho
     if rho <= 0.0:
         raise ValueError("state.rho must be positive")
     z, base_err, _, exp_zsq, lhs = _enumerate_rows(problem, state, Method.RAK, rho, c * rho)
-    m = problem.m
-    if problem.kind is ProblemKind.LS:
-        contraction = rho * _lambda_min(problem) / (m * (1.0 + rho)) * base_err
-    else:
-        x = as_vector(state.x, problem.n)
-        r_plus = np.maximum(problem.a.data @ x - problem.b, 0.0)
-        contraction = rho / (m * (1.0 + rho)) * float(r_plus @ r_plus)
+    a, s = problem.a, problem.a.row_norms_sq
+    r = a.data @ as_vector(state.x, problem.n) - problem.b
+    if problem.kind is ProblemKind.LF:
+        r = np.maximum(r, 0.0)
+    contraction = _damping(Method.RAK, rho * float(s.min())) * float(r @ r) / a.frobenius_sq
+    dual_decay = z * z * float(_sampling_weights(a) @ (s / (1.0 + rho * s)))
 
     base_lyap = base_err + z * z / rho
     surcharge = (c - 1.0) / (c * rho) * exp_zsq
-    rhs = base_lyap - contraction - z * z / (1.0 + rho) - surcharge
-    return AdaptiveStepReport(
-        lhs=lhs, rhs=rhs, slack=rhs - lhs, expected_dual_sq=exp_zsq
-    )
+    rhs = base_lyap - contraction - dual_decay - surcharge
+    return AdaptiveStepReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, expected_dual_sq=exp_zsq)
 
 
 @dataclass(frozen=True)

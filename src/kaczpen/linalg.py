@@ -80,13 +80,6 @@ def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def gram_matrix(a: DenseMatrix) -> DenseMatrix:
-    """A^T A with symmetry exact by construction (upper triangle mirrored)."""
-    g = a.data.T @ a.data
-    u = np.triu(g)
-    return DenseMatrix(u + np.triu(g, 1).T)
-
-
 # an eigenvalue of a Gram matrix (A^T A or A A^T) at or below this multiple
 # of the matrix's Frobenius norm counts as zero
 _PINV_REL_TOL = 1e-10
@@ -99,9 +92,10 @@ def lambda_min_variants(a: DenseMatrix) -> tuple[float, float]:
     when it sits within 1e-10 * ||A^T A||_F of 0, and lambda_min_pos is
     the smallest eigenvalue above that threshold (0 if there is none).
     """
-    g = gram_matrix(a)
-    w = np.linalg.eigvalsh(g.data)
-    thresh = _PINV_REL_TOL * float(np.sqrt(g.frobenius_sq))
+    # numpy forms A^T A with syrk, so it is exactly symmetric
+    g = a.data.T @ a.data
+    w = np.linalg.eigvalsh(g)
+    thresh = _PINV_REL_TOL * float(np.sqrt((g * g).sum(axis=1).sum()))
     lam_min = float(w[0])
     if abs(lam_min) <= thresh:
         lam_min = 0.0

@@ -123,15 +123,19 @@ def generate_feasible_lf(m: int, n: int, seed: int, active_fraction: float) -> P
 
 def normalize_rows(problem: Problem) -> Problem:
     """Scale each row and its bound by 1/||a_i||; the solution set is kept."""
-    norms = np.sqrt(problem.a.row_norms_sq)
-    a = problem.a.data / norms[:, None]
-    b = problem.b / norms
-    return Problem(
-        kind=problem.kind,
-        a=DenseMatrix(a),
-        b=b,
-        x_planted=problem.x_planted,
-    )
+    s = problem.a.row_norms_sq
+    norms = np.sqrt(s)
+    low = s < 2.0**-1022
+    if low.any():
+        # a subnormal squared norm has lost digits; scaled exactly by 2^500,
+        # such a row's squares are normal, and so is its norm, scaled back
+        norms[low] = np.sqrt(((problem.a.data[low] * 2.0**500) ** 2).sum(axis=1)) / 2.0**500
+    with np.errstate(over="ignore"):
+        b = problem.b / norms
+    if not np.isfinite(b).all():
+        i = int(np.argmin(np.isfinite(b)))
+        raise ValueError(f"row {i}'s normalized bound is beyond the float64 range (max 1.8e308)")
+    return Problem(problem.kind, DenseMatrix(problem.a.data / norms[:, None]), b, problem.x_planted)
 
 
 def save_problem(problem: Problem, path: str) -> None:

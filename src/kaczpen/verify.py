@@ -53,6 +53,11 @@ def _normalized_lf(m: int, n: int, seed: int, active_fraction: float) -> Problem
     return normalize_rows(generate_feasible_lf(m, n, seed, active_fraction))
 
 
+def _scaled(problem: Problem, rows: str) -> Problem:
+    """Unit rows for rows="unit"; the rows as generated otherwise."""
+    return normalize_rows(problem) if rows == "unit" else problem
+
+
 def _step_tuples(seed: int, count: int, rho_hi: float, arg_floor: float, z_span: float):
     """Yield (problem, x, i, rho, z) with the step argument bounded away
     from zero so relative identity checks stay well conditioned."""
@@ -194,8 +199,12 @@ def check_rho_schedule(seed: int) -> PropertyResult:
     )
 
 
-def _random_ls_state(problem: Problem, rng, z_span: float) -> SolverState:
-    x = 2.0 * rng.standard_normal(problem.n)
+def _random_ls_state(problem: Problem, rng, z_span: float, wide: bool = False) -> SolverState:
+    """A wide system's state is x* + A^T y, whose error lies in row(A)."""
+    if wide:
+        x = solvers.solution_nearest(problem) + problem.a.data.T @ rng.standard_normal(problem.m)
+    else:
+        x = 2.0 * rng.standard_normal(problem.n)
     z = float(rng.uniform(-z_span, z_span)) if z_span > 0.0 else 0.0
     return SolverState(x=x, z=z, rho=1.0, k=0)
 
@@ -207,20 +216,29 @@ def check_ls_expected_contraction(
     n_states: int = 2,
     rhos=(0.1, 1.0, 10.0),
     z_span: float = 0.0,
+    rows: str = "unit",
 ) -> PropertyResult:
     """Enumerated E_i of the post-step error (Lyapunov value for the
     multiplier method) sits below the per-step factor that solve and
-    compare print (envelope_factor) times the current value, within 1e-10."""
-    name = f"{method.value}-ls-expected-contraction"
+    compare print (envelope_factor) times the current value, within 1e-10.
+
+    Instances are 20x10 with unit rows ("unit") or rows as generated
+    ("raw"), or 10x20 as generated ("wide"), whose states x* + A^T y keep
+    the error in row(A); there every factor must also be below 1."""
+    suffix = "" if rows == "unit" else f"-{rows}"
+    name = f"{method.value}-ls-expected-contraction{suffix}"
     rng = make_rng(seed)
     min_slack = np.inf
+    max_factor = -np.inf
+    shape = (10, 20) if rows == "wide" else (20, 10)
     for p in range(n_problems):
-        problem = _normalized_ls(20, 10, seed + 4000 + p)
+        problem = _scaled(generate_consistent_ls(*shape, seed + 4000 + p), rows)
         for _ in range(n_states):
-            state = _random_ls_state(problem, rng, z_span)
+            state = _random_ls_state(problem, rng, z_span, wide=rows == "wide")
             for rho in rhos:
                 rep = exact_expected_step(problem, state, method, rho)
                 factor = envelope_factor(problem, method, rho, seed)
+                max_factor = max(max_factor, factor)
                 if method is Method.RAK:
                     bound = factor * (rep.base_error_sq + state.z**2 / rho)
                     slack = bound - rep.expected_lyapunov
@@ -229,7 +247,11 @@ def check_ls_expected_contraction(
                     slack = bound - rep.expected_error_sq
                 if slack < min_slack:
                     min_slack = slack
-    return _result(name, min_slack >= -1e-10, f"min_slack={min_slack:.3e}")
+    detail = f"min_slack={min_slack:.3e}"
+    if rows == "wide":
+        detail += f" max_factor={max_factor!r}"
+    passed = min_slack >= -1e-10 and (rows != "wide" or max_factor < 1.0)
+    return _result(name, passed, detail)
 
 
 def check_ls_expected_tightness(seed: int, method: Method) -> PropertyResult:
@@ -286,29 +308,36 @@ def check_factor_grid() -> PropertyResult:
     return _result("factor-grid", ok, "monotone, ordered, correct limits")
 
 
-def check_adaptive_slack(seed: int, n_problems: int = 4) -> PropertyResult:
+def check_adaptive_slack(
+    seed: int, n_problems: int = 4, rhos=(0.5, 2.0), rows: str = "unit"
+) -> PropertyResult:
     """The growing-penalty per-step inequality holds with nonnegative
-    slack, and c = 1 reduces it to the fixed-penalty form."""
+    slack, and c = 1 reduces it to the fixed-penalty form; on unit-row
+    equality states it holds with equality, so their slack is rounding.
+    Slack is taken relative to max(1, |lhs|), as the Lyapunov values scale
+    with the instance. Instances are 16x8 with unit rows ("unit") or rows
+    as generated ("raw")."""
     rng = make_rng(seed)
-    min_slack = np.inf
+    min_rel = np.inf
     for p in range(n_problems):
-        problem = _normalized_ls(16, 8, seed + 5000 + p)
-        for rho in (0.5, 2.0):
+        problem = _scaled(generate_consistent_ls(16, 8, seed + 5000 + p), rows)
+        for rho in rhos:
             for c in (1.0, 2.0, 5.0):
                 x = 2.0 * rng.standard_normal(problem.n)
                 z = float(rng.uniform(-3.0, 3.0))
                 state = SolverState(x=x, z=z, rho=rho, k=0)
                 rep = adaptive_step_report(problem, state, c)
-                min_slack = min(min_slack, rep.slack)
-        lf = _normalized_lf(16, 8, seed + 5500 + p, 0.3)
-        for rho in (0.5, 2.0):
+                min_rel = min(min_rel, rep.slack / max(1.0, abs(rep.lhs)))
+        lf = _scaled(generate_feasible_lf(16, 8, seed + 5500 + p, 0.3), rows)
+        for rho in rhos:
             for c in (1.0, 2.0):
                 x = lf.x_planted + rng.standard_normal(lf.n)
                 z = float(rng.uniform(0.0, 3.0))
                 state = SolverState(x=x, z=z, rho=rho, k=0)
                 rep = adaptive_step_report(lf, state, c)
-                min_slack = min(min_slack, rep.slack)
-    return _result("adaptive-penalty-slack", min_slack >= -1e-10, f"min_slack={min_slack:.3e}")
+                min_rel = min(min_rel, rep.slack / max(1.0, abs(rep.lhs)))
+    name = "adaptive-penalty-slack" + ("" if rows == "unit" else f"-{rows}")
+    return _result(name, min_rel >= -1e-12, f"min_rel_slack={min_rel:.3e}")
 
 
 def check_mc_envelope(
@@ -463,14 +492,24 @@ def suite_steps(seed: int) -> list[PropertyResult]:
     ]
 
 
+# raw rows (||a_i||^2 about n) multiply the effective penalty rho ||a_i||^2;
+# rho down to 0.01 takes it below the unit-row instances' smallest
+_RAW_RHOS = (0.01, 0.1, 1.0, 10.0)
+
+
 def suite_theorems(seed: int) -> list[PropertyResult]:
     return [
         check_ls_expected_contraction(seed, Method.RPK),
         check_ls_expected_contraction(seed, Method.RAK, z_span=5.0),
+        check_ls_expected_contraction(seed, Method.RPK, rhos=_RAW_RHOS, rows="raw"),
+        check_ls_expected_contraction(seed, Method.RAK, rhos=_RAW_RHOS, z_span=5.0, rows="raw"),
+        check_ls_expected_contraction(seed, Method.RK, rows="wide"),
+        check_ls_expected_contraction(seed, Method.RAK, z_span=5.0, rows="wide"),
         check_ls_expected_tightness(seed, Method.RPK),
         check_ls_expected_tightness(seed, Method.RAK),
         check_factor_grid(),
         check_adaptive_slack(seed),
+        check_adaptive_slack(seed, rhos=_RAW_RHOS, rows="raw"),
         check_mc_envelope(seed, Method.RPK),
         check_mc_envelope(seed, Method.RAK),
     ]

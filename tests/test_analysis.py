@@ -196,6 +196,20 @@ def test_instance_rate_shrinking_rows_weakens_bound():
     assert f_rk_half == pytest.approx(f_rk, rel=1e-8)
 
 
+def test_envelope_factor_wide_uses_smallest_nonzero_eigenvalue():
+    """For m < n, lambda_min(A^T A) is 0; the factor's constant is
+    lambda_min(A A^T), the smallest eigenvalue on row(A), where every
+    run's error stays.  A rank-deficient wide file keeps factor 1."""
+    p = generate_consistent_ls(5, 9, seed=75)
+    lam = float(np.linalg.eigvalsh(p.a.data @ p.a.data.T)[0])
+    factor = analysis.envelope_factor(p, Method.RK, 1.0, seed=0)
+    assert factor < 1.0
+    assert factor == pytest.approx(1.0 - lam / p.a.frobenius_sq, rel=1e-12)
+    a = np.vstack([p.a.data, p.a.data[:1]])
+    dup = Problem(ProblemKind.LS, DenseMatrix(a), a @ p.x_planted, x_planted=p.x_planted)
+    assert analysis.envelope_factor(dup, Method.RK, 1.0, seed=0) == 1.0
+
+
 def test_instance_rate_validation():
     p = generate_consistent_ls(4, 3, seed=73)
     with pytest.raises(ValueError):
@@ -641,8 +655,7 @@ def test_expected_step_bound_uneven_rows():
     """The factor solve and compare print bounds the exact one-step
     expectation on rows that are not unit norm, where it differs from the
     unit-row form: the damping is taken at rho min ||a_i||^2 and m is
-    ||A||_F^2.  verify's instances are all normalized, so this is the
-    check on raw rows."""
+    ||A||_F^2.  verify's -raw properties check the same at fewer seeds."""
     for seed in range(4000, 4030):
         p = generate_consistent_ls(20, 10, seed=seed)
         rng = np.random.default_rng(seed)
@@ -710,11 +723,26 @@ def test_adaptive_lf_slack_nonnegative():
         assert rep.slack >= -1e-10
 
 
-def test_adaptive_requires_unit_rows():
-    p = generate_consistent_ls(4, 3, seed=50)  # unnormalized
-    state = SolverState(x=np.zeros(3), z=0.0, rho=1.0, k=0)
-    with pytest.raises(ValueError):
-        adaptive_step_report(p, state, c=1.5)
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+def test_adaptive_raw_rows_slack_nonnegative(kind):
+    """Rows as generated, with ||a_i||^2 far from 1: the contraction term
+    damping(rho s_min) ||r||^2 / ||A||_F^2 and the row-weighted dual decay
+    keep the inequality, from small penalties up."""
+    rng = np.random.default_rng(13)
+    for trial in range(5):
+        if kind == "ls":
+            p = generate_consistent_ls(8, 4, seed=50 + trial)
+            x = 2.0 * rng.standard_normal(4)
+            z = float(rng.uniform(-3.0, 3.0))
+        else:
+            p = generate_feasible_lf(8, 4, seed=60 + trial, active_fraction=0.3)
+            x = p.x_planted + rng.standard_normal(4)
+            z = float(rng.uniform(0.0, 3.0))
+        assert not p.normalized
+        for rho in (0.01, 1.0, 10.0):
+            for c in (1.0, 2.0):
+                rep = adaptive_step_report(p, SolverState(x=x, z=z, rho=rho, k=0), c)
+                assert rep.slack >= 0.0, (trial, rho, c)
 
 
 def test_adaptive_requires_valid_schedule():

@@ -434,6 +434,33 @@ def test_polyhedron_beyond_float_range_exits_3(capsys, tmp_path, text, argv, mes
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_solve_normalize_subnormal_row_norm(capsys, tmp_path):
+    """The first row's squared norm, 1e-320, is subnormal; normalized, the
+    rows are the identity and the plain step's factor is 1 - 1/2."""
+    path = tmp_path / "p.txt"
+    path.write_text("kaczmarz-problem v1 ls 2 2\n1e-160 0 1\n0 1 1\n")
+    code, stdout, _ = run_cli(
+        capsys, "solve", str(path), "--normalize", "--method", "rk", "--iters", "10"
+    )
+    assert code == 0
+    assert " per_step_factor=0.5 " in stdout
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_normalize_bound_beyond_float_range_exits_3(capsys, tmp_path):
+    """Normalizing the one-row file puts its bound at -1e460: one error
+    line naming the range, exit 3, and no numpy warning before it."""
+    path = tmp_path / "p.txt"
+    path.write_text(FAR_1X1)
+    code, stdout, stderr = run_cli(
+        capsys, "solve", str(path), "--normalize", "--method", "rk", "--iters", "10"
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert "float64 range" in stderr
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
@@ -536,6 +563,29 @@ def test_compare_envelope_holds_without_normalization(capsys, tmp_path):
     for line in open(out).read().strip().splitlines()[1:]:
         _, _, mean, env = line.split(",")
         assert float(mean) <= float(env) * 1.15
+
+
+def test_wide_file_gets_a_rate(capsys, tmp_path):
+    """On the 20x60 equality file lambda_min(A^T A) is 0; the factor uses
+    lambda_min(A A^T), so solve prints a factor below 1 and the compare
+    envelope, no longer flat, stays at or above the means."""
+    path = str(tmp_path / "w.txt")
+    assert main(["generate", "--kind", "ls", "--rows", "20", "--cols", "60",
+                 "--seed", "1", "-o", path]) == 0
+    code, stdout, _ = run_cli(capsys, "solve", path, "--method", "rk", "--iters", "400")
+    assert code == 0
+    factor = float(stdout.split("per_step_factor=")[1].split()[0])
+    assert factor < 1.0
+    out = str(tmp_path / "c.csv")
+    assert main(["compare", path, "--methods", "rk,rak", "--trials", "20",
+                 "--checkpoints", "0,50,200", "-o", out]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
+    assert len(rows) == 6
+    for _, k, mean, env in rows:
+        assert float(mean) <= float(env)
+        if k == "200":
+            assert float(env) < 0.2 * float(rows[0][3])
 
 
 def test_compare_envelope_holds_with_normalization(capsys, tmp_path):

@@ -1,5 +1,5 @@
-"""Tests for the dense matrix container, the Gram matrix, lambda_min and
-the least-norm solution."""
+"""Tests for the dense matrix container, lambda_min and the least-norm
+solution."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from kaczpen.linalg import (
     DenseMatrix,
     InconsistentSystemError,
-    gram_matrix,
     lambda_min_variants,
     least_norm_solution,
 )
@@ -56,27 +55,6 @@ def test_frobenius_equals_row_norm_sum_random():
         a = DenseMatrix(rng.standard_normal((m, n)))
         # exact as-computed identity, not approximate
         assert a.frobenius_sq == a.row_norms_sq.sum()
-
-
-# ---------------------------------------------------------------------------
-# gram
-
-
-def test_gram_matrix_diagonal():
-    a = DenseMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    np.testing.assert_array_equal(gram_matrix(a).data, np.diag([1.0, 4.0]))
-
-
-def test_gram_matrix_rank_one():
-    a = DenseMatrix(np.array([[1.0, 1.0]]))
-    np.testing.assert_array_equal(gram_matrix(a).data, np.ones((2, 2)))
-
-
-def test_gram_matrix_exactly_symmetric():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        g = gram_matrix(DenseMatrix(rng.standard_normal((7, 5)))).data
-        assert np.array_equal(g, g.T)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +123,7 @@ def test_least_norm_correction_in_row_space():
         x_star = least_norm_solution(a, b, x0)
         assert np.max(np.abs(raw @ x_star - b)) <= 1e-8 * (1 + np.abs(b).max())
         # null space of A = eigenvectors of AᵀA with (near) zero eigenvalue
-        w, v = np.linalg.eigh(gram_matrix(a).data)
+        w, v = np.linalg.eigh(a.data.T @ a.data)
         null = v[:, w <= 1e-10 * np.abs(w).max()]
         assert null.shape[1] == n - m
         assert np.linalg.norm(null.T @ (x_star - x0)) <= 1e-8

@@ -171,6 +171,50 @@ def test_normalize_rows_preserves_membership():
         assert np.array_equal(before[mask], after[mask])
 
 
+def test_normalize_rows_matches_plain_division():
+    """Rows whose squared norm is normal normalize to the bits of
+    a_i / ||a_i|| and b_i / ||a_i||."""
+    for seed in range(10):
+        for p in (
+            generate_consistent_ls(9, 6, seed=seed),
+            generate_feasible_lf(6, 9, seed=seed, active_fraction=0.3),
+        ):
+            norms = np.sqrt(p.a.row_norms_sq)
+            q = normalize_rows(p)
+            assert np.array_equal(q.a.data, p.a.data / norms[:, None])
+            assert np.array_equal(q.b, p.b / norms)
+
+
+def test_normalize_rows_subnormal_squared_norm():
+    """A row whose squared norm is subnormal (1e-320) still comes out with
+    unit norm; dividing by the rounded norm left it at 1.0000111."""
+    p = Problem(
+        kind=ProblemKind.LS,
+        a=DenseMatrix(np.array([[1e-160, 0.0], [0.0, 1.0]])),
+        b=np.array([1.0, 1.0]),
+    )
+    q = normalize_rows(p)
+    assert np.array_equal(q.a.row_norms_sq, [1.0, 1.0])
+    assert q.normalized
+
+
+@pytest.mark.parametrize("row, b", [([0.25] * 16, 1.7e308), ([4.0], 1e308)])
+def test_normalize_rows_large_bound_in_range(row, b):
+    """Bounds near the float64 limit whose normalized value is in range
+    normalize; only a bound past the range is refused."""
+    p = Problem(kind=ProblemKind.LF, a=DenseMatrix([row]), b=np.array([b]))
+    assert normalize_rows(p).b[0] == b / np.sqrt(p.a.row_norms_sq[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_normalize_rows_bound_beyond_float_range():
+    """A bound that normalizes past 1.8e308 is a ValueError naming the
+    range, raised without a numpy overflow warning first."""
+    p = Problem(kind=ProblemKind.LF, a=DenseMatrix([[1e-160]]), b=np.array([-1e300]))
+    with pytest.raises(ValueError, match="float64 range"):
+        normalize_rows(p)
+
+
 def test_normalize_rows_keeps_planted():
     p = generate_feasible_lf(6, 3, seed=5, active_fraction=0.5)
     q = normalize_rows(p)

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+import kaczpen.analysis as analysis
 import kaczpen.solvers as solvers
 import kaczpen.verify as verify
 from kaczpen.cli import main
-from kaczpen.linalg import ConvergenceError
+from kaczpen.linalg import ConvergenceError, lambda_min_variants
 from kaczpen.projection import _hildreth
+from kaczpen.solvers import Method
 from kaczpen.verify import (
     SUITES,
+    check_ls_expected_contraction,
     check_penalty_limit_matches_rk,
     check_projection_certificates,
     check_rak_ls_dual_identity,
@@ -22,7 +25,7 @@ from kaczpen.verify import (
 
 def test_all_suites_pass():
     results = run_suites("all", seed=0)
-    assert len(results) == 20
+    assert len(results) == 25
     failed = [r.name for r in results if not r.passed]
     assert failed == []
 
@@ -42,6 +45,33 @@ def test_checks_deterministic_given_seed():
     a = check_rpk_ls_residual_contraction(seed=9, count=100)
     b = check_rpk_ls_residual_contraction(seed=9, count=100)
     assert (a.name, a.passed, a.detail) == (b.name, b.passed, b.detail)
+
+
+def test_mutated_frobenius_weight_is_caught(monkeypatch):
+    """The row count m in place of ||A||_F^2 in the factor agrees with it
+    on unit rows only: the raw-row contraction properties must fail."""
+    def mutated(problem, method, rho, conditioning):
+        damping = analysis._damping(method, rho * float(problem.a.row_norms_sq.min()))
+        return 1.0 - damping * conditioning / problem.m
+
+    monkeypatch.setattr(analysis, "instance_rate_factor", mutated)
+    for method, z_span in ((Method.RPK, 0.0), (Method.RAK, 5.0)):
+        unit = check_ls_expected_contraction(0, method, z_span=z_span)
+        raw = check_ls_expected_contraction(
+            0, method, rhos=verify._RAW_RHOS, z_span=z_span, rows="raw"
+        )
+        assert unit.passed
+        assert not raw.passed, raw.detail
+
+
+def test_mutated_wide_eigenvalue_is_caught(monkeypatch):
+    """lambda_min(A^T A), which is 0 on a wide system, gives factor 1: a
+    true bound, so only the wide properties' factor-below-1 check sees it."""
+    monkeypatch.setattr(analysis, "_lambda_min", lambda p: lambda_min_variants(p.a)[0])
+    for method, z_span in ((Method.RK, 0.0), (Method.RAK, 5.0)):
+        res = check_ls_expected_contraction(0, method, z_span=z_span, rows="wide")
+        assert not res.passed
+        assert "max_factor=1.0" in res.detail
 
 
 def test_mutated_penalty_step_is_caught(monkeypatch):
