@@ -14,11 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .linalg import DenseMatrix, as_vector, lambda_min_variants, row_dots
+from .linalg import (
+    DenseMatrix,
+    NoEstimateError,
+    NumericFailureError,
+    as_vector,
+    lambda_min_variants,
+    row_dots,
+)
 from .problems import Problem, ProblemKind
 from .projection import _warm_distance, distance_to_feasible, project_polyhedron
 from .sampling import build_sampler, make_rng
-from .solvers import _DRAW_BLOCK, Method, NumericFailureError, SolverConfig, SolverState
+from .solvers import _DRAW_BLOCK, Method, SolverConfig, SolverState
 
 __all__ = [
     "instance_rate_factor",
@@ -41,16 +48,19 @@ __all__ = [
 _ENUMERATION_CAP = 10_000
 
 
-class NoEstimateError(Exception):
-    """No sampled point contributed to the constant estimate."""
-
-
 def _damping(method: Method, rho: float) -> float:
     """Damping of the step family at penalty rho: rho (rho + 2) / (1 + rho)^2
     for the penalty step, rho / (1 + rho) for the multiplier step, and 1
     for the plain step (its penalty-free limit)."""
+    if rho == np.inf:
+        # both damped steps are the plain one there
+        return 1.0
     if method is Method.RPK:
-        return rho * (rho + 2.0) / ((1.0 + rho) ** 2)
+        try:
+            return rho * (rho + 2.0) / ((1.0 + rho) ** 2)
+        except OverflowError:
+            # (1 + rho)^2 is beyond float64, where the damping rounds to 1
+            return 1.0
     if method is Method.RAK:
         return rho / (1.0 + rho)
     return 1.0

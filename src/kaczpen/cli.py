@@ -17,9 +17,16 @@ import time
 
 import numpy as np
 
-from .analysis import NoEstimateError, envelope_factor, monte_carlo_error_curve
-from .fileio import atomic_write_text, format_float
-from .linalg import ConvergenceError, InconsistentSystemError
+# the modules that only solve, compare, verify and plot use: LazyLoader
+# modules (see the package docstring), so generate never loads them
+from . import analysis, solvers, svgchart, traces, verify
+from .fileio import TraceFormatError, atomic_write_text, format_float
+from .linalg import (
+    ConvergenceError,
+    InconsistentSystemError,
+    NoEstimateError,
+    NumericFailureError,
+)
 from .problems import (
     Problem,
     ProblemFormatError,
@@ -30,29 +37,18 @@ from .problems import (
     normalize_rows,
     save_problem,
 )
-from .solvers import (
-    Method,
-    NumericFailureError,
-    SolverConfig,
-    error_sq_of,
-    residual_of,
-    run_solver,
-)
-from .svgchart import render_chart
-from .traces import RunSummary, TraceFormatError, parse_trace_csv, write_trace_csv
-from .verify import run_suites
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_methods(text: str) -> list[Method]:
+def _parse_methods(text: str) -> list[solvers.Method]:
     methods = []
     for token in text.split(","):
         token = token.strip()
         try:
-            methods.append(Method(token))
+            methods.append(solvers.Method(token))
         except ValueError:
             raise UsageError(f"unknown method {token!r}") from None
     if not methods:
@@ -112,10 +108,10 @@ def _load_run_problem(args) -> Problem:
 
 
 def _solver_config(
-    args, method: Method, max_iters: int, tol: float | None = None, trace_stride: int = 10
-) -> SolverConfig:
+    args, method: solvers.Method, max_iters: int, tol: float | None = None, trace_stride: int = 10
+) -> solvers.SolverConfig:
     try:
-        return SolverConfig(
+        return solvers.SolverConfig(
             method=method,
             max_iters=max_iters,
             rho0=args.rho0,
@@ -131,21 +127,21 @@ def _solver_config(
 
 def cmd_solve(args) -> int:
     problem = _load_run_problem(args)
-    cfg = _solver_config(args, Method(args.method), args.iters, args.tol, args.trace_stride)
+    cfg = _solver_config(args, solvers.Method(args.method), args.iters, args.tol, args.trace_stride)
     records = []
     sink = records.append if args.trace else None
     start = time.perf_counter()
-    state = run_solver(problem, cfg, trace_sink=sink)
+    state = solvers.run_solver(problem, cfg, trace_sink=sink)
     wall = time.perf_counter() - start
     if args.trace:
-        write_trace_csv(records, args.trace)
+        traces.write_trace_csv(records, args.trace)
     # a fresh last record holds error_sq_of at this same x
     if records and records[-1].k == state.k and records[-1].fresh:
         final_error_sq = records[-1].error_sq
     else:
-        final_error_sq = error_sq_of(problem, state.x)
+        final_error_sq = solvers.error_sq_of(problem, state.x)
 
-    summary = RunSummary(
+    summary = traces.RunSummary(
         method=cfg.method.value,
         kind=problem.kind.value,
         m=problem.m,
@@ -155,8 +151,10 @@ def cmd_solve(args) -> int:
         seed=cfg.seed,
         iterations_executed=state.k,
         final_error_sq=final_error_sq,
-        final_residual=residual_of(problem, state.x),
-        per_step_factor=envelope_factor(problem, cfg.method, cfg.rho0, cfg.seed, n_samples=64),
+        final_residual=solvers.residual_of(problem, state.x),
+        per_step_factor=analysis.envelope_factor(
+            problem, cfg.method, cfg.rho0, cfg.seed, n_samples=64
+        ),
         wall_time_seconds=wall,
     )
     print(summary.as_line())
@@ -173,7 +171,7 @@ def cmd_compare(args) -> int:
     lines = ["method,checkpoint,mean_error_sq,envelope"]
     for cfg in cfgs:
         # the problem keeps its estimate of L, so every method shares one
-        curve = monte_carlo_error_curve(problem, cfg, args.trials, checkpoints)
+        curve = analysis.monte_carlo_error_curve(problem, cfg, args.trials, checkpoints)
         for k, mean, env in zip(curve.checkpoints, curve.means, curve.envelope):
             lines.append(
                 f"{cfg.method.value},{k},{format_float(mean)},{format_float(env)}"
@@ -188,7 +186,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suites(args.suite, args.seed)
+    results = verify.run_suites(args.suite, args.seed)
     failed = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
@@ -202,12 +200,12 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     series = []
     for path in args.traces:
-        records = parse_trace_csv(path)
+        records = traces.parse_trace_csv(path)
         label = os.path.splitext(os.path.basename(path))[0]
         xs = [float(r.k) for r in records]
         ys = [r.error_sq for r in records]
         series.append((label, xs, ys))
-    svg = render_chart(series, y_label="error_sq", log_y=args.log_y)
+    svg = svgchart.render_chart(series, y_label="error_sq", log_y=args.log_y)
     atomic_write_text(args.output, svg)
     print(f"wrote {args.output}")
     return 0

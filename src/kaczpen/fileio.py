@@ -6,6 +6,10 @@ import os
 import tempfile
 
 
+class TraceFormatError(Exception):
+    """A trace CSV failed to parse; message names the offending line."""
+
+
 def _current_umask() -> int:
     # the umask can only be read by setting it; restore it at once
     mask = os.umask(0o077)

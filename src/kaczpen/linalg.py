@@ -19,6 +19,18 @@ class InconsistentSystemError(Exception):
     """The equality system has no solution at the working tolerance."""
 
 
+class NumericFailureError(Exception):
+    """An iterate left the finite range; carries the iteration index."""
+
+    def __init__(self, iteration: int, message: str | None = None):
+        self.iteration = iteration
+        super().__init__(message or f"non-finite iterate at iteration {iteration}")
+
+
+class NoEstimateError(Exception):
+    """No sampled point contributed to the constant estimate."""
+
+
 def as_vector(x, n: int | None = None) -> np.ndarray:
     """Coerce x to a finite 1-d float64 array, optionally of length n."""
     v = np.asarray(x, dtype=np.float64)
@@ -26,7 +38,7 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"expected length {n}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -48,7 +60,7 @@ class DenseMatrix:
         m, n = a.shape
         if m < 1 or n < 1:
             raise ValueError("matrix must have at least one row and column")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
         a.flags.writeable = False
         self.data = a
@@ -95,7 +107,13 @@ def lambda_min_variants(a: DenseMatrix) -> tuple[float, float]:
     # numpy forms A^T A with syrk, so it is exactly symmetric
     g = a.data.T @ a.data
     w = np.linalg.eigvalsh(g)
-    thresh = _PINV_REL_TOL * float(np.sqrt((g * g).sum(axis=1).sum()))
+    with np.errstate(over="ignore"):
+        fro = float(np.sqrt((g * g).sum(axis=1).sum()))
+    if fro == np.inf:
+        # the squares overflow float64: factor out the largest entry first
+        top = float(np.abs(g).max())
+        fro = top * float(np.sqrt(((g / top) ** 2).sum()))
+    thresh = _PINV_REL_TOL * fro
     lam_min = float(w[0])
     if abs(lam_min) <= thresh:
         lam_min = 0.0
@@ -116,10 +134,15 @@ def least_norm_solution(a: DenseMatrix, b, x0) -> np.ndarray:
     b = as_vector(b, a.rows)
     x0 = as_vector(x0, a.cols)
     u, s, vt = np.linalg.svd(a.data, full_matrices=False)
-    s_sq = s * s
-    # ||A A^T||_F is the 2-norm of the eigenvalues s_i^2 of A A^T
-    keep = s_sq > _PINV_REL_TOL * float(np.sqrt(s_sq @ s_sq))
     with np.errstate(over="ignore", invalid="ignore"):
+        s_sq = s * s
+        # ||A A^T||_F is the 2-norm of the eigenvalues s_i^2 of A A^T
+        gram_norm = float(np.sqrt(s_sq @ s_sq))
+        if gram_norm == np.inf:
+            # it overflows float64: compare the squares scaled by the largest
+            s_sq = (s / s[0]) ** 2
+            gram_norm = float(np.sqrt(s_sq @ s_sq))
+        keep = s_sq > _PINV_REL_TOL * gram_norm
         r0 = a.data @ x0 - b
         x = x0 - vt[keep].T @ ((u[:, keep].T @ r0) / s[keep])
         resid = float(np.abs(a.data @ x - b).max())

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import atomic_write_text, format_float, read_text
+from .fileio import atomic_write_text, read_text
 from .linalg import DenseMatrix, as_vector
 
 FORMAT_TAG = "kaczmarz-problem"
@@ -50,7 +50,7 @@ class Problem:
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
-        if np.any(self.a.row_norms_sq == 0.0):
+        if (self.a.row_norms_sq == 0.0).any():
             i = int(np.argmax(self.a.row_norms_sq == 0.0))
             raise ValueError(f"row {i} is identically zero")
         if self.x_planted is not None:
@@ -143,12 +143,15 @@ def save_problem(problem: Problem, path: str) -> None:
     lines = [
         f"{FORMAT_TAG} {FORMAT_VERSION} {problem.kind.value} {problem.m} {problem.n}"
     ]
-    for i in range(problem.m):
-        entries = [format_float(v) for v in problem.a.data[i]]
-        entries.append(format_float(problem.b[i]))
-        lines.append(" ".join(entries))
+    # each value as format_float writes it, one format string per line
+    point_format = " ".join(["%.17g"] * problem.n)
+    row_format = point_format + " %.17g"
+    lines += [
+        row_format % (*row, b_i)
+        for row, b_i in zip(problem.a.data.tolist(), problem.b.tolist())
+    ]
     if problem.x_planted is not None:
-        lines.append("planted " + " ".join(format_float(v) for v in problem.x_planted))
+        lines.append("planted " + point_format % tuple(problem.x_planted.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -157,7 +160,7 @@ def _parse_floats(tokens: list[str], lineno: int) -> np.ndarray:
         vals = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError as exc:
         raise ProblemFormatError(f"line {lineno}: {exc}") from None
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ProblemFormatError(f"line {lineno}: non-finite value")
     return vals
 

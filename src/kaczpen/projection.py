@@ -303,7 +303,7 @@ def project_polyhedron(x, a: DenseMatrix, b) -> np.ndarray:
     """
     x = as_vector(x, a.cols)
     b = as_vector(b, a.rows)
-    if np.any(a.row_norms_sq == 0.0):
+    if (a.row_norms_sq == 0.0).any():
         raise ValueError("polyhedron rows must be nonzero")
     return _certified(x, a, b)[0]
 

@@ -22,7 +22,7 @@ class RowSampler:
     """
 
     def __init__(self, a: DenseMatrix, seed: int):
-        if np.any(a.row_norms_sq == 0.0):
+        if (a.row_norms_sq == 0.0).any():
             raise ValueError("cannot sample rows of a matrix with zero rows")
         p = a.row_norms_sq / a.frobenius_sq
         total = float(p.sum())

@@ -50,7 +50,13 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DenseMatrix, as_vector, least_norm_solution, row_dots
+from .linalg import (
+    DenseMatrix,
+    NumericFailureError,
+    as_vector,
+    least_norm_solution,
+    row_dots,
+)
 from .problems import Problem, ProblemKind
 from .projection import _warm_distance
 from .sampling import build_sampler
@@ -65,14 +71,6 @@ _DRAW_BLOCK = 256
 # 64 KiB gives 109 steps at 60x15, where twelve --tol 1e-8 solves took
 # 37.0 ms against 40.3 ms with whole 256-draw chunks (2-core x86_64).
 _METRIC_BYTES = 1 << 16
-
-
-class NumericFailureError(Exception):
-    """An iterate left the finite range; carries the iteration index."""
-
-    def __init__(self, iteration: int, message: str | None = None):
-        self.iteration = iteration
-        super().__init__(message or f"non-finite iterate at iteration {iteration}")
 
 
 class Method(enum.Enum):

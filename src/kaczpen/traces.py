@@ -6,13 +6,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fileio import atomic_write_text, format_float, read_text
+from .fileio import TraceFormatError, atomic_write_text, format_float, read_text
 
 TRACE_HEADER = "k,row,rho,error_sq,residual,z,lyapunov,fresh"
-
-
-class TraceFormatError(Exception):
-    """A trace CSV failed to parse; message names the offending line."""
+# one record's line: the floats as format_float writes them
+_RECORD_FORMAT = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 
 
 class TraceRecord(NamedTuple):
@@ -73,21 +71,10 @@ class RunSummary:
 
 def render_trace_csv(records: list[TraceRecord]) -> str:
     lines = [TRACE_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    str(r.row),
-                    format_float(r.rho),
-                    format_float(r.error_sq),
-                    format_float(r.residual),
-                    format_float(r.z),
-                    format_float(r.lyapunov),
-                    "1" if r.fresh else "0",
-                ]
-            )
-        )
+    lines += [
+        _RECORD_FORMAT % (k, row, rho, error_sq, residual, z, lyapunov, "1" if fresh else "0")
+        for k, row, rho, error_sq, residual, z, lyapunov, fresh in records
+    ]
     return "\n".join(lines) + "\n"
 
 

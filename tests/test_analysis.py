@@ -69,6 +69,23 @@ def test_rate_rak_ls_worked_value():
     assert instance_rate_factor(identity_ls(), Method.RAK, 1.0, 1.0) == 0.75
 
 
+def test_rate_rpk_damping_beyond_the_squared_range():
+    """(1 + rho)^2 overflows float64 past rho ~ 1.3e154, where the damping
+    rounds to 1; it used to raise OverflowError there."""
+    assert analysis._damping(Method.RPK, 1e160) == 1.0
+    p = unit_rows(ProblemKind.LS, 4)
+    assert instance_rate_factor(p, Method.RPK, 1e200, 1.0) == 0.75
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_rate_damping_at_infinite_rho_is_the_plain_step(method):
+    """rho0 * min ||a_i||^2 can overflow to inf; both damped formulas give
+    inf / inf = nan there, which solve printed as per_step_factor=nan."""
+    assert analysis._damping(method, np.inf) == 1.0
+    p = unit_rows(ProblemKind.LS, 4)
+    assert instance_rate_factor(p, method, np.inf, 1.0) == 0.75
+
+
 def test_rate_large_rho_limit():
     factor = instance_rate_factor(identity_ls(), Method.RPK, 1e12, 1.0)
     assert abs(factor - 0.5) <= 1e-6

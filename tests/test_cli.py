@@ -394,6 +394,29 @@ def test_overflowing_solution_exits_3(capsys, tmp_path):
         assert "float64 range" in stderr
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["rk", "rpk", "rak"])
+def test_solution_beyond_the_squared_range_solves(capsys, tmp_path, method):
+    """x* = b / a = -7.5e99 is in range, though ||A A^T||_F = a^2 and the
+    penalty (1 + rho a^2)^2 overflow float64: solve and compare reach x*
+    with no numpy warning."""
+    path = tmp_path / "p.txt"
+    path.write_text(
+        "kaczmarz-problem v1 ls 1 1\n-7.5430376111653931e+99 5.6897416403455716e+199\n"
+    )
+    trace = str(tmp_path / "t.csv")
+    code, stdout, stderr = run_cli(
+        capsys, "solve", str(path), "--method", method, "--iters", "10", "--trace", trace
+    )
+    assert (code, stderr) == (0, "")
+    assert " final_error_sq=0 final_residual=0 per_step_factor=0 " in stdout
+    code, stdout, stderr = run_cli(
+        capsys, "compare", str(path), "--methods", method, "--trials", "2", "--checkpoints", "0,5"
+    )
+    assert (code, stderr) == (0, "")
+    assert stdout.splitlines()[-1] == f"{method},5,0,0"
+
+
 FAR_2X2 = "kaczmarz-problem v1 lf 2 2\n1e-150 0 -1e300\n0 1 0\n"
 FAR_1X1 = "kaczmarz-problem v1 lf 1 1\n1e-160 -1e300\n"
 FAR_MESSAGE = "projection lies beyond the float64 range (largest finite value 1.8e308)"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaczpen.cli import main
+from kaczpen.fileio import format_float
 from kaczpen.linalg import DenseMatrix
 from kaczpen.problems import (
     Problem,
@@ -68,6 +69,35 @@ def test_problem_round_trip_is_exact(tmp_path_factory, problem):
     assert _bits(back.a.data) == _bits(problem.a.data)
     assert _bits(back.b) == _bits(problem.b)
     assert _bits(back.x_planted) == _bits(problem.x_planted)
+
+
+def _per_value_text(problem) -> str:
+    """The problem file as written with one format_float call per value."""
+    lines = [f"kaczmarz-problem v1 {problem.kind.value} {problem.m} {problem.n}"]
+    for row, b_i in zip(problem.a.data, problem.b):
+        lines.append(" ".join([format_float(v) for v in row] + [format_float(b_i)]))
+    if problem.x_planted is not None:
+        lines.append("planted " + " ".join(format_float(v) for v in problem.x_planted))
+    return "\n".join(lines) + "\n"
+
+
+def test_save_problem_matches_per_value_format_float(tmp_path):
+    """One format string per line writes the same bytes as format_float on
+    every value: signed zeros, subnormals and the largest float."""
+    tiny, big = 5e-324, 1.7976931348623157e308
+    rows = [[-0.0, tiny, 1.0], [1e154, -2.2250738585072014e-308, 1.0 / 3.0]]
+    problem = Problem(ProblemKind.LF, DenseMatrix(rows), [-0.0, big], [0.0, -0.0, tiny])
+    path = tmp_path / "p.txt"
+    save_problem(problem, str(path))
+    assert path.read_text() == _per_value_text(problem)
+
+
+@SETTINGS
+@given(problem=problems(max_m=6, max_n=6))
+def test_save_problem_writes_format_float_values(tmp_path_factory, problem):
+    path = tmp_path_factory.mktemp("fmt") / "p.txt"
+    save_problem(problem, str(path))
+    assert path.read_text() == _per_value_text(problem)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

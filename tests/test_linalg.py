@@ -150,6 +150,32 @@ def test_least_norm_overflow_raises(rows, b, x0):
         least_norm_solution(DenseMatrix(rows), np.array(b), np.array(x0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_least_norm_beyond_the_squared_range():
+    """||A A^T||_F overflows float64 once a singular value passes about
+    1e77.  The 1x1 system a x = b there still solves, with no numpy
+    warning, and so does its lambda_min."""
+    a = DenseMatrix([[-7.5430376111653931e99]])
+    b = np.array([5.6897416403455716e199])
+    x = least_norm_solution(a, b, np.zeros(1))
+    assert x[0] == pytest.approx(b[0] / a.data[0, 0], rel=1e-15)
+    assert lambda_min_variants(a) == (a.frobenius_sq, a.frobenius_sq)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+def test_least_norm_threshold_is_scale_free(scale):
+    """A singular value counts as zero when its square is at most 1e-10
+    times ||A A^T||_F, whether or not that norm overflows: 1e-4 of the
+    largest is kept, 1e-6 is not."""
+    kept = DenseMatrix(np.diag([1.0, 1e-4]) * scale)
+    x = least_norm_solution(kept, kept.data @ np.ones(2), np.zeros(2))
+    np.testing.assert_allclose(x, np.ones(2), rtol=1e-12)
+    dropped = DenseMatrix(np.diag([1.0, 1e-6]) * scale)
+    with pytest.raises(InconsistentSystemError, match="exceeds tolerance"):
+        least_norm_solution(dropped, dropped.data @ np.ones(2), np.zeros(2))
+
+
 def test_least_norm_is_minimum_norm():
     """From x0 = 0 the returned solution has the smallest norm among solutions."""
     rng = np.random.default_rng(23)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kaczpen.fileio import format_float
 from kaczpen.problems import generate_consistent_ls
 from kaczpen.solvers import Method, SolverConfig, run_solver
 from kaczpen.traces import (
@@ -34,6 +35,40 @@ def test_render_starts_with_header():
     text = render_trace_csv(sample_records())
     assert text.splitlines()[0] == TRACE_HEADER
     assert len(text.splitlines()) == 3
+
+
+def _per_field_csv(records) -> str:
+    """The trace text as written with one format_float call per field."""
+    lines = [TRACE_HEADER]
+    for r in records:
+        fields = [str(r.k), str(r.row)]
+        fields += [format_float(v) for v in (r.rho, r.error_sq, r.residual, r.z, r.lyapunov)]
+        fields.append("1" if r.fresh else "0")
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def test_render_matches_per_field_format_float():
+    """One format string per record writes the same bytes as format_float
+    on every field: signed zeros, subnormals, the largest float, an
+    infinite rho and numpy float64 values."""
+    tiny, big = 5e-324, 1.7976931348623157e308
+    recs = sample_records() + [
+        TraceRecord(k=2, row=0, rho=np.inf, error_sq=-0.0, residual=0.0, z=-0.0, lyapunov=tiny),
+        TraceRecord(
+            k=10**12, row=7, rho=big, error_sq=2.2250738585072014e-308,
+            residual=-tiny, z=-big, lyapunov=1e-310, fresh=False,
+        ),
+        TraceRecord(
+            k=3, row=1, rho=np.float64(1.1), error_sq=np.float64(1.0) / 3.0,
+            residual=np.float64(-0.0), z=np.float64(tiny), lyapunov=np.float64(big),
+        ),
+    ]
+    assert render_trace_csv(recs) == _per_field_csv(recs)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((50, 5)) * 10.0 ** rng.integers(-300, 300, (50, 5))
+    recs = [TraceRecord(k, k - 1, *row, fresh=bool(k % 2)) for k, row in enumerate(values)]
+    assert render_trace_csv(recs) == _per_field_csv(recs)
 
 
 def test_round_trip_preserves_floats(tmp_path):
