@@ -341,29 +341,38 @@ def _lambda_min(problem: Problem) -> float:
     return problem.memo("lambda_min", build)
 
 
-def envelope_factor(
-    problem: Problem, method: Method, rho: float, seed: int, n_samples: int = 200
-) -> float:
-    """The per-step factor of solve's summary and compare's envelope:
-    instance_rate_factor at penalty rho, with _lambda_min's constant for
-    equality systems, a true bound on errors in row(A).  For feasibility
-    systems a seeded estimate stands in for the true constant L:
-    hoffman_estimate with n_samples over hoffman_ball's default ball,
-    seeded with seed + 999,983, kept on the problem per (seed, n_samples).
-    It is only a sampled lower bound on L, and the factor is nan when no
-    sample contributes to it."""
+# the feasibility constant L is estimated from this many samples, drawn
+# from a stream with this fixed seed
+_L_SAMPLES = 64
+_L_SEED = 999_983
 
-    def sampled_l():
+
+def _hoffman_l(problem: Problem) -> float:
+    """The feasibility constant L that envelope_factor uses: hoffman_estimate
+    with _L_SAMPLES samples over hoffman_ball's default ball at the fixed
+    seed _L_SEED, computed once per problem and kept on it.  It is only a
+    sampled lower bound on L, and nan when no sample contributes."""
+
+    def build():
         radius = hoffman_ball(problem)[1]
         try:
-            return hoffman_estimate(problem, n_samples, radius, seed + 999_983).value
+            return hoffman_estimate(problem, _L_SAMPLES, radius, _L_SEED).value
         except NoEstimateError:
             return float("nan")
 
+    return problem.memo("hoffman_l", build)
+
+
+def envelope_factor(problem: Problem, method: Method, rho: float) -> float:
+    """The per-step factor of solve's summary and compare's envelope:
+    instance_rate_factor at penalty rho, with _lambda_min's constant for
+    equality systems, a true bound on errors in row(A), and _hoffman_l's
+    sampled L for feasibility systems, so the factor is nan when no sample
+    contributes.  It depends on the problem, method and rho alone."""
     if problem.kind is ProblemKind.LS:
         conditioning = _lambda_min(problem)
     else:
-        conditioning = problem.memo(("hoffman_l", seed, n_samples), sampled_l)
+        conditioning = _hoffman_l(problem)
     # a nan L passes instance_rate_factor's checks and gives a nan factor
     return instance_rate_factor(problem, method, rho, conditioning)
 
@@ -562,12 +571,12 @@ def monte_carlo_error_curve(
 
     The rows are used as given, by the runs, the metric and the envelope
     alike; a caller that wants unit rows passes normalize_rows(problem).
-    The envelope uses envelope_factor at rho0 and cfg.seed, the
-    fixed-penalty instance factor, which is a true expectation bound for
-    equality systems.  For feasibility problems the distance constant is a
-    sampled lower bound on the true one, so that envelope is a reference
-    curve rather than a guarantee, and nan past k = 0 when no sample
-    contributes to the estimate.
+    The envelope uses envelope_factor at rho0, the fixed-penalty instance
+    factor that solve prints at any seed, which is a true expectation
+    bound for equality systems.  For feasibility problems the distance
+    constant is a sampled lower bound on the true one, so that envelope is
+    a reference curve rather than a guarantee, and nan past k = 0 when no
+    sample contributes to the estimate.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -639,7 +648,7 @@ def monte_carlo_error_curve(
         raise NumericFailureError(failed_at)
     means = [s / n_trials for s in sums]
 
-    factor = envelope_factor(problem, method, cfg.rho0, cfg.seed)
+    factor = envelope_factor(problem, method, cfg.rho0)
     envelope = [factor**k * initial for k in ks]
     return CurveReport(
         method=method,

@@ -152,9 +152,7 @@ def cmd_solve(args) -> int:
         iterations_executed=state.k,
         final_error_sq=final_error_sq,
         final_residual=solvers.residual_of(problem, state.x),
-        per_step_factor=analysis.envelope_factor(
-            problem, cfg.method, cfg.rho0, cfg.seed, n_samples=64
-        ),
+        per_step_factor=analysis.envelope_factor(problem, cfg.method, cfg.rho0),
         wall_time_seconds=wall,
     )
     print(summary.as_line())

@@ -211,6 +211,18 @@ def load_problem(path: str) -> Problem:
                 raise ProblemFormatError(f"line {lineno}: squared row norm underflows to 0")
             raise ProblemFormatError(f"line {lineno}: row is identically zero")
         raise ProblemFormatError(f"line {lineno}: squared row norm overflows")
+    # and their sum, which the sampling weights divide by
+    with np.errstate(over="ignore"):
+        total, running = norms_sq.sum(), np.cumsum(norms_sq)
+    if not np.isfinite(total):
+        # named at the row where the running sum overflows, or the last row
+        # when only the pairwise total does
+        over = np.flatnonzero(~np.isfinite(running))
+        i = int(over[0]) if over.size else m - 1
+        raise ProblemFormatError(
+            f"line {lines[1 + i][0]}: the sum of squared row norms is beyond "
+            "the float64 range (max 1.8e308)"
+        )
 
     x_planted = None
     # a Problem check that fails below is the witness check, so it names

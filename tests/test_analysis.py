@@ -219,12 +219,12 @@ def test_envelope_factor_wide_uses_smallest_nonzero_eigenvalue():
     run's error stays.  A rank-deficient wide file keeps factor 1."""
     p = generate_consistent_ls(5, 9, seed=75)
     lam = float(np.linalg.eigvalsh(p.a.data @ p.a.data.T)[0])
-    factor = analysis.envelope_factor(p, Method.RK, 1.0, seed=0)
+    factor = analysis.envelope_factor(p, Method.RK, 1.0)
     assert factor < 1.0
     assert factor == pytest.approx(1.0 - lam / p.a.frobenius_sq, rel=1e-12)
     a = np.vstack([p.a.data, p.a.data[:1]])
     dup = Problem(ProblemKind.LS, DenseMatrix(a), a @ p.x_planted, x_planted=p.x_planted)
-    assert analysis.envelope_factor(dup, Method.RK, 1.0, seed=0) == 1.0
+    assert analysis.envelope_factor(dup, Method.RK, 1.0) == 1.0
 
 
 def test_instance_rate_validation():
@@ -607,12 +607,36 @@ def test_hoffman_ball_projects_origin_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(analysis, "project_polyhedron", counted)
-    analysis.envelope_factor(p, Method.RK, 1.0, seed=0, n_samples=16)
+    analysis.envelope_factor(p, Method.RK, 1.0)
     assert len(calls) == 1
     center, radius = analysis.hoffman_ball(p)
     assert len(calls) == 1
     assert not center.flags.writeable
     assert radius == 2.0 * (1.0 + float(np.sqrt(center @ center)))
+
+
+def test_envelope_factor_estimates_l_once_per_problem(monkeypatch):
+    """The feasibility factor's L is hoffman_estimate with 64 samples over
+    the default ball at the fixed seed 999,983, estimated on the first
+    call and shared by every method and penalty after it."""
+    p = generate_feasible_lf(12, 6, seed=31, active_fraction=0.3)
+    calls = []
+    original = analysis.hoffman_estimate
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "hoffman_estimate", counted)
+    factors = [
+        analysis.envelope_factor(p, method, rho)
+        for method in (Method.RK, Method.RPK, Method.RAK)
+        for rho in (0.5, 1.0, 4.0)
+    ]
+    radius = analysis.hoffman_ball(p)[1]
+    assert calls == [(64, radius, 999_983)]
+    l_value = original(p, 64, radius, 999_983).value
+    assert factors[4] == instance_rate_factor(p, Method.RPK, 1.0, l_value)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +706,7 @@ def test_expected_step_bound_uneven_rows():
             for rho in (0.01, 0.1, 1.0, 10.0):
                 state = SolverState(x=x, z=z, rho=rho, k=0)
                 rep = exact_expected_step(p, state, method, rho)
-                factor = analysis.envelope_factor(p, method, rho, seed=0)
+                factor = analysis.envelope_factor(p, method, rho)
                 if method is Method.RAK:
                     got, base = rep.expected_lyapunov, rep.base_lyapunov
                 else:

@@ -215,6 +215,66 @@ def test_solve_tol_stops_early(capsys, tmp_path):
     assert records[-1].residual <= 1e-10
 
 
+IDENTITY_ZERO = "kaczmarz-problem v1 ls 2 2\n1 0 0\n0 1 0\n"
+
+
+def test_solve_start_within_tol_runs_no_steps(capsys, tmp_path):
+    """The start x = 0 solves the system, so --tol stops the run before its
+    first step, and a traced run writes the k = 0 record alone."""
+    path = tmp_path / "p.txt"
+    path.write_text(IDENTITY_ZERO)
+    trace = str(tmp_path / "t.csv")
+    for extra in ([], ["--trace", trace]):
+        code, stdout, stderr = run_cli(
+            capsys, "solve", str(path), "--method", "rk", "--iters", "100", "--tol", "1e-9",
+            *extra,
+        )
+        assert code == 0, stderr
+        assert " iterations_executed=0 " in stdout
+    records = parse_trace_csv(trace)
+    assert [(r.k, r.row) for r in records] == [(0, -1)]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--trace-stride", "0", "trace_stride must be positive"),
+     ("--tol", "-1", "residual_tol must be nonnegative")],
+)
+def test_solve_bad_stride_or_tol_exits_2(capsys, tmp_path, flag, value, message):
+    path = tmp_path / "p.txt"
+    path.write_text(IDENTITY_ZERO)
+    code, stdout, stderr = run_cli(
+        capsys, "solve", str(path), "--method", "rk", "--iters", "5", flag, value
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"usage error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("ls", ["solve", "--method", "rk", "--iters", "5"]),
+        ("lf", ["solve", "--method", "rk", "--iters", "5"]),
+        ("lf", ["compare", "--methods", "rk", "--trials", "2", "--checkpoints", "0,5"]),
+    ],
+    ids=["ls-solve", "lf-solve", "lf-compare"],
+)
+def test_frobenius_overflow_exits_3(capsys, tmp_path, kind, argv):
+    """Each squared row norm, 1.44e308, fits float64, but their sum, the
+    sampling weights' normalizer, does not: the loader refuses the file
+    with one line naming the range, and no numpy warning."""
+    path = tmp_path / "p.txt"
+    path.write_text(f"kaczmarz-problem v1 {kind} 2 2\n1.2e154 0 1\n1.2e154 1 1\n")
+    code, stdout, stderr = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 3
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        "error: line 3: the sum of squared row norms is beyond the float64 range (max 1.8e308)"
+    ]
+
+
 def test_solve_missing_file_exits_3(capsys):
     code, _, stderr = run_cli(
         capsys, "solve", "/nonexistent/p.txt", "--method", "rk", "--iters", "1"
@@ -320,7 +380,7 @@ def test_solve_lf_runs(capsys, tmp_path, lf_problem):
 
 def test_solve_lf_factor_on_uneven_rows(capsys, tmp_path):
     """The 10x20 file's squared row norms run from 16.8 to 27.2, so the
-    feasibility factor 1 - damping / (||A||_F^2 L^2) is 0.9237; with a
+    feasibility factor 1 - damping / (||A||_F^2 L^2) is 0.93449; with a
     stray s_min in the numerator it read -0.2816, not a contraction."""
     path = str(tmp_path / "lf.txt")
     assert main(["generate", "--kind", "lf", "--rows", "10", "--cols", "20", "--seed", "1007",
@@ -329,7 +389,30 @@ def test_solve_lf_factor_on_uneven_rows(capsys, tmp_path):
         capsys, "solve", path, "--method", "rk", "--iters", "100", "--seed", "7"
     )
     assert code == 0, stderr
-    assert "per_step_factor=0.9237" in stdout
+    assert "per_step_factor=0.93449" in stdout
+
+
+@pytest.mark.parametrize(
+    "rows, cols, seed", [(10, 20, 1000), (300, 50, 1)], ids=["10x20", "300x50"]
+)
+def test_lf_factor_is_one_per_problem(capsys, tmp_path, rows, cols, seed):
+    """The feasibility factor rests on one estimate of L per problem: solve
+    prints the same per_step_factor at every --seed, and compare's envelope
+    (monte_carlo_error_curve) uses that same factor."""
+    path = str(tmp_path / "lf.txt")
+    assert main(["generate", "--kind", "lf", "--rows", str(rows), "--cols", str(cols),
+                 "--seed", str(seed), "--active-fraction", "0.3", "-o", path]) == 0
+    factors = set()
+    for run_seed in ("0", "1", "7"):
+        code, stdout, stderr = run_cli(
+            capsys, "solve", path, "--method", "rk", "--iters", "10", "--seed", run_seed
+        )
+        assert code == 0, stderr
+        factors.add(stdout.split("per_step_factor=")[1].split()[0])
+    assert len(factors) == 1
+    cfg = kaczpen.solvers.SolverConfig(method=Method.RK, max_iters=1, rho0=1.0, seed=5)
+    curve = kaczpen.analysis.monte_carlo_error_curve(load_problem(path), cfg, 1, [0, 1])
+    assert factors == {format_float(curve.per_step_factor)}
 
 
 def test_solve_more_rows_than_old_cap(capsys, tmp_path):
