@@ -24,7 +24,7 @@ from .linalg import (
 )
 from .problems import Problem, ProblemKind
 from .projection import _warm_distance, distance_to_feasible, project_polyhedron
-from .sampling import build_sampler, make_rng
+from .sampling import RowDistribution, make_rng
 from .solvers import _DRAW_BLOCK, Method, SolverConfig, SolverState
 
 __all__ = [
@@ -377,10 +377,6 @@ def envelope_factor(problem: Problem, method: Method, rho: float) -> float:
     return instance_rate_factor(problem, method, rho, conditioning)
 
 
-def _sampling_weights(a: DenseMatrix) -> np.ndarray:
-    return a.row_norms_sq / a.frobenius_sq
-
-
 def _enumerate_rows(
     problem: Problem, state: SolverState, method: Method, rho: float, rho_next: float
 ):
@@ -425,7 +421,7 @@ def _enumerate_rows(
     zs = coef if method is Method.RAK else np.full(problem.m, z)
     exp_err = exp_zsq = exp_next = 0.0
     # summed row by row in row order; a vectorised sum would round differently
-    for w, e, z_new in zip(_sampling_weights(a), err, zs):
+    for w, e, z_new in zip(RowDistribution(a).probabilities, err, zs):
         exp_err += w * e
         exp_zsq += w * z_new * z_new
         exp_next += w * (e + z_new * z_new / rho_next)
@@ -520,7 +516,7 @@ def adaptive_step_report(problem: Problem, state: SolverState, c: float) -> Adap
     if problem.kind is ProblemKind.LF:
         r = np.maximum(r, 0.0)
     contraction = _damping(Method.RAK, rho * float(s.min())) * float(r @ r) / a.frobenius_sq
-    dual_decay = z * z * float(_sampling_weights(a) @ (s / (1.0 + rho * s)))
+    dual_decay = z * z * float(RowDistribution(a).probabilities @ (s / (1.0 + rho * s)))
 
     base_lyap = base_err + z * z / rho
     surcharge = (c - 1.0) / (c * rho) * exp_zsq
@@ -561,11 +557,16 @@ def monte_carlo_error_curve(
     start's result bit for bit (see projection._certified).  All trials
     advance together in one pass
     to the largest checkpoint: trial t's iterate is row t of an
-    (n_trials, n) array, its rows come from its own sampler, drawn ahead
-    in blocks, and every step calls the step kernel on all trials at once.
-    The residuals come from a stacked matmul, which rounds exactly like
-    the scalar row @ x, so the means are bit for bit those of per-trial
-    reruns.  Means accumulate in trial order.  A non-finite iterate raises
+    (n_trials, n) array, and every step calls the step kernel on all
+    trials at once.  The trials share one RowDistribution, built once per
+    curve; trial t keeps its own PCG64 stream, seeded cfg.seed + t, and
+    draws its rows ahead in blocks of random(count), as its run_solver
+    sampler would, and every trial's block is mapped to rows in one
+    search, so a trial adds only its stream's set-up and its steps.  The
+    residuals, and the equality checkpoint errors, come from
+    stacked products, which round exactly like the scalar row @ x and
+    d @ d, so the means are bit for bit those of per-trial reruns.  Means
+    accumulate in trial order.  A non-finite iterate raises
     NumericFailureError for the lowest-index trial that produces one, at
     its first such iteration.
 
@@ -593,7 +594,8 @@ def monte_carlo_error_curve(
     initial = solvers.error_sq_of(problem, x0, x_star)
 
     a, b, norms_sq = problem.a.data, problem.b, problem.a.row_norms_sq
-    samplers = [build_sampler(problem.a, cfg.seed + t) for t in range(n_trials)]
+    distribution = RowDistribution(problem.a)
+    rngs = [make_rng(cfg.seed + t) for t in range(n_trials)]
     x = np.tile(x0, (n_trials, 1))
     z = np.zeros(n_trials)
     rho = cfg.rho0
@@ -606,16 +608,22 @@ def monte_carlo_error_curve(
     def add_checkpoints(k: int) -> None:
         nonlocal next_j
         while next_j < len(ks) and ks[next_j] == k:
-            for t in range(len(x)):
-                start = supports[t]
-                if start is None and t > 0:
-                    # a trial's first checkpoint starts from the trial before it
-                    start = supports[t - 1]
-                # an array of its own, as run_solver's state.x is
-                err, supports[t] = solvers._error_sq(problem, x[t].copy(), x_star, start)
-                if method is Method.RAK:
-                    zt = float(z[t])
-                    err += zt * zt / rho
+            if is_ls:
+                # one stacked dot, equal to each trial's d @ d bit for bit
+                d = x - x_star
+                errs = row_dots(d, d)
+            else:
+                errs = np.empty(len(x))
+                for t in range(len(x)):
+                    start = supports[t]
+                    if start is None and t > 0:
+                        # a trial's first checkpoint starts from the trial before it
+                        start = supports[t - 1]
+                    # an array of its own, as run_solver's state.x is
+                    errs[t], supports[t] = solvers._error_sq(problem, x[t].copy(), x_star, start)
+            if method is Method.RAK:
+                errs += z * z / rho
+            for err in errs.tolist():
                 sums[next_j] += err
             next_j += 1
 
@@ -624,7 +632,9 @@ def monte_carlo_error_curve(
         j = (k - 1) % _DRAW_BLOCK
         if j == 0:
             count = min(_DRAW_BLOCK, ks[-1] - k + 1)
-            drawn = np.stack([s.sample_rows(count) for s in samplers])
+            # trial t's block is random(count) from its own stream, mapped
+            # to rows with the others' in one search
+            drawn = distribution.rows(np.stack([rng.random(count) for rng in rngs]))
         idx = drawn[:, j]
         x, coef, _ = solvers._step_rows(
             a[idx], x, b[idx], norms_sq[idx], method, z, rho, not is_ls
@@ -639,7 +649,7 @@ def monte_carlo_error_curve(
             failed_at = k
             if bad == 0:
                 break
-            samplers, drawn = samplers[:bad], drawn[:bad]
+            rngs, drawn = rngs[:bad], drawn[:bad]
             x, z = x[:bad], z[:bad]
         if method is not Method.RK:
             rho = solvers.advance_rho(rho, cfg.c, cfg.rho_max)

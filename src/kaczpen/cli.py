@@ -20,7 +20,7 @@ import numpy as np
 # the modules that only solve, compare, verify and plot use: LazyLoader
 # modules (see the package docstring), so generate never loads them
 from . import analysis, solvers, svgchart, traces, verify
-from .fileio import TraceFormatError, atomic_write_text, format_float
+from .fileio import TraceFormatError, atomic_write_text, format_float, check_output_path
 from .linalg import (
     ConvergenceError,
     InconsistentSystemError,
@@ -128,6 +128,8 @@ def _solver_config(
 def cmd_solve(args) -> int:
     problem = _load_run_problem(args)
     cfg = _solver_config(args, solvers.Method(args.method), args.iters, args.tol, args.trace_stride)
+    if args.trace:
+        check_output_path(args.trace)
     records = []
     sink = records.append if args.trace else None
     start = time.perf_counter()
@@ -166,6 +168,8 @@ def cmd_compare(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     cfgs = [_solver_config(args, method, max(checkpoints)) for method in methods]
+    if args.output:
+        check_output_path(args.output)
     lines = ["method,checkpoint,mean_error_sq,envelope"]
     for cfg in cfgs:
         # the problem keeps its estimate of L, so every method shares one

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 
@@ -17,20 +18,38 @@ def _current_umask() -> int:
     return mask
 
 
+def check_output_path(path: str) -> None:
+    """Raise the OSError, naming path, that atomic_write_text(path, ...)
+    would raise when path is a directory or its directory does not exist,
+    so that a run can refuse its output path before doing any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file and rename, so readers never
-    observe a half-written file."""
+    observe a half-written file.  An OSError names path, not the temp
+    file, and leaves no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         # mkstemp creates 0600; give the file the mode open() would have
         os.chmod(tmp, 0o666 & ~_current_umask())
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from None
         raise
 
 

@@ -66,10 +66,12 @@ class DenseMatrix:
         self.data = a
         self.rows = m
         self.cols = n
-        rn = (a * a).sum(axis=1)
+        # a sum beyond the float64 range is inf, which Problem refuses by name
+        with np.errstate(over="ignore"):
+            rn = (a * a).sum(axis=1)
+            self.frobenius_sq = float(rn.sum())
         rn.flags.writeable = False
         self.row_norms_sq = rn
-        self.frobenius_sq = float(rn.sum())
 
     def row(self, i: int) -> np.ndarray:
         if not 0 <= i < self.rows:

@@ -53,6 +53,11 @@ class Problem:
         if (self.a.row_norms_sq == 0.0).any():
             i = int(np.argmax(self.a.row_norms_sq == 0.0))
             raise ValueError(f"row {i} is identically zero")
+        if not np.isfinite(self.a.frobenius_sq):
+            # the sampling weights divide by it
+            raise ValueError(
+                "the sum of squared row norms is beyond the float64 range (max 1.8e308)"
+            )
         if self.x_planted is not None:
             xp = as_vector(self.x_planted, self.a.cols).copy()
             xp.flags.writeable = False

@@ -18,12 +18,11 @@ from kaczpen.analysis import (
     AdaptiveStepReport,
     ExpectedStepReport,
     _ENUMERATION_CAP,
-    _sampling_weights,
 )
 from kaczpen.linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution
 from kaczpen.problems import Problem, ProblemKind
 from kaczpen.projection import distance_to_feasible
-from kaczpen.sampling import build_sampler
+from kaczpen.sampling import RowDistribution, build_sampler
 from kaczpen.solvers import Method, NumericFailureError, SolverConfig, SolverState, advance_rho
 from kaczpen.traces import TraceRecord
 
@@ -189,7 +188,7 @@ def reference_expected_step(
         base_dist = distance_to_feasible(x, problem)
         base_err = base_dist * base_dist
 
-    weights = _sampling_weights(problem.a)
+    weights = RowDistribution(problem.a).probabilities
     exp_err = 0.0
     exp_zsq = 0.0
     for i in range(problem.m):
@@ -270,7 +269,7 @@ def reference_adaptive_report(
         r_plus = np.maximum(problem.a.data @ x - problem.b, 0.0)
         contraction = rho / (m * (1.0 + rho)) * float(r_plus @ r_plus)
 
-    weights = _sampling_weights(problem.a)
+    weights = RowDistribution(problem.a).probabilities
     lhs = 0.0
     exp_zsq = 0.0
     for i in range(m):

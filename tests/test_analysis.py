@@ -25,6 +25,7 @@ from kaczpen.problems import (
     normalize_rows,
 )
 from kaczpen.projection import distance_to_feasible, project_polyhedron
+from kaczpen.sampling import RowDistribution, build_sampler
 from kaczpen.solvers import (
     Method,
     NumericFailureError,
@@ -918,6 +919,71 @@ def test_mc_batched_spans_several_draw_blocks():
     assert rep.means == _reference_means(p, cfg, 3, checkpoints)
 
 
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+@pytest.mark.parametrize(
+    "n_trials, checkpoints",
+    [(180, [10, 20]), (50, [0, analysis._DRAW_BLOCK - 1, analysis._DRAW_BLOCK + 3])],
+    ids=["180-trials", "50-trials-two-blocks"],
+)
+def test_mc_many_trials_match_per_trial_reruns(method, kind, n_trials, checkpoints):
+    """compare's trial counts: every trial draws from the one shared row
+    distribution and still gets the means of per-trial reruns bit for bit."""
+    if kind == "ls":
+        p = generate_consistent_ls(20, 5, seed=72)
+    else:
+        p = generate_feasible_lf(10, 20, seed=73, active_fraction=0.3)
+    cfg = SolverConfig(method=method, max_iters=0, rho0=0.3, seed=17)
+    rep = monte_carlo_error_curve(p, cfg, n_trials, checkpoints)
+    assert rep.means == _reference_means(p, cfg, n_trials, checkpoints)
+
+
+def test_mc_trial_rows_are_its_own_sampler_stream(monkeypatch):
+    """Trial t's rows, block by block, are those that
+    build_sampler(a, seed + t).sample_rows draws for the same block sizes."""
+    block = analysis._DRAW_BLOCK
+    p = generate_consistent_ls(20, 5, seed=74)
+    drawn = []
+    rows = RowDistribution.rows
+
+    def record(self, u):
+        out = rows(self, u)
+        drawn.append(out.copy())
+        return out
+
+    monkeypatch.setattr(RowDistribution, "rows", record)
+    cfg = SolverConfig(method=Method.RPK, max_iters=0, seed=21)
+    monte_carlo_error_curve(p, cfg, 50, [block + 40])
+    monkeypatch.undo()
+    assert [d.shape for d in drawn] == [(50, block), (50, 40)]
+    for t in range(50):
+        sampler = build_sampler(p.a, 21 + t)
+        for d in drawn:
+            assert np.array_equal(d[t], sampler.sample_rows(d.shape[1]))
+
+
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+@pytest.mark.parametrize("n_trials", [1, 7, 180])
+def test_mc_builds_the_row_distribution_once(monkeypatch, kind, n_trials):
+    """The weights, their checks and cumulative sums are built once per
+    curve, whatever the trial count; each trial adds only its stream."""
+    builds = []
+    init = RowDistribution.__init__
+
+    def counting(self, a):
+        builds.append(a)
+        init(self, a)
+
+    monkeypatch.setattr(RowDistribution, "__init__", counting)
+    if kind == "ls":
+        p = generate_consistent_ls(20, 5, seed=75)
+    else:
+        p = generate_feasible_lf(10, 20, seed=76, active_fraction=0.3)
+    cfg = SolverConfig(method=Method.RAK, max_iters=0, seed=5)
+    monte_carlo_error_curve(p, cfg, n_trials, [10, 20])
+    assert builds == [p.a]
+
+
 def _overflowing_lf():
     # x0 violates only the first row, whose step lands on x1 = x2, where
     # the second row's residual 3 x1 overflows: each trial fails the
@@ -945,6 +1011,21 @@ def test_mc_numeric_failure_names_lowest_failing_trial(seed, horizon, expected):
     with pytest.raises(NumericFailureError) as got:
         monte_carlo_error_curve(p, cfg, 4, [3, horizon])
     assert got.value.iteration == ref.value.iteration == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_numeric_failure_after_dropped_trials_in_a_later_block():
+    """A trial fails at its first draw of row 0 (weight 1/201), where the
+    step overflows.  At seed 23 trial 2 fails at k = 2 and trials 2-19 are
+    dropped; trial 0 never fails, and trial 1's failure at k = 400, two
+    draw blocks on, is the one named."""
+    p = Problem(kind=ProblemKind.LF, a=DenseMatrix([[-0.15, 0.15], [3.0, 0.0]]), b=np.zeros(2))
+    cfg = SolverConfig(method=Method.RK, max_iters=0, seed=23, x0=np.array([0.0, 1.5e308]))
+    with pytest.raises(NumericFailureError) as ref:
+        _reference_means(p, cfg, 20, [3, 600])
+    with pytest.raises(NumericFailureError) as got:
+        monte_carlo_error_curve(p, cfg, 20, [3, 600])
+    assert got.value.iteration == ref.value.iteration == 400
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1030,6 +1030,56 @@ def test_plot_escapes_legend_labels(capsys, tmp_path, ls_problem):
 
 
 # ---------------------------------------------------------------------------
+# writes that fail
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "compare", "plot"])
+def test_write_to_missing_directory_names_destination(
+    capsys, tmp_path, ls_problem, monkeypatch, command
+):
+    """A destination in a missing directory exits 3 with one error line
+    naming it, not the temp file beside it.  solve and compare refuse it
+    before their first step; nothing is written."""
+    trace = str(tmp_path / "t.csv")
+    assert main(["solve", ls_problem, "--method", "rk", "--iters", "5", "--trace", trace]) == 0
+    missing = tmp_path / "missing"
+    dest = str(missing / "out")
+    argv = {
+        "generate": ["generate", "--kind", "ls", "--rows", "3", "--cols", "2", "-o", dest],
+        "solve": ["solve", ls_problem, "--method", "rk", "--iters", "10", "--trace", dest],
+        "compare": ["compare", ls_problem, "--trials", "2", "--checkpoints", "5", "-o", dest],
+        "plot": ["plot", trace, "-o", dest],
+    }[command]
+    steps = []
+    monkeypatch.setattr("kaczpen.solvers._step_coef", lambda *a: steps.append(a))
+    monkeypatch.setattr("kaczpen.solvers._step_rows", lambda *a: steps.append(a))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (3, "")
+    assert stderr == f"error: [Errno 2] No such file or directory: {dest!r}\n"
+    assert steps == []
+    assert not missing.exists()
+    assert sorted(os.listdir(tmp_path)) == ["ls.txt", "t.csv"]
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_output_path_that_is_a_directory_is_refused_before_any_step(
+    capsys, tmp_path, ls_problem, monkeypatch, command
+):
+    dest = tmp_path / "out"
+    dest.mkdir()
+    argv = {
+        "solve": ["solve", ls_problem, "--method", "rk", "--iters", "10", "--trace", str(dest)],
+        "compare": ["compare", ls_problem, "--trials", "2", "--checkpoints", "5", "-o", str(dest)],
+    }[command]
+    monkeypatch.setattr("kaczpen.solvers._step_coef", lambda *a: pytest.fail("stepped"))
+    monkeypatch.setattr("kaczpen.solvers._step_rows", lambda *a: pytest.fail("stepped"))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (3, "")
+    assert stderr == f"error: [Errno 21] Is a directory: {str(dest)!r}\n"
+    assert os.listdir(dest) == []
+
+
+# ---------------------------------------------------------------------------
 # the parser
 
 

@@ -215,6 +215,16 @@ def test_normalize_rows_bound_beyond_float_range():
         normalize_rows(p)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [[[1.2e154, 0.0], [1.2e154, 1.0]], [[1e200, 1.0]]])
+def test_problem_refuses_squared_norms_beyond_float_range(rows):
+    """A matrix built in code whose sum of squared row norms (or one squared
+    norm) overflows is refused by name at construction, with no numpy
+    overflow warning, instead of failing later in the row sampler."""
+    with pytest.raises(ValueError, match="sum of squared row norms is beyond the float64 range"):
+        Problem(kind=ProblemKind.LS, a=DenseMatrix(rows), b=np.ones(len(rows)))
+
+
 def test_normalize_rows_keeps_planted():
     p = generate_feasible_lf(6, 3, seed=5, active_fraction=0.5)
     q = normalize_rows(p)

@@ -19,14 +19,14 @@ def test_make_rng_deterministic():
 def test_probabilities_from_row_norms():
     a = DenseMatrix(np.array([[1.0, 0.0], [1.0, np.sqrt(2.0)]]))
     s = RowSampler(a, seed=0)
-    np.testing.assert_allclose(s.probabilities, [0.25, 0.75], atol=1e-15)
-    np.testing.assert_allclose(s.cumulative, [0.25, 1.0], atol=1e-15)
+    np.testing.assert_allclose(s.distribution.probabilities, [0.25, 0.75], atol=1e-15)
+    np.testing.assert_allclose(s.distribution.cumulative, [0.25, 1.0], atol=1e-15)
 
 
 def test_probabilities_uniform_after_normalization():
     p = normalize_rows(generate_consistent_ls(8, 5, seed=1))
     s = RowSampler(p.a, seed=0)
-    np.testing.assert_allclose(s.probabilities, np.full(8, 0.125), atol=1e-14)
+    np.testing.assert_allclose(s.distribution.probabilities, np.full(8, 0.125), atol=1e-14)
 
 
 def test_single_row_always_zero():
@@ -74,7 +74,7 @@ def test_empirical_frequency_random_matrix():
     n_draws = 1_000_000
     draws = s.sample_rows(n_draws)
     counts = np.bincount(draws, minlength=20) / n_draws
-    p = s.probabilities
+    p = s.distribution.probabilities
     band = 4.0 * np.sqrt(p * (1 - p) / n_draws)
     assert np.all(np.abs(counts - p) <= band)
 
