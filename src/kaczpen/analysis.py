@@ -565,10 +565,11 @@ def monte_carlo_error_curve(
     search, so a trial adds only its stream's set-up and its steps.  The
     residuals, and the equality checkpoint errors, come from
     stacked products, which round exactly like the scalar row @ x and
-    d @ d, so the means are bit for bit those of per-trial reruns.  Means
-    accumulate in trial order.  A non-finite iterate raises
-    NumericFailureError for the lowest-index trial that produces one, at
-    its first such iteration.
+    d @ d, so the means are bit for bit those of per-trial reruns.  rho
+    follows run_solver's schedule, with advance_rho called only while
+    solvers._rho_moves holds.  Means accumulate in trial order.  A
+    non-finite iterate raises NumericFailureError for the lowest-index
+    trial that produces one, at its first such iteration.
 
     The rows are used as given, by the runs, the metric and the envelope
     alike; a caller that wants unit rows passes normalize_rows(problem).
@@ -599,6 +600,7 @@ def monte_carlo_error_curve(
     x = np.tile(x0, (n_trials, 1))
     z = np.zeros(n_trials)
     rho = cfg.rho0
+    moving = solvers._rho_moves(method, rho, cfg.c, cfg.rho_max)
     sums = [0.0 for _ in ks]
     # each trial's projection support at its last checkpoint
     supports = [None] * n_trials
@@ -651,8 +653,9 @@ def monte_carlo_error_curve(
                 break
             rngs, drawn = rngs[:bad], drawn[:bad]
             x, z = x[:bad], z[:bad]
-        if method is not Method.RK:
+        if moving:
             rho = solvers.advance_rho(rho, cfg.c, cfg.rho_max)
+            moving = solvers._rho_moves(method, rho, cfg.c, cfg.rho_max)
         add_checkpoints(k)
     if failed_at is not None:
         raise NumericFailureError(failed_at)

@@ -15,7 +15,12 @@ steps: the six public step functions wrap it for one row, run_solver calls
 it once per iteration, and _step_rows applies it to all Monte Carlo
 trials, or all rows of an enumeration oracle, at once.  An optional
 geometric schedule grows rho by a factor c >= 1 each iteration up to a
-cap, which drives the damped steps toward the plain projection.
+cap, which drives the damped steps toward the plain projection.  rho
+moves only while _rho_moves holds: a damped method, c != 1 and rho below
+rho_max.  At c = 1, and from the step that reaches the cap on,
+advance_rho would return rho itself, so run_solver and the Monte Carlo
+curve decide this once per run, and again after each step that moves
+rho, and call advance_rho only while it holds.
 
 A run uses the problem it is given, rows as they are (a caller that wants
 unit rows passes normalize_rows(problem)); residual_of and error_sq_of are
@@ -26,7 +31,8 @@ chunk of a draw block (a non-finite x stays non-finite under the step).
 The pass over a chunk only steps.  When a metric is needed (a trace sink
 or residual_tol) it also keeps each step's x in a preallocated buffer,
 with its row, z and rho.  A chunk that fails the check is replayed from
-its starting (x, z, rho) with a check after every step, only to find the
+its starting (x, z, rho, and whether rho moves) with a check after
+every step, only to find the
 first non-finite k; the steps before it are kept.  The kept steps of
 every chunk then take one metric path: every residual comes from one
 stacked matmul, every equality error from one stacked dot (both equal
@@ -267,12 +273,33 @@ def _trace_records(problem, xs, kept, residuals, k0, error_sq, support, x_star, 
     return error_sq, support
 
 
+def _check_numbers(values: dict, may_be_inf: tuple) -> None:
+    """Refuse a NaN value, which passes every comparison, and an infinite
+    one unless its name is in may_be_inf; None is not checked."""
+    for name, value in values.items():
+        if value is not None and (math.isnan(value) or name not in may_be_inf and math.isinf(value)):
+            raise ValueError(f"{name} must not be {value}")
+
+
 def advance_rho(rho: float, c: float, rho_max: float) -> float:
+    """One step of the schedule rho_k = min(c^k rho0, rho_max), under
+    SolverConfig's rules: c finite and at least 1, rho positive and at
+    most rho_max; rho and rho_max may be inf (no cap, or a rho that
+    overflowed under none)."""
+    _check_numbers({"rho": rho, "c": c, "rho_max": rho_max}, ("rho", "rho_max"))
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if c < 1.0:
         raise ValueError("schedule factor c must be at least 1")
+    if rho_max < rho:
+        raise ValueError("rho_max must be at least rho")
     return min(c * rho, rho_max)
+
+
+def _rho_moves(method: Method, rho: float, c: float, rho_max: float) -> bool:
+    """Whether advance_rho can change rho: the plain step takes no
+    schedule, and for c = 1 or rho = rho_max it returns rho itself."""
+    return method is not Method.RK and c != 1.0 and rho < rho_max
 
 
 @dataclass
@@ -296,10 +323,10 @@ class SolverConfig:
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         # NaN passes every comparison below; only rho_max may be inf (no cap)
-        for name in ("rho0", "c", "rho_max", "residual_tol"):
-            value = getattr(self, name)
-            if value is not None and (math.isnan(value) or name != "rho_max" and math.isinf(value)):
-                raise ValueError(f"{name} must not be {value}")
+        _check_numbers(
+            {name: getattr(self, name) for name in ("rho0", "c", "rho_max", "residual_tol")},
+            ("rho_max",),
+        )
         if self.rho0 <= 0.0:
             raise ValueError("rho0 must be positive")
         if self.c < 1.0:
@@ -358,8 +385,9 @@ def run_solver(
         return SolverState(x=x, z=z, rho=rho, k=0)
 
     rows, bs, norms_sq = list(a.data), b.tolist(), a.row_norms_sq.tolist()
-    lf, rak, scheduled = not is_ls, method is Method.RAK, method is not Method.RK
+    lf, rak = not is_ls, method is Method.RAK
     c, rho_max, stride = cfg.c, cfg.rho_max, cfg.trace_stride
+    moving = _rho_moves(method, rho, c, rho_max)
     tmp = np.empty(n)
     chunk = _DRAW_BLOCK
     if need_residual:
@@ -367,16 +395,15 @@ def run_solver(
         xs = np.empty((chunk, n))
     k = 0
     for part in _chunks(sampler, cfg.max_iters, chunk):
-        saved = (x.copy(), z, rho, k)
+        k0, saved = k, (x.copy(), z, rho, moving)
         failed = None
         # the replay only finds the first non-finite k of a failed chunk
         for careful in (False, True):
             if careful:
-                x[:], z, rho, k = saved
+                x[:], z, rho, moving = saved
             z_arg, rho_arg = _kernel_args(method, z, rho)
             kept = []  # each kept step's (row, z, rho); its x is in xs
             for i in part:
-                k += 1
                 row = rows[i]
                 coef, moves = _step_coef(float(row.dot(x)) - bs[i], z_arg, norms_sq[i], rho_arg, lf)
                 if moves:
@@ -386,16 +413,22 @@ def run_solver(
                     coef = 0.0
                 if rak:
                     z = z_arg = coef
-                if careful and not np.isfinite(x).all():
-                    failed = k
-                    break
-                if scheduled:
+                if careful:
+                    # only the replay counts its steps
+                    k += 1
+                    if not np.isfinite(x).all():
+                        failed = k
+                        break
+                if moving:
                     rho = rho_arg = advance_rho(rho, c, rho_max)
+                    moving = _rho_moves(method, rho, c, rho_max)
                 if need_residual:
                     xs[len(kept)] = x
                     kept.append((i, z, rho))
             if careful or np.isfinite(x).all():
                 break
+        if failed is None:
+            k = k0 + len(part)
         if kept:
             # every kept x is finite: a non-finite x stays non-finite
             res = _stacked_residuals(problem, xs[: len(kept)])
@@ -405,11 +438,11 @@ def run_solver(
                     del kept[stop + 1 :]
                     x[:] = xs[stop]
                     _, z, rho = kept[stop]
-                    k = saved[3] + stop + 1
+                    k = k0 + stop + 1
             residual = res[len(kept) - 1]
             if tracing:
                 error_sq, support = _trace_records(
-                    problem, xs, kept, res, saved[3], error_sq, support, x_star, stride, rak,
+                    problem, xs, kept, res, k0, error_sq, support, x_star, stride, rak,
                     trace_sink,
                 )
         if tol is not None and residual <= tol:

@@ -228,13 +228,27 @@ def test_advance_rho_examples():
     assert advance_rho(1.0, 2.0, 1e12) == 2.0
     assert advance_rho(3.5, 1.0, 1e12) == 3.5
     assert advance_rho(9e11, 2.0, 1e12) == 1e12
+    # with no cap rho may overflow to inf, the plain step, and stays there
+    assert advance_rho(1e308, 2.0, math.inf) == math.inf
+    assert advance_rho(math.inf, 2.0, math.inf) == math.inf
 
 
 def test_advance_rho_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rho must be positive"):
         advance_rho(0.0, 2.0, 1e12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^schedule factor c must be at least 1"):
         advance_rho(1.0, 0.5, 1e12)
+    # SolverConfig's rules: NaN passes every comparison, c is finite, and
+    # a cap below rho would shrink it
+    for args, name in [
+        ((1.0, math.nan, 10.0), "c"),
+        ((1.0, math.inf, 10.0), "c"),
+        ((1.0, 2.0, math.nan), "rho_max"),
+        ((math.nan, 2.0, 10.0), "rho"),
+        ((1.0, 2.0, 0.5), "rho_max"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            advance_rho(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,13 @@ def test_tol_stop_then_overflow_in_same_block(method, kind):
     assert [r[0] for r in records] == list(range(298))
 
 
+def _overflow_problem(kind):
+    return Problem(
+        kind, DenseMatrix([[0.0, 30.0], [2.0, 0.0]]), np.array([3.0, 0.0]),
+        x_planted=np.array([0.0, 0.1]),
+    )
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("method", list(Method))
@@ -267,8 +274,7 @@ def test_numeric_failure_mid_block_reports_first_k(method, traced, kind):
     traced equality run measures against the solution nearest x0, whose
     computation overflows as A x0 does: it fails fast, before any record,
     as the per-step loop does."""
-    a = DenseMatrix([[0.0, 30.0], [2.0, 0.0]])
-    p = Problem(kind, a, np.array([3.0, 0.0]), x_planted=np.array([0.0, 0.1]))
+    p = _overflow_problem(kind)
     cfg = SolverConfig(
         method=method, max_iters=2 * BLOCK, rho0=1e-6, c=1.001, seed=7, x0=[1.7e308, 5.0]
     )
@@ -350,20 +356,77 @@ def test_rho_reaches_cap_mid_block(method, normalized, kind):
 
 
 @pytest.mark.parametrize("method", list(Method))
-def test_run_solver_advances_rho_every_step_even_at_c_1(method, monkeypatch):
-    """advance_rho is looked up at call time once per step of the damped
-    methods, also when c = 1 leaves rho unchanged, so a broken schedule
-    shows in fixed-penalty runs too; the plain step never calls it."""
-    calls = []
+def test_advance_rho_called_only_while_rho_moves(method, monkeypatch):
+    """run_solver, untraced or traced, and the Monte Carlo curve call
+    advance_rho (looked up at call time) only while rho can move: never
+    for the plain step or at c = 1, and on test_rho_reaches_cap_mid_block's
+    schedule once per step up to the step that reaches the cap, k = 337,
+    and never after it."""
+    returned = []
     real = solvers.advance_rho
 
     def counted(rho, c, rho_max):
-        calls.append(c)
-        return real(rho, c, rho_max)
+        returned.append(real(rho, c, rho_max))
+        return returned[-1]
 
     monkeypatch.setattr(solvers, "advance_rho", counted)
-    run_solver(_problem("ls"), SolverConfig(method=method, max_iters=BLOCK + 3))
-    assert calls == ([] if method is Method.RK else [1.0] * (BLOCK + 3))
+    p = _problem("ls")
+    iters = 2 * BLOCK + 30
+    for c in (1.0, 1.01):
+        cfg = SolverConfig(method=method, max_iters=iters, rho0=0.7, c=c, rho_max=20.0, seed=5)
+        for run in (
+            lambda: run_solver(p, cfg),
+            lambda: run_solver(p, cfg, [].append),
+            lambda: monte_carlo_error_curve(p, cfg, 3, [iters]),
+        ):
+            returned.clear()
+            run()
+            if method is Method.RK or c == 1.0:
+                assert returned == []
+            else:
+                assert len(returned) == 337
+                assert returned[-1] == 20.0 > max(returned[:-1])
+
+
+@pytest.mark.parametrize("method", [Method.RPK, Method.RAK])
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+def test_schedule_capped_from_the_start_is_fixed_penalty(method, kind):
+    """c = 1.5 with rho_max = rho0 keeps rho at rho0 from the first step:
+    the same x, z and trace records as c = 1, each equal to the per-step
+    reference loop's bit for bit, and the same Monte Carlo means."""
+    p = _problem(kind)
+    base = dict(
+        method=method, max_iters=BLOCK + 44, rho0=0.7, seed=5,
+        x0=np.linspace(-1.0, 2.0, p.n), trace_stride=9,
+    )
+    capped = SolverConfig(**base, c=1.5, rho_max=0.7)
+    fixed = SolverConfig(**base, c=1.0)
+    assert _same_as_per_step_loop(p, capped) == _same_as_per_step_loop(p, fixed)
+    curves = [monte_carlo_error_curve(p, cfg, 3, [10, BLOCK + 44]) for cfg in (capped, fixed)]
+    assert [ref.bits(m) for m in curves[0].means] == [ref.bits(m) for m in curves[1].means]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", [Method.RPK, Method.RAK])
+@pytest.mark.parametrize(
+    "kind, traced", [(ProblemKind.LF, False), (ProblemKind.LF, True), (ProblemKind.LS, False)]
+)
+def test_cap_then_numeric_failure_in_one_chunk(method, kind, traced):
+    """test_numeric_failure_mid_block_reports_first_k's run with a cap
+    that rho0 1.001^k meets at k = 263: the cap and the failure at k = 296
+    fall in the same chunk, steps 257..512, so the replay that finds the
+    failure must start, as that chunk did, with rho still moving.  The
+    error and the records 0..295 equal the per-step loop's."""
+    p = _overflow_problem(kind)
+    cfg = SolverConfig(
+        method=method, max_iters=2 * BLOCK, rho0=1e-6, c=1.001, rho_max=1.3e-6, seed=7,
+        x0=[1.7e308, 5.0],
+    )
+    outcome, records = _outcome(run_solver, p, cfg, traced)
+    assert (outcome, records) == _outcome(ref.reference_solve, p, cfg, traced)
+    assert outcome == ("failed", 296)
+    if traced:
+        assert [r[0] for r in records if r[2] == ref.bits(1.3e-6)] == list(range(263, 296))
 
 
 def _oracle_states(problem, rng, count):
