@@ -331,14 +331,9 @@ def hoffman_estimate(
 
 
 def _lambda_min(problem: Problem) -> float:
-    """The smallest of the min(m, n) eigenvalues of A^T A (of A A^T when
-    m < n), computed once per problem and kept on it."""
-
-    def build():
-        a = problem.a
-        return lambda_min_variants(DenseMatrix(a.data.T) if a.rows < a.cols else a)[0]
-
-    return problem.memo("lambda_min", build)
+    """lambda_min_variants' lambda_min: the smallest of the min(m, n)
+    eigenvalues of A^T A, taken on row(A), from the SVD kept on problem.a."""
+    return lambda_min_variants(problem.a)[0]
 
 
 # the feasibility constant L is estimated from this many samples, drawn

@@ -2,10 +2,13 @@
 
 Vectors are 1-d float64 numpy arrays.  Matrices are wrapped in
 :class:`DenseMatrix`, which freezes the entries and caches the squared
-row norms that the samplers and step rules consume on every iteration.
+row norms that the samplers and step rules consume on every iteration,
+and, from first use, the one SVD that x* and lambda_min both come from.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -78,6 +81,25 @@ class DenseMatrix:
             raise ValueError(f"row index {i} out of range for {self.rows} rows")
         return self.data[i]
 
+    @functools.cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The thin SVD A = U diag(s) V^T, as read-only (u, s, vt, keep):
+        keep marks the singular values that count as nonzero, those whose
+        squares (the eigenvalues of A A^T) exceed 1e-10 * ||A A^T||_F."""
+        u, s, vt = np.linalg.svd(self.data, full_matrices=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_sq = s * s
+            # ||A A^T||_F is the 2-norm of the eigenvalues s_i^2 of A A^T
+            gram_norm = float(np.sqrt(s_sq @ s_sq))
+            if gram_norm == np.inf:
+                # it overflows float64: compare the squares scaled by the largest
+                s_sq = (s / s[0]) ** 2
+                gram_norm = float(np.sqrt(s_sq @ s_sq))
+            keep = s_sq > 1e-10 * gram_norm
+        for v in (u, s, vt, keep):
+            v.flags.writeable = False
+        return u, s, vt, keep
+
     @property
     def shape(self):
         return self.data.shape
@@ -94,57 +116,29 @@ def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-# an eigenvalue of a Gram matrix (A^T A or A A^T) at or below this multiple
-# of the matrix's Frobenius norm counts as zero
-_PINV_REL_TOL = 1e-10
-
-
 def lambda_min_variants(a: DenseMatrix) -> tuple[float, float]:
-    """Smallest eigenvalue of A^T A, plain and restricted to positives.
-
-    Returns (lambda_min, lambda_min_pos) where lambda_min is clamped to 0
-    when it sits within 1e-10 * ||A^T A||_F of 0, and lambda_min_pos is
-    the smallest eigenvalue above that threshold (0 if there is none).
-    """
-    # numpy forms A^T A with syrk, so it is exactly symmetric
-    g = a.data.T @ a.data
-    w = np.linalg.eigvalsh(g)
-    with np.errstate(over="ignore"):
-        fro = float(np.sqrt((g * g).sum(axis=1).sum()))
-    if fro == np.inf:
-        # the squares overflow float64: factor out the largest entry first
-        top = float(np.abs(g).max())
-        fro = top * float(np.sqrt(((g / top) ** 2).sum()))
-    thresh = _PINV_REL_TOL * fro
-    lam_min = float(w[0])
-    if abs(lam_min) <= thresh:
-        lam_min = 0.0
-    above = w[w > thresh]
-    lam_pos = float(above[0]) if above.size else 0.0
-    return lam_min, lam_pos
+    """The rate constant of A, plain and restricted to positives, from
+    a.svd: (lambda_min, lambda_min_pos), where lambda_min is the smallest of
+    the min(m, n) squared singular values, the eigenvalues of A^T A on
+    row(A) (0 when a.svd drops it as zero), and lambda_min_pos is the
+    smallest kept one (0 if there is none)."""
+    _, s, _, keep = a.svd
+    lam_pos = float(s[keep][-1] ** 2) if keep.any() else 0.0
+    return (lam_pos if keep[-1] else 0.0), lam_pos
 
 
 def least_norm_solution(a: DenseMatrix, b, x0) -> np.ndarray:
     """Solution of Ax = b closest to x0.
 
-    Computes x0 - A^+ (A x0 - b) from a thin SVD A = U S V^T.  Singular
-    values whose squares (the eigenvalues of A A^T) fall at or below
-    1e-10 * ||A A^T||_F are treated as zero.  Raises InconsistentSystemError
+    Computes x0 - A^+ (A x0 - b) from the thin SVD a.svd, whose dropped
+    singular values count as zero.  Raises InconsistentSystemError
     when the residual check ||A x - b||_inf <= 1e-8 * (1 + ||b||_inf) fails,
     which it also does when A x0, x or A x overflows the float64 range.
     """
     b = as_vector(b, a.rows)
     x0 = as_vector(x0, a.cols)
-    u, s, vt = np.linalg.svd(a.data, full_matrices=False)
+    u, s, vt, keep = a.svd
     with np.errstate(over="ignore", invalid="ignore"):
-        s_sq = s * s
-        # ||A A^T||_F is the 2-norm of the eigenvalues s_i^2 of A A^T
-        gram_norm = float(np.sqrt(s_sq @ s_sq))
-        if gram_norm == np.inf:
-            # it overflows float64: compare the squares scaled by the largest
-            s_sq = (s / s[0]) ** 2
-            gram_norm = float(np.sqrt(s_sq @ s_sq))
-        keep = s_sq > _PINV_REL_TOL * gram_norm
         r0 = a.data @ x0 - b
         x = x0 - vt[keep].T @ ((u[:, keep].T @ r0) / s[keep])
         resid = float(np.abs(a.data @ x - b).max())

@@ -37,7 +37,7 @@ class ProblemKind(enum.Enum):
 @dataclass(frozen=True)
 class Problem:
     """A linear system or feasibility instance with cached row geometry; the
-    reference values derived from it (x*, lambda_min, ...) go through memo."""
+    reference values derived from it (x*, the constant L, ...) go through memo."""
 
     kind: ProblemKind
     a: DenseMatrix
@@ -204,22 +204,21 @@ def load_problem(path: str) -> Problem:
             )
         rows.append(_parse_floats(tokens, lineno))
     data = np.array(rows)
-    a, b = data[:, :n], data[:, n]
+    a, b = DenseMatrix(data[:, :n]), data[:, n]
     # the squared norms the sampler weighs rows by
-    with np.errstate(over="ignore"):
-        norms_sq = (a * a).sum(axis=1)
+    norms_sq = a.row_norms_sq
     bad = np.flatnonzero((norms_sq == 0.0) | ~np.isfinite(norms_sq))
     if bad.size:
         lineno = lines[1 + bad[0]][0]
         if norms_sq[bad[0]] == 0.0:
-            if np.any(a[bad[0]] != 0.0):
+            if np.any(a.data[bad[0]] != 0.0):
                 raise ProblemFormatError(f"line {lineno}: squared row norm underflows to 0")
             raise ProblemFormatError(f"line {lineno}: row is identically zero")
         raise ProblemFormatError(f"line {lineno}: squared row norm overflows")
     # and their sum, which the sampling weights divide by
-    with np.errstate(over="ignore"):
-        total, running = norms_sq.sum(), np.cumsum(norms_sq)
-    if not np.isfinite(total):
+    if not np.isfinite(a.frobenius_sq):
+        with np.errstate(over="ignore"):
+            running = np.cumsum(norms_sq)
         # named at the row where the running sum overflows, or the last row
         # when only the pairwise total does
         over = np.flatnonzero(~np.isfinite(running))
@@ -249,6 +248,6 @@ def load_problem(path: str) -> Problem:
             raise ProblemFormatError(f"line {rest[1][0]}: trailing content")
 
     try:
-        return Problem(kind=kind, a=DenseMatrix(a), b=b, x_planted=x_planted)
+        return Problem(kind=kind, a=a, b=b, x_planted=x_planted)
     except ValueError as exc:
         raise ProblemFormatError(f"line {witness_line}: {exc}") from None

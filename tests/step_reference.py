@@ -2,7 +2,8 @@
 
 The six step bodies, the per-method dispatcher and the two row-enumeration
 oracles below are verbatim copies of the implementations that each wrote
-the step formula out on its own; reference_run is their solver loop
+the step formula out on its own; gram_lambda_min is the eigvalsh formula
+for lambda_min(A^T A) those oracles used; reference_run is their solver loop
 without tracing (one sample_row draw and one SolverState per step), and
 reference_solve is that loop with tracing and the residual stop, checking
 x after every step as run_solver did before it checked once per draw
@@ -19,7 +20,7 @@ from kaczpen.analysis import (
     ExpectedStepReport,
     _ENUMERATION_CAP,
 )
-from kaczpen.linalg import DenseMatrix, as_vector, lambda_min_variants, least_norm_solution
+from kaczpen.linalg import DenseMatrix, as_vector, least_norm_solution
 from kaczpen.problems import Problem, ProblemKind
 from kaczpen.projection import distance_to_feasible
 from kaczpen.sampling import RowDistribution, build_sampler
@@ -51,6 +52,31 @@ def assert_same_report(got, ref) -> None:
             assert bits(g) == bits(r), (name, g, r)
         else:
             assert g == r, (name, g, r)
+
+
+def gram_lambda_min(a: DenseMatrix) -> tuple[float, float]:
+    """Smallest eigenvalue of A^T A, plain and restricted to positives.
+
+    Returns (lambda_min, lambda_min_pos) where lambda_min is clamped to 0
+    when it sits within 1e-10 * ||A^T A||_F of 0, and lambda_min_pos is
+    the smallest eigenvalue above that threshold (0 if there is none).
+    """
+    # numpy forms A^T A with syrk, so it is exactly symmetric
+    g = a.data.T @ a.data
+    w = np.linalg.eigvalsh(g)
+    with np.errstate(over="ignore"):
+        fro = float(np.sqrt((g * g).sum(axis=1).sum()))
+    if fro == np.inf:
+        # the squares overflow float64: factor out the largest entry first
+        top = float(np.abs(g).max())
+        fro = top * float(np.sqrt(((g / top) ** 2).sum()))
+    thresh = 1e-10 * fro
+    lam_min = float(w[0])
+    if abs(lam_min) <= thresh:
+        lam_min = 0.0
+    above = w[w > thresh]
+    lam_pos = float(above[0]) if above.size else 0.0
+    return lam_min, lam_pos
 
 
 def _check_step_args(x, a: DenseMatrix, i: int):
@@ -259,7 +285,7 @@ def reference_adaptive_report(
             x_star = least_norm_solution(problem.a, problem.b, np.zeros(problem.n))
         d = x - x_star
         base_err = float(d @ d)
-        lam_min, _ = lambda_min_variants(problem.a)
+        lam_min, _ = gram_lambda_min(problem.a)
         contraction = rho * lam_min / (m * (1.0 + rho)) * base_err
     else:
         if z < 0.0:

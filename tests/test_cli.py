@@ -464,6 +464,42 @@ def test_solve_traced_computes_x_star_once(capsys, tmp_path, ls_problem, monkeyp
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("rows, cols", [(8, 5), (5, 5), (5, 8)])
+def test_equality_runs_factor_the_matrix_once(capsys, tmp_path, monkeypatch, rows, cols):
+    """x* and lambda_min come from one SVD of A: a loaded equality problem
+    put through a traced solve and a three-method compare makes one svd
+    call and no eigvalsh or eigh call."""
+    from kaczpen import cli
+
+    path = str(tmp_path / "ls.txt")
+    assert main(["generate", "--kind", "ls", "--rows", str(rows), "--cols", str(cols),
+                 "--seed", "11", "-o", path]) == 0
+    problem = load_problem(path)
+    monkeypatch.setattr(cli, "load_problem", lambda p: problem)
+    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    code, _, stderr = run_cli(
+        capsys, "solve", path, "--method", "rak", "--iters", "50",
+        "--trace", str(tmp_path / "t.csv"),
+    )
+    assert code == 0, stderr
+    code, _, stderr = run_cli(
+        capsys, "compare", path, "--methods", "rk,rpk,rak", "--trials", "2",
+        "--checkpoints", "0,10",
+    )
+    assert code == 0, stderr
+    assert calls == {"svd": 1, "eigvalsh": 0, "eigh": 0}
+
+
 def test_overflowing_solution_exits_3(capsys, tmp_path):
     """x* of this 2x2 system is (-3.4e308, 3.4e308), beyond the float64
     range: solve and compare fail fast instead of reporting an inf error."""

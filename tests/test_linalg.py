@@ -10,6 +10,7 @@ from kaczpen.linalg import (
     lambda_min_variants,
     least_norm_solution,
 )
+from step_reference import gram_lambda_min
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,52 @@ def test_lambda_min_full_column_rank():
         lam, lam_pos = lambda_min_variants(a)
         assert lam == lam_pos
         assert lam > 0
+
+
+@pytest.mark.parametrize("shape", [(12, 4), (7, 7), (4, 12)])
+def test_lambda_min_agrees_with_eigvalsh(shape):
+    """The squared singular values agree with eigvalsh on the Gram matrix
+    (A A^T for lambda_min when m < n, the constant on row(A)) within
+    1e-14 ||A||_F^2, that is 45 eps times a bound on lambda_max."""
+    rng = np.random.default_rng(41)
+    m, n = shape
+    for _ in range(20):
+        raw = rng.standard_normal((m, n)) * rng.uniform(0.1, 3.0, size=(m, 1))
+        a = DenseMatrix(raw)
+        lam, lam_pos = lambda_min_variants(a)
+        ref = gram_lambda_min(DenseMatrix(raw.T) if m < n else a)[0]
+        assert abs(lam - ref) <= 1e-14 * a.frobenius_sq
+        assert abs(lam_pos - gram_lambda_min(a)[1]) <= 1e-14 * a.frobenius_sq
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3), (6, 6), (9, 6), (6, 9)])
+def test_lambda_min_rank_deficient_shapes(m, n):
+    """Square, tall and wide matrices of rank min(m, n) - 1 have lambda_min
+    0 and a positive lambda_min_pos."""
+    rng = np.random.default_rng(43)
+    r = min(m, n) - 1
+    raw = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    lam, lam_pos = lambda_min_variants(DenseMatrix(raw))
+    assert lam == 0.0
+    assert lam_pos > 0.0
+
+
+def test_svd_is_computed_once_and_read_only(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    a = DenseMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]))
+    b = a.data @ np.ones(2)
+    lambda_min_variants(a)
+    least_norm_solution(a, b, np.zeros(2))
+    least_norm_solution(a, b, np.ones(2))
+    assert len(calls) == 1
+    assert not any(v.flags.writeable for v in a.svd)
 
 
 # ---------------------------------------------------------------------------
