@@ -68,7 +68,7 @@ def _damping(method: Method, rho: float) -> float:
 
 def lyapunov_ls(x, x_star, z: float, rho: float) -> float:
     """||x - x*||^2 + z^2 / rho."""
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError("rho must be positive")
     x = as_vector(x)
     x_star = as_vector(x_star, x.shape[0])
@@ -78,9 +78,9 @@ def lyapunov_ls(x, x_star, z: float, rho: float) -> float:
 
 def lyapunov_lf(x, problem: Problem, z: float, rho: float) -> float:
     """d(x, feasible set)^2 + z^2 / rho with z >= 0."""
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError("rho must be positive")
-    if z < 0.0:
+    if not z >= 0.0:
         raise ValueError("multiplier z must be nonnegative in feasibility mode")
     d = distance_to_feasible(x, problem)
     return d * d + z * z / rho
@@ -116,7 +116,7 @@ def instance_rate_factor(
     """
     if isinstance(method, str):
         method = Method(method)
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError("rho must be positive")
     damping = _damping(method, rho * float(problem.a.row_norms_sq.min()))
     weight = problem.a.frobenius_sq
@@ -387,12 +387,14 @@ def _enumerate_rows(
     multiplier keep z.
     """
     if problem.m > _ENUMERATION_CAP:
-        raise ValueError(f"enumeration over {problem.m} rows exceeds the cap")
+        raise ValueError(
+            f"enumeration over {problem.m} rows exceeds the cap of {_ENUMERATION_CAP} rows"
+        )
     a, lf = problem.a, problem.kind is ProblemKind.LF
     x = as_vector(state.x, problem.n)
     z = float(state.z)
     if lf:
-        if method is Method.RAK and z < 0.0:
+        if method is Method.RAK and not z >= 0.0:
             raise ValueError("multiplier z must be nonnegative in feasibility mode")
         base_dist, support = _warm_distance(x, problem)
         base_err = base_dist * base_dist
@@ -414,12 +416,11 @@ def _enumerate_rows(
         d = x_new - x_star
         err = row_dots(d, d)
     zs = coef if method is Method.RAK else np.full(problem.m, z)
-    exp_err = exp_zsq = exp_next = 0.0
-    # summed row by row in row order; a vectorised sum would round differently
-    for w, e, z_new in zip(RowDistribution(a).probabilities, err, zs):
-        exp_err += w * e
-        exp_zsq += w * z_new * z_new
-        exp_next += w * (e + z_new * z_new / rho_next)
+    w = RowDistribution(a).probabilities
+    # summed left to right in row order, as accumulate adds; np.sum's
+    # pairwise sum would round differently
+    sums = np.add.accumulate([w * err, w * zs * zs, w * (err + zs * zs / rho_next)], axis=1)
+    exp_err, exp_zsq, exp_next = sums[:, -1].tolist()
     return z, base_err, exp_err, exp_zsq, exp_next
 
 
@@ -453,7 +454,7 @@ def exact_expected_step(
     Lyapunov value for the multiplier method), by full enumeration."""
     if isinstance(method, str):
         method = Method(method)
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError("rho must be positive")
     z, base_err, exp_err, exp_zsq, _ = _enumerate_rows(problem, state, method, rho, rho)
     if method is Method.RAK:
@@ -500,10 +501,10 @@ def adaptive_step_report(problem: Problem, state: SolverState, c: float) -> Adap
     feasibility systems r is the positive-part residual, which avoids the
     unknown distance constant and implies the rate form.
     """
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError("schedule factor c must be at least 1")
     rho = state.rho
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError("state.rho must be positive")
     z, base_err, _, exp_zsq, lhs = _enumerate_rows(problem, state, Method.RAK, rho, c * rho)
     a, s = problem.a, problem.a.row_norms_sq

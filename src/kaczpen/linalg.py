@@ -1,9 +1,9 @@
 """Dense linear algebra kernels used by the row-action solvers.
 
 Vectors are 1-d float64 numpy arrays.  Matrices are wrapped in
-:class:`DenseMatrix`, which freezes the entries and caches the squared
-row norms that the samplers and step rules consume on every iteration,
-and, from first use, the one SVD that x* and lambda_min both come from.
+:class:`DenseMatrix`, which freezes the entries, caches the squared row
+norms that the samplers and step rules consume, names the first row they
+cannot use, and keeps, from first use, the one SVD x* and lambda_min use.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class DenseMatrix:
     ----------
     data : (m, n) read-only float64 array
     row_norms_sq : (m,) array, row_norms_sq[i] = sum_j data[i, j]**2
-    frobenius_sq : float, sum of row_norms_sq
+    frobenius_sq : float, sum of row_norms_sq (inf when it overflows)
     """
 
     def __init__(self, entries):
@@ -69,7 +69,7 @@ class DenseMatrix:
         self.data = a
         self.rows = m
         self.cols = n
-        # a sum beyond the float64 range is inf, which Problem refuses by name
+        # a sum beyond the float64 range is inf, which unusable_row names
         with np.errstate(over="ignore"):
             rn = (a * a).sum(axis=1)
             self.frobenius_sq = float(rn.sum())
@@ -80,6 +80,27 @@ class DenseMatrix:
         if not 0 <= i < self.rows:
             raise ValueError(f"row index {i} out of range for {self.rows} rows")
         return self.data[i]
+
+    def unusable_row(self) -> tuple[int, str] | None:
+        """(i, reason) for the first row that the sampling weights
+        ||a_i||^2 / ||A||_F^2 and the step denominators cannot use: a zero
+        row, one whose squares underflow to 0 or whose squared norm
+        overflows, else the row where the running sum of squared norms
+        leaves float64 (the last row when only the pairwise total does)."""
+        rn = self.row_norms_sq
+        if self.frobenius_sq < np.inf and rn.min() > 0.0:  # a finite sum has no inf term
+            return None
+        bad = np.flatnonzero((rn == 0.0) | (rn == np.inf))
+        if bad.size:
+            i = int(bad[0])
+            if rn[i] == np.inf:
+                return i, "squared row norm overflows"
+            zero = not self.data[i].any()
+            return i, "row is identically zero" if zero else "squared row norm underflows to 0"
+        with np.errstate(over="ignore"):
+            over = np.flatnonzero(np.cumsum(rn) == np.inf)
+        i = int(over[0]) if over.size else self.rows - 1
+        return i, "the sum of squared row norms is beyond the float64 range (max 1.8e308)"
 
     @functools.cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -50,14 +50,9 @@ class Problem:
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
-        if (self.a.row_norms_sq == 0.0).any():
-            i = int(np.argmax(self.a.row_norms_sq == 0.0))
-            raise ValueError(f"row {i} is identically zero")
-        if not np.isfinite(self.a.frobenius_sq):
-            # the sampling weights divide by it
-            raise ValueError(
-                "the sum of squared row norms is beyond the float64 range (max 1.8e308)"
-            )
+        bad = self.a.unusable_row()
+        if bad is not None:
+            raise ValueError("row %d: %s" % bad)
         if self.x_planted is not None:
             xp = as_vector(self.x_planted, self.a.cols).copy()
             xp.flags.writeable = False
@@ -171,7 +166,7 @@ def _parse_floats(tokens: list[str], lineno: int) -> np.ndarray:
 
 
 def load_problem(path: str) -> Problem:
-    """Parse a problem file, validating shape, finiteness and the witness."""
+    """Parse a problem file, validating shape, finiteness, rows and witness."""
     raw = read_text(path, ProblemFormatError).splitlines()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
@@ -205,28 +200,10 @@ def load_problem(path: str) -> Problem:
         rows.append(_parse_floats(tokens, lineno))
     data = np.array(rows)
     a, b = DenseMatrix(data[:, :n]), data[:, n]
-    # the squared norms the sampler weighs rows by
-    norms_sq = a.row_norms_sq
-    bad = np.flatnonzero((norms_sq == 0.0) | ~np.isfinite(norms_sq))
-    if bad.size:
-        lineno = lines[1 + bad[0]][0]
-        if norms_sq[bad[0]] == 0.0:
-            if np.any(a.data[bad[0]] != 0.0):
-                raise ProblemFormatError(f"line {lineno}: squared row norm underflows to 0")
-            raise ProblemFormatError(f"line {lineno}: row is identically zero")
-        raise ProblemFormatError(f"line {lineno}: squared row norm overflows")
-    # and their sum, which the sampling weights divide by
-    if not np.isfinite(a.frobenius_sq):
-        with np.errstate(over="ignore"):
-            running = np.cumsum(norms_sq)
-        # named at the row where the running sum overflows, or the last row
-        # when only the pairwise total does
-        over = np.flatnonzero(~np.isfinite(running))
-        i = int(over[0]) if over.size else m - 1
-        raise ProblemFormatError(
-            f"line {lines[1 + i][0]}: the sum of squared row norms is beyond "
-            "the float64 range (max 1.8e308)"
-        )
+    # DenseMatrix.unusable_row, named by its line before the planted line is read
+    bad = a.unusable_row()
+    if bad is not None:
+        raise ProblemFormatError(f"line {lines[1 + bad[0]][0]}: {bad[1]}")
 
     x_planted = None
     # a Problem check that fails below is the witness check, so it names

@@ -303,8 +303,9 @@ def project_polyhedron(x, a: DenseMatrix, b) -> np.ndarray:
     """
     x = as_vector(x, a.cols)
     b = as_vector(b, a.rows)
-    if (a.row_norms_sq == 0.0).any():
-        raise ValueError("polyhedron rows must be nonzero")
+    bad = a.unusable_row()
+    if bad is not None:
+        raise ValueError("row %d: %s" % bad)
     return _certified(x, a, b)[0]
 
 

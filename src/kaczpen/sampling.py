@@ -26,11 +26,12 @@ class RowDistribution:
     (probabilities) and their cumulative sums (cumulative)."""
 
     def __init__(self, a: DenseMatrix):
-        if (a.row_norms_sq == 0.0).any():
-            raise ValueError("cannot sample rows of a matrix with zero rows")
+        bad = a.unusable_row()
+        if bad is not None:
+            raise ValueError("row %d: %s" % bad)
         p = a.row_norms_sq / a.frobenius_sq
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.probabilities = p
         self.cumulative = np.cumsum(p)

@@ -26,14 +26,15 @@ A run uses the problem it is given, rows as they are (a caller that wants
 unit rows passes normalize_rows(problem)); residual_of and error_sq_of are
 the one definition of a run's residual and squared error.  SolverConfig
 is validated once, when built; run_solver reads the rows, b and
-||a_i||^2 into lists once and updates x in place.  It checks x once per
-chunk of a draw block (a non-finite x stays non-finite under the step).
-The pass over a chunk only steps.  When a metric is needed (a trace sink
-or residual_tol) it also keeps each step's x in a preallocated buffer,
-with its row, z and rho.  A chunk that fails the check is replayed from
-its starting (x, z, rho, and whether rho moves) with a check after
-every step, only to find the
-first non-finite k; the steps before it are kept.  The kept steps of
+||a_i||^2 into lists once and updates x in place.  It draws its rows a
+chunk at a time, each chunk in one sample_rows call (any split of the
+stream gives the same rows), and checks x once per chunk (a non-finite x
+stays non-finite under the step).  The pass over a chunk only steps.
+When a metric is needed (a trace sink or residual_tol) it also keeps
+each step's x in a preallocated buffer, with its row, z and rho.  A
+chunk that fails the check is replayed from its starting (x, z, rho, and
+whether rho moves) with a check after every step, only to find the first
+non-finite k; the steps before it are kept.  The kept steps of
 every chunk then take one metric path: every residual comes from one
 stacked matmul, every equality error from one stacked dot (both equal
 residual_of and error_sq_of bit for bit), and a feasibility error from
@@ -68,11 +69,11 @@ from .projection import _warm_distance
 from .sampling import build_sampler
 from .traces import TraceRecord
 
-# rows a run, or each Monte Carlo trial, draws ahead in one sample_rows
-# call, so the index buffer stays this size whatever the horizon
+# the most rows a run, or each Monte Carlo trial, draws ahead in one call,
+# so the index buffer stays this size whatever the horizon
 _DRAW_BLOCK = 256
-# bytes that a run needing per-step metrics keeps for one chunk of a draw
-# block: each step's x, (chunk, n), and its residual vector, (chunk, m).
+# bytes that a run needing per-step metrics keeps for one chunk of draws:
+# each step's x, (chunk, n), and its residual vector, (chunk, m).
 # A residual_tol stop wastes the rest of its chunk, so chunks stay short:
 # 64 KiB gives 109 steps at 60x15, where twelve --tol 1e-8 solves took
 # 37.0 ms against 40.3 ms with whole 256-draw chunks (2-core x86_64).
@@ -132,7 +133,7 @@ def _check_step_args(x, a: DenseMatrix, i: int, rho: float = math.inf):
         raise ValueError(f"x has shape {x.shape}, expected ({a.cols},)")
     if not 0 <= i < a.rows:
         raise ValueError(f"row index {i} out of range for {a.rows} rows")
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError("rho must be positive")
     return x
 
@@ -189,7 +190,7 @@ def rak_step_lf(x, z: float, a: DenseMatrix, b, i: int, rho: float):
     x does not move.
     """
     x = _check_step_args(x, a, i, rho)
-    if z < 0.0:
+    if not z >= 0.0:
         raise ValueError("multiplier z must be nonnegative in feasibility mode")
     return _row_step(x, z, a, b, i, rho, True)
 
@@ -225,15 +226,6 @@ def _error_sq(problem: Problem, x: np.ndarray, x_star, start=None):
         return float(d @ d), None
     dist, support = _warm_distance(x, problem, start)
     return dist**2, support
-
-
-def _chunks(sampler, max_iters: int, chunk: int):
-    """The run's row draws, drawn _DRAW_BLOCK at a time and handed out in
-    lists of at most chunk."""
-    for start in range(0, max_iters, _DRAW_BLOCK):
-        block = sampler.sample_rows(min(_DRAW_BLOCK, max_iters - start)).tolist()
-        for lo in range(0, len(block), chunk):
-            yield block[lo : lo + chunk]
 
 
 def _stacked_residuals(problem: Problem, xs: np.ndarray) -> list[float]:
@@ -394,7 +386,8 @@ def run_solver(
         chunk = max(1, min(_DRAW_BLOCK, _METRIC_BYTES // (8 * (n + a.rows))))
         xs = np.empty((chunk, n))
     k = 0
-    for part in _chunks(sampler, cfg.max_iters, chunk):
+    for start in range(0, cfg.max_iters, chunk):
+        part = sampler.sample_rows(min(chunk, cfg.max_iters - start)).tolist()
         k0, saved = k, (x.copy(), z, rho, moving)
         failed = None
         # the replay only finds the first non-finite k of a failed chunk

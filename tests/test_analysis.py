@@ -31,7 +31,11 @@ from kaczpen.solvers import (
     NumericFailureError,
     SolverConfig,
     SolverState,
+    rak_step_lf,
+    rak_step_ls,
     rk_step_ls,
+    rpk_step_lf,
+    rpk_step_ls,
     run_solver,
 )
 
@@ -792,6 +796,60 @@ def test_adaptive_requires_valid_schedule():
     state = SolverState(x=np.zeros(3), z=0.0, rho=1.0, k=0)
     with pytest.raises(ValueError):
         adaptive_step_report(p, state, c=0.5)
+
+
+_NAN = float("nan")
+
+
+def _nan_calls():
+    """Each public entry point handed a NaN penalty, multiplier or schedule
+    factor, with the message it refuses it by."""
+    ls = generate_consistent_ls(4, 3, seed=52)
+    lf = generate_feasible_lf(4, 3, seed=53, active_fraction=0.5)
+    x = np.zeros(3)
+    state = SolverState(x=x, z=0.0, rho=1.0, k=0)
+    rho, z, c = "rho must be positive", "z must be nonnegative", "c must be at least 1"
+    return {
+        "rpk_step_ls": (lambda: rpk_step_ls(x, ls.a, ls.b, 0, _NAN), rho),
+        "rpk_step_lf": (lambda: rpk_step_lf(x, lf.a, lf.b, 0, _NAN), rho),
+        "rak_step_ls": (lambda: rak_step_ls(x, 0.0, ls.a, ls.b, 0, _NAN), rho),
+        "rak_step_lf-rho": (lambda: rak_step_lf(x, 0.0, lf.a, lf.b, 0, _NAN), rho),
+        "rak_step_lf-z": (lambda: rak_step_lf(x, _NAN, lf.a, lf.b, 0, 1.0), z),
+        "lyapunov_ls": (lambda: lyapunov_ls(x, x, 0.0, _NAN), rho),
+        "lyapunov_lf-rho": (lambda: lyapunov_lf(x, lf, 0.0, _NAN), rho),
+        "lyapunov_lf-z": (lambda: lyapunov_lf(x, lf, _NAN, 1.0), z),
+        "instance_rate_factor": (lambda: instance_rate_factor(ls, Method.RPK, _NAN, 1.0), rho),
+        "exact_expected_step-rho": (lambda: exact_expected_step(ls, state, Method.RPK, _NAN), rho),
+        "exact_expected_step-z": (
+            lambda: exact_expected_step(lf, SolverState(x, _NAN, 1.0, 0), Method.RAK, 1.0),
+            z,
+        ),
+        "adaptive_step_report-c": (lambda: adaptive_step_report(ls, state, _NAN), c),
+        "adaptive_step_report-rho": (
+            lambda: adaptive_step_report(ls, SolverState(x, 0.0, _NAN, 0), 1.0),
+            rho,
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_nan_calls()))
+def test_nan_penalty_or_multiplier_refused(entry):
+    """NaN passes `rho <= 0`, `z < 0` and `c < 1`; each entry point refuses
+    it by name instead of returning NaN."""
+    call, message = _nan_calls()[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_enumeration_cap_is_named():
+    """An enumeration oracle over more rows than the cap fails at once and
+    names the cap."""
+    m = analysis._ENUMERATION_CAP + 1
+    p = Problem(ProblemKind.LS, DenseMatrix(np.ones((m, 1))), np.zeros(m))
+    state = SolverState(x=np.zeros(1), z=0.0, rho=1.0, k=0)
+    message = f"^enumeration over {m} rows exceeds the cap of 10000 rows$"
+    with pytest.raises(ValueError, match=message):
+        exact_expected_step(p, state, Method.RK, 1.0)
 
 
 # ---------------------------------------------------------------------------

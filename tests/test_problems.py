@@ -5,6 +5,7 @@ import pytest
 
 from kaczpen.cli import main
 from kaczpen.linalg import DenseMatrix
+from kaczpen.projection import project_polyhedron
 from kaczpen.problems import (
     Problem,
     ProblemFormatError,
@@ -15,6 +16,7 @@ from kaczpen.problems import (
     normalize_rows,
     save_problem,
 )
+from kaczpen.sampling import RowDistribution, RowSampler
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +218,22 @@ def test_normalize_rows_bound_beyond_float_range():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rows", [[[1.2e154, 0.0], [1.2e154, 1.0]], [[1e200, 1.0]]])
-def test_problem_refuses_squared_norms_beyond_float_range(rows):
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        pytest.param(
+            [[1.2e154, 0.0], [1.2e154, 1.0]],
+            "row 1: the sum of squared row norms is beyond the float64 range",
+            id="rows0",
+        ),
+        pytest.param([[1e200, 1.0]], "row 0: squared row norm overflows", id="rows1"),
+    ],
+)
+def test_problem_refuses_squared_norms_beyond_float_range(rows, message):
     """A matrix built in code whose sum of squared row norms (or one squared
     norm) overflows is refused by name at construction, with no numpy
     overflow warning, instead of failing later in the row sampler."""
-    with pytest.raises(ValueError, match="sum of squared row norms is beyond the float64 range"):
+    with pytest.raises(ValueError, match=message):
         Problem(kind=ProblemKind.LS, a=DenseMatrix(rows), b=np.ones(len(rows)))
 
 
@@ -343,6 +355,62 @@ def test_load_row_norm_overflow_named_line(tmp_path):
     with pytest.raises(ProblemFormatError, match="line 3: squared row norm underflows"):
         load_problem(str(path))
     assert main(["solve", str(path), "--method", "rk", "--iters", "1"]) == 3
+
+
+# each unusable row: the matrix's rows, the row named and the reason
+_UNUSABLE = {
+    "zero": ([[1.0, 0.0], [0.0, 0.0]], 1, "row is identically zero"),
+    "underflow": ([[1.0, 0.0], [1e-200, 0.0]], 1, "squared row norm underflows to 0"),
+    "underflow-first": ([[1e-200, 0.0], [0.0, 1.0]], 0, "squared row norm underflows to 0"),
+    "overflow": ([[1.0, 0.0], [1e200, 1e200]], 1, "squared row norm overflows"),
+    # not the sum: the row's own squared norm overflows first
+    "overflow-first": ([[1e155, 0.0], [0.0, 1.0]], 0, "squared row norm overflows"),
+    "sum": (
+        [[8.4e153, 0.0], [8.4e153, 1.0], [8.4e153, 2.0]],
+        2,
+        "the sum of squared row norms is beyond the float64 range (max 1.8e308)",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault", sorted(_UNUSABLE))
+def test_unusable_row_one_rule(tmp_path, fault):
+    """The loader and the library refuse an unusable row with one reason:
+    the file names its line, Problem, RowDistribution, RowSampler and
+    project_polyhedron name its row, and no numpy warning comes first (the
+    sampler forms no nan weights, the projection runs no NNLS)."""
+    rows, i, reason = _UNUSABLE[fault]
+    a = DenseMatrix(rows)
+    m = len(rows)
+    body = "".join(f"{r[0]!r} {r[1]!r} 1\n" for r in rows)
+    path = tmp_path / "p.txt"
+    path.write_text(f"kaczmarz-problem v1 lf {m} 2\n{body}")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert str(exc.value) == f"line {i + 2}: {reason}"
+    # the row is named before a bad planted line
+    path.write_text(f"kaczmarz-problem v1 lf {m} 2\n{body}planted 1\n")
+    with pytest.raises(ProblemFormatError, match=f"^line {i + 2}: "):
+        load_problem(str(path))
+    refusals = [
+        lambda: Problem(kind=ProblemKind.LF, a=a, b=np.ones(m)),
+        lambda: RowDistribution(a),
+        lambda: RowSampler(a, 0),
+        lambda: project_polyhedron(np.ones(2), a, np.zeros(m)),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError) as exc:
+            refuse()
+        assert str(exc.value) == f"row {i}: {reason}"
+    assert a.unusable_row() == (i, reason)
+
+
+def test_usable_rows_pass_the_rule():
+    """Rows whose squares are subnormal, or whose squared norms sum to just
+    below the float64 maximum, are usable."""
+    assert DenseMatrix([[1e-160, 0.0], [0.0, 1.0]]).unusable_row() is None
+    assert DenseMatrix([[8.4e153, 0.0], [8.4e153, 1.0]]).unusable_row() is None
 
 
 def test_save_writes_17_digit_floats(tmp_path):
