@@ -70,6 +70,7 @@ def lyapunov_ls(x, x_star, z: float, rho: float) -> float:
     """||x - x*||^2 + z^2 / rho."""
     if not rho > 0.0:
         raise ValueError("rho must be positive")
+    solvers._check_multiplier(z, False)
     x = as_vector(x)
     x_star = as_vector(x_star, x.shape[0])
     d = x - x_star
@@ -80,8 +81,7 @@ def lyapunov_lf(x, problem: Problem, z: float, rho: float) -> float:
     """d(x, feasible set)^2 + z^2 / rho with z >= 0."""
     if not rho > 0.0:
         raise ValueError("rho must be positive")
-    if not z >= 0.0:
-        raise ValueError("multiplier z must be nonnegative in feasibility mode")
+    solvers._check_multiplier(z, True)
     d = distance_to_feasible(x, problem)
     return d * d + z * z / rho
 
@@ -163,42 +163,28 @@ def hoffman_ball(problem: Problem) -> tuple[np.ndarray, float]:
 _SKIP_MARGIN = 1e-6
 # projected-gradient steps that tighten bound (iii) from its start at r+
 _DUAL_STEPS = 20
-# bound (iii) is used only where its relative rounding is below this
-_CHOLESKY_ROUNDING = 1e-8
-# eigvalsh's eigenvalues are taken to be off by up to this many times
-# m eps lambda_max, the order of its rounding
-_EIGVALSH_SAFETY = 10.0
+# bound (iii) is used only where 2 (m + n + 1) eps kappa(A A^T), a bound on
+# the relative rounding of its step lengths, is at most this
+_LEAST_NORM_ROUNDING = 1e-8
 
 
 def _least_norm_step_factor(a: DenseMatrix) -> tuple[np.ndarray, float] | None:
-    """The inverse of the Cholesky factor C of G = A A^T, so that
-    ||C^-1 v|| = sqrt(v^T G^-1 v) is the length of the least-norm step
-    A^T mu with G mu = v, and lambda_min(G); or None when m > n, G is not
-    safely positive definite, or the rounding bound
-    2 (m + n + 1) eps kappa(G) exceeds _CHOLESKY_ROUNDING.
-
-    kappa(G) = lambda_max / lambda_min is taken from eigvalsh, whose
-    eigenvalues are off by at most about m eps lambda_max.  With
-    s = _EIGVALSH_SAFETY m eps lambda_max the gate uses
-    (lambda_max + s) / (lambda_min - s), an upper bound on the exact
-    kappa, and needs lambda_min > s."""
+    """M = S^-1 U^T from the SVD A = U S V^T kept on a, so that
+    ||M v|| = sqrt(v^T G^-1 v) (M^T M = G^-1, G = A A^T) is the length of
+    the least-norm step A^T mu with G mu = v, and lambda_min(G) = s_min^2;
+    or None when m > n or 2 (m + n + 1) eps (s_max / s_min)^2 exceeds
+    _LEAST_NORM_ROUNDING (a zero s_min fails it)."""
     m, n = a.shape
     if m > n:
         return None
-    gram = a.data @ a.data.T
-    eps = np.finfo(np.float64).eps
-    try:
-        eig = np.linalg.eigvalsh(gram)
-        lam_min, lam_max = float(eig[0]), float(eig[-1])
-        slack = _EIGVALSH_SAFETY * m * eps * lam_max
-        # a NaN eigenvalue (overflowed gram) fails `>` and turns the bound off
-        kappa = (lam_max + slack) / (lam_min - slack) if lam_min > slack else np.inf
-        if not 2.0 * (m + n + 1) * eps * kappa <= _CHOLESKY_ROUNDING:
-            return None
-        inv = np.linalg.inv(np.linalg.cholesky(gram))
-    except np.linalg.LinAlgError:
+    u, s, _, _ = a.svd
+    if not s[-1] > 0.0:
         return None
-    return inv, lam_min
+    with np.errstate(over="ignore"):
+        kappa = (s[0] / s[-1]) ** 2
+    if not 2.0 * (m + n + 1) * np.finfo(np.float64).eps * kappa <= _LEAST_NORM_ROUNDING:
+        return None
+    return (u / s).T, float(s[-1] ** 2)
 
 
 def _hoffman_samples(
@@ -233,12 +219,12 @@ def _hoffman_samples(
     reach = np.linalg.norm(points - center, axis=1)
     factor = _least_norm_step_factor(problem.a)
     if factor is not None:
-        inv, alpha = factor
-        gram_inv = inv.T @ inv
+        root, alpha = factor
+        gram_inv = root.T @ root
         v = r_plus
         for _ in range(_DUAL_STEPS):
             v = np.maximum(residuals, v - alpha * (v @ gram_inv))
-        reach = np.minimum(reach, np.linalg.norm(v @ inv.T, axis=1))
+        reach = np.minimum(reach, np.linalg.norm(v @ root.T, axis=1))
     return points, r_norms, reach / r_norms
 
 
@@ -261,10 +247,11 @@ def hoffman_estimate(
     its ratio, the smaller of
 
     (i)   ||x - c|| / ||r+||, as c is feasible;
-    (iii) ||C^-1 v|| / ||r+|| for a v >= r, when m <= n and
-          _least_norm_step_factor gives the inverse Cholesky factor C^-1
-          of G = A A^T.  For any v >= r, y = x - A^T G^-1 v is feasible,
-          as Ay = Ax - v <= b, and ||x - y||^2 = v^T G^-1 v = ||C^-1 v||^2;
+    (iii) ||M v|| / ||r+|| for a v >= r, when m <= n and
+          _least_norm_step_factor gives M = S^-1 U^T from the SVD
+          A = U S V^T, with M^T M = G^-1 for G = A A^T.  For any v >= r,
+          y = x - A^T G^-1 v is feasible, as Ay = Ax - v <= b, and
+          ||x - y||^2 = v^T G^-1 v = ||M v||^2;
           the minimum over v >= r is d(x, X)^2 exactly.  v starts at r+,
           where y is x minus the least-norm step A^T mu with G mu = r+,
           and takes _DUAL_STEPS projected-gradient steps
@@ -286,24 +273,31 @@ def hoffman_estimate(
       origin to 1e-8 (1 + ||b||_inf), the projection certificate's
       feasibility tolerance, so c lies within that relative order of X
       and bound (i) can be short by as much;
-    - the projection: a computed distance comes from a result the
-      certificate accepts when it is feasible, and complementary, to
-      1e-8 relative, so it can exceed the exact distance by that order;
-    - the factor's rounding: forming G, factoring it and inverting the
-      factor perturb v^T G^-1 v by at most 2 (m + n + 1) eps kappa(G)
-      relative, for every v, and bound (iii) is used only where that is
-      at most 1e-8.  The projected-gradient steps add no error of their
-      own: each iterate is an exact v >= r, and only its final norm is
-      rounded, as above.  kappa(G) is the spectral condition number from
-      eigvalsh, whose own rounding (at most about m eps lambda_max in
-      each eigenvalue) is covered tenfold before kappa enters the gate.
+    - the projection: the certificate accepts a result by its slacks
+      (feasibility and complementarity to 1e-8), not by its distance,
+      whose rounding grows with the rows' conditioning.  On 3 x 23
+      systems a computed distance came out up to 1.1e-10 relative above
+      the exact one at kappa(A A^T) = 1e6, just outside bound (iii)'s
+      gate, and up to 2.5e-7 at 5.9e9, which delta still covers; inside
+      the gate the tests find every bound within 1e-8 relative of the
+      projected ratio;
+    - the factor's rounding: the SVD is backward stable (its U and s
+      are, to about eps per entry, those of A + E with
+      ||E|| <= p eps ||A||, p a modest multiple of m + n), so ||M v|| is
+      off by about p eps kappa(A) relative for every v, with
+      kappa(A) = s_max / s_min = sqrt(kappa(G)).  The gate
+      2 (m + n + 1) eps kappa(G) <= 1e-8, the bound that forming and
+      factoring G would need, keeps that near 1e-4 sqrt((m + n) eps),
+      1e-10 at m + n = 1e4, so the computed kappa, off by as little,
+      needs no safety term.  The projected-gradient steps add no error
+      of their own: each iterate is an exact v >= r, and only its final
+      norm is rounded, as above.
 
-    Their sum, about 3e-8 relative at worst, stays more than 30 times
-    below delta; the bounds' own rounding (n eps) is smaller still.  On the
-    package's instances the errors actually incurred are at rounding
-    level.  Bound (iii) is tight, so on wide systems the search usually
-    projects one sample; tall systems (m > n, G singular) use bound (i)
-    alone.
+    Inside the gate their sum is of order 1e-8, far below delta; the
+    bounds' own rounding (n eps) is smaller still.  On the package's
+    instances the errors actually incurred are at rounding level.
+    Bound (iii) is tight, so on wide systems the search usually projects
+    one sample; tall systems (m > n, G singular) use bound (i) alone.
 
     Errors: ValueError for bad arguments and NoEstimateError when no
     sample contributes, as without the search.  A projection that is not
@@ -393,9 +387,8 @@ def _enumerate_rows(
     a, lf = problem.a, problem.kind is ProblemKind.LF
     x = as_vector(state.x, problem.n)
     z = float(state.z)
+    solvers._check_multiplier(z, lf and method is Method.RAK)
     if lf:
-        if method is Method.RAK and not z >= 0.0:
-            raise ValueError("multiplier z must be nonnegative in feasibility mode")
         base_dist, support = _warm_distance(x, problem)
         base_err = base_dist * base_dist
     else:

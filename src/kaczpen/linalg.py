@@ -3,12 +3,11 @@
 Vectors are 1-d float64 numpy arrays.  Matrices are wrapped in
 :class:`DenseMatrix`, which freezes the entries, caches the squared row
 norms that the samplers and step rules consume, names the first row they
-cannot use, and keeps, from first use, the one SVD x* and lambda_min use.
+cannot use, and keeps, from first use, the one SVD that x*, lambda_min and
+the Hoffman estimate's least-norm bound use.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -75,6 +74,9 @@ class DenseMatrix:
             self.frobenius_sq = float(rn.sum())
         rn.flags.writeable = False
         self.row_norms_sq = rn
+        # set here, not on first use: adding an attribute later slows every
+        # attribute read on the matrix (CPython 3.11's shared-key dicts)
+        self._svd = None
 
     def row(self, i: int) -> np.ndarray:
         if not 0 <= i < self.rows:
@@ -102,11 +104,14 @@ class DenseMatrix:
         i = int(over[0]) if over.size else self.rows - 1
         return i, "the sum of squared row norms is beyond the float64 range (max 1.8e308)"
 
-    @functools.cached_property
+    @property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The thin SVD A = U diag(s) V^T, as read-only (u, s, vt, keep):
-        keep marks the singular values that count as nonzero, those whose
-        squares (the eigenvalues of A A^T) exceed 1e-10 * ||A A^T||_F."""
+        """The thin SVD A = U diag(s) V^T, as read-only (u, s, vt, keep),
+        factored on first use and kept: keep marks the singular values that
+        count as nonzero, those whose squares (the eigenvalues of A A^T)
+        exceed 1e-10 * ||A A^T||_F."""
+        if self._svd is not None:
+            return self._svd
         u, s, vt = np.linalg.svd(self.data, full_matrices=False)
         with np.errstate(over="ignore", invalid="ignore"):
             s_sq = s * s
@@ -119,7 +124,8 @@ class DenseMatrix:
             keep = s_sq > 1e-10 * gram_norm
         for v in (u, s, vt, keep):
             v.flags.writeable = False
-        return u, s, vt, keep
+        self._svd = u, s, vt, keep
+        return self._svd
 
     @property
     def shape(self):

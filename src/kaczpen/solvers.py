@@ -138,6 +138,15 @@ def _check_step_args(x, a: DenseMatrix, i: int, rho: float = math.inf):
     return x
 
 
+def _check_multiplier(z, lf: bool) -> None:
+    """Refuse a multiplier no step can use: a non-finite z, or, in
+    feasibility mode, a negative one."""
+    if lf and not z >= 0.0:
+        raise ValueError("multiplier z must be nonnegative in feasibility mode")
+    if not math.isfinite(z):
+        raise ValueError("multiplier z must be finite")
+
+
 def _row_step(x, z, a: DenseMatrix, b, i: int, rho: float, lf: bool):
     """One kernel step on row i: (x', coef), or (x itself, 0.0) when the
     row does not move."""
@@ -180,7 +189,9 @@ def rak_step_ls(x, z: float, a: DenseMatrix, b, i: int, rho: float):
 
     which makes z' = z + rho (a_i . x' - b_i) hold identically.
     """
-    return _row_step(_check_step_args(x, a, i, rho), z, a, b, i, rho, False)
+    x = _check_step_args(x, a, i, rho)
+    _check_multiplier(z, False)
+    return _row_step(x, z, a, b, i, rho, False)
 
 
 def rak_step_lf(x, z: float, a: DenseMatrix, b, i: int, rho: float):
@@ -190,8 +201,7 @@ def rak_step_lf(x, z: float, a: DenseMatrix, b, i: int, rho: float):
     x does not move.
     """
     x = _check_step_args(x, a, i, rho)
-    if not z >= 0.0:
-        raise ValueError("multiplier z must be nonnegative in feasibility mode")
+    _check_multiplier(z, True)
     return _row_step(x, z, a, b, i, rho, True)
 
 

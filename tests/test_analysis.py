@@ -1,6 +1,8 @@
 """Per-step factors, Lyapunov values, projections, estimates, and exact
 one-step expectation oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hoffman_reference import reference_hoffman_estimate
@@ -497,13 +499,26 @@ def test_hoffman_search_matches_reference(seed, shape):
 
 
 def test_hoffman_cholesky_bound_gate():
-    """Bound (ii) needs m <= n and a Cholesky factor of A A^T whose rounding
-    is covered: duplicated rows and tall systems fall back to bound (i)."""
+    """Bound (iii) needs m <= n and an SVD of A whose rounding the gate
+    covers: duplicated rows and tall systems fall back to bound (i)."""
     rng = np.random.default_rng(0)
     assert analysis._least_norm_step_factor(_lf_instance(rng, 6, 15).a) is not None
     assert analysis._least_norm_step_factor(_lf_instance(rng, 1, 3).a) is not None
     assert analysis._least_norm_step_factor(_lf_instance(rng, 6, 15, duplicate=True).a) is None
     assert analysis._least_norm_step_factor(_lf_instance(rng, 30, 6).a) is None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[1e200, 0.0, 0.0], [0.0, 1e-200, 0.0]]],
+    ids=["zero-singular-value", "overflowing-kappa"],
+)
+def test_hoffman_factor_gate_refuses_quietly(rows):
+    """A zero smallest singular value, or a ratio s_max / s_min whose square
+    overflows, fails the gate without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analysis._least_norm_step_factor(DenseMatrix(rows)) is None
 
 
 def _conditioned_matrix(rng, m, n, kappa):
@@ -535,9 +550,12 @@ def test_hoffman_spectral_gate():
     assert analysis._least_norm_step_factor(DenseMatrix(outside)) is None
 
 
-def _gate_instance(rng, m, n):
-    """A feasibility problem whose A A^T sits just inside the gate."""
-    a = _conditioned_matrix(rng, m, n, 0.9e-8 / (2.0 * (m + n + 1) * np.finfo(float).eps))
+def _gate_instance(rng, m, n, kappa=None):
+    """A feasibility problem whose A A^T has condition number kappa, by
+    default just inside the gate."""
+    if kappa is None:
+        kappa = 0.9e-8 / (2.0 * (m + n + 1) * np.finfo(float).eps)
+    a = _conditioned_matrix(rng, m, n, kappa)
     xp = rng.standard_normal(n)
     b = a @ xp + np.abs(rng.standard_normal(m)) * (rng.random(m) > 0.6)
     return Problem(kind=ProblemKind.LF, a=DenseMatrix(a), b=b, x_planted=xp)
@@ -575,24 +593,30 @@ def test_hoffman_bounds_certify_every_sample(block):
     assert checked >= 200
 
 
-@pytest.mark.parametrize("block", range(10))
+@pytest.mark.parametrize("block", range(12))
 def test_hoffman_search_matches_reference_random(block):
-    """50 random instances per block, 500 in all: tall, square and wide
-    shapes up to 15 x 15 (blocks 0-7) and wide shapes up to 30 x 60
+    """50 random instances per block, 600 in all: tall, square and wide
+    shapes up to 15 x 15 (blocks 0-7), wide shapes up to 30 x 60
     (blocks 8-9), planted and unplanted centres, duplicated and rescaled
-    rows, default and arbitrary radii.  Value, count and any error match
-    the exhaustive loop."""
+    rows, default and arbitrary radii; and full-rank wide shapes up to
+    15 x 30 with kappa(A A^T) from 1e8 to 1e10 (blocks 10-11), outside
+    bound (iii)'s gate, where the projections round the most.  Value,
+    count and any error match the exhaustive loop."""
     rng = np.random.default_rng(7919 + block)
     for t in range(50):
         if block < 8:
             m, n = (int(v) for v in rng.integers(1, 16, size=2))
         else:
-            m = int(rng.integers(1, 31))
+            low, high = (1, 31) if block < 10 else (2, 16)
+            m = int(rng.integers(low, high))
             n = int(rng.integers(m, 2 * m + 1))
-        p = _lf_instance(
-            rng, m, n, planted=t % 2 == 0, duplicate=m >= 2 and t % 5 == 1,
-            rescale=t % 5 == 2,
-        )
+        if block < 10:
+            p = _lf_instance(
+                rng, m, n, planted=t % 2 == 0, duplicate=m >= 2 and t % 5 == 1,
+                rescale=t % 5 == 2,
+            )
+        else:
+            p = _gate_instance(rng, m, n, kappa=10.0 ** rng.uniform(8.0, 10.0))
         radius = analysis.hoffman_ball(p)[1] if t % 3 == 0 else float(10.0 ** rng.uniform(-1, 1.5))
         n_samples, seed = int(rng.integers(1, 60)), int(rng.integers(0, 10**6))
         assert _estimate_or_error(hoffman_estimate, p, n_samples, radius, seed) == (
@@ -803,19 +827,23 @@ _NAN = float("nan")
 
 def _nan_calls():
     """Each public entry point handed a NaN penalty, multiplier or schedule
-    factor, with the message it refuses it by."""
+    factor (or an infinite multiplier), with the message it refuses it by."""
     ls = generate_consistent_ls(4, 3, seed=52)
     lf = generate_feasible_lf(4, 3, seed=53, active_fraction=0.5)
     x = np.zeros(3)
     state = SolverState(x=x, z=0.0, rho=1.0, k=0)
     rho, z, c = "rho must be positive", "z must be nonnegative", "c must be at least 1"
+    finite = "z must be finite"
     return {
         "rpk_step_ls": (lambda: rpk_step_ls(x, ls.a, ls.b, 0, _NAN), rho),
         "rpk_step_lf": (lambda: rpk_step_lf(x, lf.a, lf.b, 0, _NAN), rho),
         "rak_step_ls": (lambda: rak_step_ls(x, 0.0, ls.a, ls.b, 0, _NAN), rho),
+        "rak_step_ls-z": (lambda: rak_step_ls(x, _NAN, ls.a, ls.b, 0, 1.0), finite),
         "rak_step_lf-rho": (lambda: rak_step_lf(x, 0.0, lf.a, lf.b, 0, _NAN), rho),
         "rak_step_lf-z": (lambda: rak_step_lf(x, _NAN, lf.a, lf.b, 0, 1.0), z),
         "lyapunov_ls": (lambda: lyapunov_ls(x, x, 0.0, _NAN), rho),
+        "lyapunov_ls-z": (lambda: lyapunov_ls(x, x, _NAN, 1.0), finite),
+        "lyapunov_ls-z-inf": (lambda: lyapunov_ls(x, x, float("inf"), 1.0), finite),
         "lyapunov_lf-rho": (lambda: lyapunov_lf(x, lf, 0.0, _NAN), rho),
         "lyapunov_lf-z": (lambda: lyapunov_lf(x, lf, _NAN, 1.0), z),
         "instance_rate_factor": (lambda: instance_rate_factor(ls, Method.RPK, _NAN, 1.0), rho),
@@ -824,10 +852,18 @@ def _nan_calls():
             lambda: exact_expected_step(lf, SolverState(x, _NAN, 1.0, 0), Method.RAK, 1.0),
             z,
         ),
+        "exact_expected_step-ls-z": (
+            lambda: exact_expected_step(ls, SolverState(x, _NAN, 1.0, 0), Method.RAK, 1.0),
+            finite,
+        ),
         "adaptive_step_report-c": (lambda: adaptive_step_report(ls, state, _NAN), c),
         "adaptive_step_report-rho": (
             lambda: adaptive_step_report(ls, SolverState(x, 0.0, _NAN, 0), 1.0),
             rho,
+        ),
+        "adaptive_step_report-z": (
+            lambda: adaptive_step_report(ls, SolverState(x, _NAN, 1.0, 0), 1.0),
+            finite,
         ),
     }
 
@@ -835,7 +871,8 @@ def _nan_calls():
 @pytest.mark.parametrize("entry", sorted(_nan_calls()))
 def test_nan_penalty_or_multiplier_refused(entry):
     """NaN passes `rho <= 0`, `z < 0` and `c < 1`; each entry point refuses
-    it by name instead of returning NaN."""
+    it by name instead of returning NaN, and refuses an infinite multiplier
+    instead of returning inf."""
     call, message = _nan_calls()[entry]
     with pytest.raises(ValueError, match=message):
         call()

@@ -500,6 +500,45 @@ def test_equality_runs_factor_the_matrix_once(capsys, tmp_path, monkeypatch, row
     assert calls == {"svd": 1, "eigvalsh": 0, "eigh": 0}
 
 
+@pytest.mark.parametrize("rows, cols, svd_calls", [(6, 15, 1), (30, 6, 0)])
+def test_feasibility_runs_factor_the_matrix_at_most_once(
+    capsys, tmp_path, monkeypatch, rows, cols, svd_calls
+):
+    """The Hoffman estimate's least-norm bound reads the one SVD of A: a
+    loaded wide feasibility problem put through a traced solve and a
+    three-method compare makes one svd call and no cholesky or inv call,
+    and a tall one, which has no such bound, makes none of them."""
+    from kaczpen import cli
+
+    path = str(tmp_path / "lf.txt")
+    assert main(["generate", "--kind", "lf", "--rows", str(rows), "--cols", str(cols),
+                 "--active-fraction", "0.3", "--seed", "11", "-o", path]) == 0
+    problem = load_problem(path)
+    monkeypatch.setattr(cli, "load_problem", lambda p: problem)
+    calls = {"svd": 0, "cholesky": 0, "inv": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    code, _, stderr = run_cli(
+        capsys, "solve", path, "--method", "rak", "--iters", "50",
+        "--trace", str(tmp_path / "t.csv"),
+    )
+    assert code == 0, stderr
+    code, _, stderr = run_cli(
+        capsys, "compare", path, "--methods", "rk,rpk,rak", "--trials", "2",
+        "--checkpoints", "0,10",
+    )
+    assert code == 0, stderr
+    assert calls == {"svd": svd_calls, "cholesky": 0, "inv": 0}
+
+
 def test_overflowing_solution_exits_3(capsys, tmp_path):
     """x* of this 2x2 system is (-3.4e308, 3.4e308), beyond the float64
     range: solve and compare fail fast instead of reporting an inf error."""

@@ -128,12 +128,16 @@ def test_svd_is_computed_once_and_read_only(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     a = DenseMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]))
+    names = list(vars(a))
     b = a.data @ np.ones(2)
     lambda_min_variants(a)
     least_norm_solution(a, b, np.zeros(2))
     least_norm_solution(a, b, np.ones(2))
     assert len(calls) == 1
     assert not any(v.flags.writeable for v in a.svd)
+    # kept in a slot set at construction: an attribute added on first use
+    # would slow every later attribute read on the matrix
+    assert list(vars(a)) == names
 
 
 # ---------------------------------------------------------------------------
