@@ -23,7 +23,7 @@ from .linalg import (
     row_dots,
 )
 from .problems import Problem, ProblemKind
-from .projection import _warm_distance, distance_to_feasible, project_polyhedron
+from .projection import distance_to_feasible, project_polyhedron
 from .sampling import RowDistribution, make_rng
 from .solvers import _DRAW_BLOCK, Method, SolverConfig, SolverState
 
@@ -73,8 +73,7 @@ def lyapunov_ls(x, x_star, z: float, rho: float) -> float:
     solvers._check_multiplier(z, False)
     x = as_vector(x)
     x_star = as_vector(x_star, x.shape[0])
-    d = x - x_star
-    return float(d @ d) + z * z / rho
+    return float(solvers._stacked_error_sq(x[None], x_star)[0]) + z * z / rho
 
 
 def lyapunov_lf(x, problem: Problem, z: float, rho: float) -> float:
@@ -375,10 +374,10 @@ def _enumerate_rows(
     from one call of the step kernel over all m rows; each moving row's
     projection starts from the base point's support.
 
-    The error is the squared distance to the solution nearest the origin
-    (equality) or to the feasible set (feasibility, where
-    a row that does not move keeps the base error).  Steps that carry no
-    multiplier keep z.
+    The error is solvers._error_sq (its stacked form for the equality
+    rows): the squared distance to the solution nearest the origin
+    (equality) or to the feasible set (feasibility, where a row that does
+    not move keeps the base error).  Steps that carry no multiplier keep z.
     """
     if problem.m > _ENUMERATION_CAP:
         raise ValueError(
@@ -388,13 +387,8 @@ def _enumerate_rows(
     x = as_vector(state.x, problem.n)
     z = float(state.z)
     solvers._check_multiplier(z, lf and method is Method.RAK)
-    if lf:
-        base_dist, support = _warm_distance(x, problem)
-        base_err = base_dist * base_dist
-    else:
-        x_star = solvers.solution_nearest(problem)
-        d = x - x_star
-        base_err = float(d @ d)
+    x_star = None if lf else solvers.solution_nearest(problem)
+    base_err, support = solvers._error_sq(problem, x, x_star)
     x_new, coef, moves = solvers._step_rows(
         a.data, x, problem.b, a.row_norms_sq, method, z, rho, lf
     )
@@ -403,11 +397,9 @@ def _enumerate_rows(
         # moves, not coef != 0: a moving row's coef can underflow to 0
         for i in np.flatnonzero(moves):
             # an array of its own, as the step functions return
-            dist = _warm_distance(as_vector(x_new[i]).copy(), problem, support)[0]
-            err[i] = dist * dist
+            err[i] = solvers._error_sq(problem, as_vector(x_new[i]).copy(), None, support)[0]
     else:
-        d = x_new - x_star
-        err = row_dots(d, d)
+        err = solvers._stacked_error_sq(x_new, x_star)
     zs = coef if method is Method.RAK else np.full(problem.m, z)
     w = RowDistribution(a).probabilities
     # summed left to right in row order, as accumulate adds; np.sum's
@@ -552,9 +544,10 @@ def monte_carlo_error_curve(
     draws its rows ahead in blocks of random(count), as its run_solver
     sampler would, and every trial's block is mapped to rows in one
     search, so a trial adds only its stream's set-up and its steps.  The
-    residuals, and the equality checkpoint errors, come from
-    stacked products, which round exactly like the scalar row @ x and
-    d @ d, so the means are bit for bit those of per-trial reruns.  rho
+    residuals come from stacked products, which round exactly like the
+    scalar row @ x, and the equality checkpoint errors from
+    solvers._stacked_error_sq, so the means are bit for bit those of
+    per-trial reruns.  rho
     follows run_solver's schedule, with advance_rho called only while
     solvers._rho_moves holds.  Means accumulate in trial order.  A
     non-finite iterate raises NumericFailureError for the lowest-index
@@ -600,9 +593,7 @@ def monte_carlo_error_curve(
         nonlocal next_j
         while next_j < len(ks) and ks[next_j] == k:
             if is_ls:
-                # one stacked dot, equal to each trial's d @ d bit for bit
-                d = x - x_star
-                errs = row_dots(d, d)
+                errs = solvers._stacked_error_sq(x, x_star)
             else:
                 errs = np.empty(len(x))
                 for t in range(len(x)):

@@ -51,8 +51,6 @@ def _parse_methods(text: str) -> list[solvers.Method]:
             methods.append(solvers.Method(token))
         except ValueError:
             raise UsageError(f"unknown method {token!r}") from None
-    if not methods:
-        raise UsageError("no methods given")
     return methods
 
 

@@ -23,8 +23,12 @@ curve decide this once per run, and again after each step that moves
 rho, and call advance_rho only while it holds.
 
 A run uses the problem it is given, rows as they are (a caller that wants
-unit rows passes normalize_rows(problem)); residual_of and error_sq_of are
-the one definition of a run's residual and squared error.  SolverConfig
+unit rows passes normalize_rows(problem)).  residual_of and error_sq_of,
+with their stacked forms _stacked_residuals and _stacked_error_sq, are the
+one definition of a residual and a squared error: the trace records,
+analysis's Monte Carlo checkpoints, enumeration oracles and lyapunov_ls
+read them, and a feasibility error is d * d, d the certified projection
+distance (lyapunov_lf squares it alike).  SolverConfig
 is validated once, when built; run_solver reads the rows, b and
 ||a_i||^2 into lists once and updates x in place.  It draws its rows a
 chunk at a time, each chunk in one sample_rows call (any split of the
@@ -35,9 +39,9 @@ each step's x in a preallocated buffer, with its row, z and rho.  A
 chunk that fails the check is replayed from its starting (x, z, rho, and
 whether rho moves) with a check after every step, only to find the first
 non-finite k; the steps before it are kept.  The kept steps of
-every chunk then take one metric path: every residual comes from one
-stacked matmul, every equality error from one stacked dot (both equal
-residual_of and error_sq_of bit for bit), and a feasibility error from
+every chunk then take one metric path: every residual comes from
+_stacked_residuals and every equality error from _stacked_error_sq, each
+for the whole chunk at once, and a feasibility error from
 error_sq_of at each stride point, its projection started from the
 previous stride point's support (the same result as a cold start, bit
 for bit, see projection._certified).  A residual_tol stop is the first kept
@@ -208,8 +212,7 @@ def rak_step_lf(x, z: float, a: DenseMatrix, b, i: int, rho: float):
 def residual_of(problem: Problem, x: np.ndarray) -> float:
     """The residual of x: max |Ax - b| for equalities, max(max(Ax - b), 0)
     for feasibility."""
-    r = problem.a.data @ x - problem.b
-    return float(np.abs(r).max()) if problem.kind is ProblemKind.LS else max(float(r.max()), 0.0)
+    return _stacked_residuals(problem, np.asarray(x)[None])[0]
 
 
 def solution_nearest(problem: Problem, x0: np.ndarray | None = None) -> np.ndarray:
@@ -232,17 +235,24 @@ def _error_sq(problem: Problem, x: np.ndarray, x_star, start=None):
     passive set at the row mask start and support is its rows lam > 0,
     the start for the next point of a run; None for equalities."""
     if problem.kind is ProblemKind.LS:
-        d = x - (solution_nearest(problem) if x_star is None else x_star)
-        return float(d @ d), None
+        x_star = solution_nearest(problem) if x_star is None else x_star
+        return float(_stacked_error_sq(np.asarray(x)[None], x_star)[0]), None
     dist, support = _warm_distance(x, problem, start)
-    return dist**2, support
+    return dist * dist, support
+
+
+def _stacked_error_sq(xs: np.ndarray, x_star: np.ndarray) -> np.ndarray:
+    """||x - x_star||^2 for each row x of xs, by one stacked dot that takes
+    each as the scalar d @ d of that x alone."""
+    d = xs - x_star
+    return row_dots(d, d)
 
 
 def _stacked_residuals(problem: Problem, xs: np.ndarray) -> list[float]:
-    """residual_of(problem, x) for each row x of xs, bit for bit, signed
-    zeros included: the stacked matmul takes each A x as the
-    matrix-vector product of that x alone, where the GEMM xs @ A^T would
-    round some of them differently."""
+    """The residual of each row x of xs, the rule residual_of reads: the
+    stacked matmul takes each A x as the matrix-vector product of that x
+    alone, where the GEMM xs @ A^T would round some of them differently,
+    so a row's residual does not depend on the rows stacked with it."""
     r = np.matmul(problem.a.data, xs[:, :, None])[:, :, 0]
     r -= problem.b
     if problem.kind is ProblemKind.LS:
@@ -254,15 +264,14 @@ def _trace_records(problem, xs, kept, residuals, k0, error_sq, support, x_star, 
     """Send sink the trace records of steps k0 + 1, k0 + 2, ... one at a
     time, from each step's (row, z, rho) in kept, its x in xs and its
     residual, and return the last (error_sq, support) of _error_sq.
-    Equality errors come from one stacked dot, equal to error_sq_of bit for
-    bit; a feasibility error is error_sq_of at each stride point, its
+    Equality errors come from one _stacked_error_sq over the kept steps;
+    a feasibility error is error_sq_of at each stride point, its
     projection started from the previous stride point's support, and is
     carried to the records between them, so a projection that raises
     leaves sink holding the records before it."""
     is_ls = problem.kind is ProblemKind.LS
     if is_ls:
-        d = xs[: len(kept)] - x_star
-        errors = row_dots(d, d).tolist()
+        errors = _stacked_error_sq(xs[: len(kept)], x_star).tolist()
     for j, (i, z, rho) in enumerate(kept):
         k = k0 + j + 1
         fresh = is_ls or k % stride == 0

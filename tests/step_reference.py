@@ -382,7 +382,9 @@ def reference_solve(problem: Problem, cfg: SolverConfig, trace_sink=None, x_star
         if is_ls:
             d = v - x_star
             return float(d @ d)
-        return distance_to_feasible(v, problem) ** 2
+        # squared as a product, the package's definition (** goes through pow)
+        dist = distance_to_feasible(v, problem)
+        return dist * dist
 
     residual = residual_of(x) if need_residual else 0.0
     error_sq = error_of(x) if tracing else 0.0

@@ -282,6 +282,34 @@ def test_lyapunov_scaling_in_rho():
     assert v1 == 4.0 and v4 == 1.0
 
 
+def test_feasibility_error_squares_the_distance_once():
+    """Every reader squares a feasibility distance d as d * d: on {y <= 0}
+    at x = t, where t ** 2 rounds one ulp below t * t, error_sq_of, the
+    k = 0 trace record, a one-trial curve's checkpoint 0 and initial value,
+    the oracle's base error and lyapunov_lf all read t * t."""
+    from kaczpen.solvers import error_sq_of
+
+    t = 1.6970319309869248
+    assert t**2 != t * t
+    p = Problem(kind=ProblemKind.LF, a=DenseMatrix(np.array([[1.0]])), b=np.zeros(1))
+    x = np.array([t])
+    cfg = SolverConfig(method=Method.RAK, max_iters=0, x0=x)
+    records = []
+    run_solver(p, cfg, records.append)
+    curve = monte_carlo_error_curve(p, cfg, 1, [0])
+    report = exact_expected_step(p, SolverState(x=x, z=0.0, rho=1.0, k=0), Method.RK, 1.0)
+    values = {
+        "error_sq_of": error_sq_of(p, x),
+        "trace error_sq": records[0].error_sq,
+        "trace lyapunov": records[0].lyapunov,
+        "curve mean": curve.means[0],
+        "curve initial_value": curve.initial_value,
+        "base_error_sq": report.base_error_sq,
+        "lyapunov_lf": lyapunov_lf(x, p, 0.0, 1.0),
+    }
+    assert values == dict.fromkeys(values, t * t)
+
+
 # ---------------------------------------------------------------------------
 # projections and distance.  The test_project_affine_* tests check the
 # projection onto {y : Ay = b}, which is least_norm_solution from x.
@@ -622,6 +650,31 @@ def test_hoffman_search_matches_reference_random(block):
         assert _estimate_or_error(hoffman_estimate, p, n_samples, radius, seed) == (
             _estimate_or_error(reference_hoffman_estimate, p, n_samples, radius, seed)
         ), (block, t, m, n)
+
+
+def test_skip_margin_covers_the_distance_excess():
+    """The Hoffman search's skip margin covers how far a computed distance
+    lies above the exact one where the projections round the most: at
+    kappa(A A^T) = 5.9e9, outside bound (iii)'s gate, on the contributing
+    points of 30 Hoffman samples on each of 20 3 x 23 systems (494 in
+    all), against the exact distance, the least-norm step onto the
+    projection's support rows by the SVD.  The
+    largest relative excess here is about 2.9e-7, so a margin of 1e-9
+    fails."""
+    from kaczpen.projection import _warm_distance
+
+    rng = np.random.default_rng(0)
+    excess = []
+    for t in range(20):
+        p = _gate_instance(rng, 3, 23, kappa=5.9e9)
+        points, _, _ = analysis._hoffman_samples(p, 30, analysis.hoffman_ball(p)[1], t)
+        for x in points:
+            dist, support = _warm_distance(x, p)
+            u, s, _ = np.linalg.svd(p.a.data[support], full_matrices=False)
+            exact = float(np.linalg.norm(u.T @ (p.a.data[support] @ x - p.b[support]) / s))
+            excess.append((dist - exact) / exact)
+    assert len(excess) >= 400
+    assert max(excess) < analysis._SKIP_MARGIN
 
 
 def test_hoffman_ball_projects_origin_once(monkeypatch):
