@@ -13,14 +13,14 @@ only when arg > 0, the positive-part clip.  The formula lives in one
 kernel, _step_coef, which works on a float or on an array of independent
 steps: the six public step functions wrap it for one row, run_solver calls
 it once per iteration, and _step_rows applies it to all Monte Carlo
-trials, or all rows of an enumeration oracle, at once.  An optional
-geometric schedule grows rho by a factor c >= 1 each iteration up to a
-cap, which drives the damped steps toward the plain projection.  rho
-moves only while _rho_moves holds: a damped method, c != 1 and rho below
-rho_max.  At c = 1, and from the step that reaches the cap on,
-advance_rho would return rho itself, so run_solver and the Monte Carlo
-curve decide this once per run, and again after each step that moves
-rho, and call advance_rho only while it holds.
+trials, all rows of an enumeration oracle, or all of verify's step
+cases, at once.  An optional geometric schedule grows rho by a factor
+c >= 1 each iteration up to a cap, which drives the damped steps toward
+the plain projection.  rho moves only while _rho_moves holds: a damped
+method, c != 1 and rho below rho_max.  At c = 1, and from the step that
+reaches the cap on, advance_rho would return rho itself, so run_solver
+and the Monte Carlo curve decide this once per run, and again after each
+step that moves rho, and call advance_rho only while it holds.
 
 A run uses the problem it is given, rows as they are (a caller that wants
 unit rows passes normalize_rows(problem)).  residual_of and error_sq_of,
@@ -116,12 +116,12 @@ def _kernel_args(method: Method, z, rho: float):
     return (z if method is Method.RAK else None), (math.inf if method is Method.RK else rho)
 
 
-def _step_rows(rows, x, b, norms_sq, method: Method, z, rho: float, lf: bool):
+def _step_rows(rows, x, b, norms_sq, method: Method, z, rho, lf: bool):
     """The kernel on many independent steps at once: row t of rows, with
-    b[t], norms_sq[t] and z[t] (or z itself when z is one value), steps
-    x[t] (or x itself when x is one vector).  Returns (x_new, coef,
-    moves); where a row does not move, x_new keeps x and coef is 0, as
-    the step functions leave x and zero z."""
+    b[t], norms_sq[t], z[t] and rho[t] (or z, rho itself when it is one
+    value), steps x[t] (or x itself when x is one vector).  Returns
+    (x_new, coef, moves); where a row does not move, x_new keeps x and
+    coef is 0, as the step functions leave x and zero z."""
     z_arg, rho_arg = _kernel_args(method, z, rho)
     coef, moves = _step_coef(row_dots(rows, x) - b, z_arg, norms_sq, rho_arg, lf)
     x_new = x - coef[:, None] * rows

@@ -4,11 +4,20 @@ Every check returns a PropertyResult whose detail line records the worst
 measured slack, so a run documents how much margin each property had.
 Counts are parameters: the CLI uses fast defaults, the acceptance tests
 rerun the same checks at their full sizes.
+
+The one-step identities (the steps suite but rho-schedule) draw their
+cases one at a time, in the documented PCG64 order, and stack them: each
+check then steps every case through one solvers._step_rows call per
+method, the kernel compare's Monte Carlo curve and the enumeration oracles
+run, and takes every a_i . x with row_dots, the scalar float(a_i @ x) bit
+for bit.  The public per-row step functions run on the first case of every
+_BLOCK-case block, and a result that is not bit for bit the stacked row's
+fails the property.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +29,7 @@ from .analysis import (
     hoffman_estimate,
     monte_carlo_error_curve,
 )
-from .linalg import ConvergenceError, DenseMatrix
+from .linalg import ConvergenceError, DenseMatrix, row_dots
 from .problems import (
     Problem,
     ProblemKind,
@@ -58,92 +67,182 @@ def _scaled(problem: Problem, rows: str) -> Problem:
     return normalize_rows(problem) if rows == "unit" else problem
 
 
-def _step_tuples(seed: int, count: int, rho_hi: float, arg_floor: float, z_span: float):
-    """Yield (problem, x, i, rho, z) with the step argument bounded away
-    from zero so relative identity checks stay well conditioned."""
+# the step checks generate one problem per this many cases
+_BLOCK = 50
+
+
+@dataclass(frozen=True)
+class _StepCases:
+    """Step cases stacked for solvers._step_rows: case t steps x[t] on row
+    index[t] of problems[t // _BLOCK], whose row, bound and squared norm are
+    rows[t], b[t] and norms_sq[t], at penalty rho[t] with multiplier z[t]."""
+
+    problems: list[Problem]
+    index: tuple[int, ...]
+    rows: np.ndarray
+    b: np.ndarray
+    norms_sq: np.ndarray
+    x: np.ndarray
+    rho: np.ndarray
+    z: np.ndarray
+
+
+def _stack_cases(problems: list[Problem], drawn: list[tuple]) -> _StepCases:
+    """Stack the drawn (i, x, rho, z) of each case with its row, bound and
+    squared norm."""
+    index, xs, rhos, zs = zip(*drawn)
+    blocks = np.arange(len(index)) // _BLOCK
+
+    def pick(per_problem):
+        return np.stack(per_problem)[blocks, index]
+
+    return _StepCases(
+        problems,
+        index,
+        pick([p.a.data for p in problems]),
+        pick([p.b for p in problems]),
+        pick([p.a.row_norms_sq for p in problems]),
+        np.array(xs),
+        np.array(rhos),
+        np.array(zs),
+    )
+
+
+def _step_cases(
+    seed: int, count: int, rho_hi: float, arg_floor: float, z_span: float
+) -> _StepCases:
+    """Draw count equality cases, one 20x10 unit-row problem per _BLOCK.
+    Each case draws its row i, rho, z (when z_span > 0) and then x until
+    the step argument is bounded away from zero, so relative identity
+    checks stay well conditioned."""
     rng = make_rng(seed)
-    problem = None
+    log_rho_hi = np.log10(rho_hi)
+    problems, drawn = [], []
     for t in range(count):
-        if t % 50 == 0:
+        if t % _BLOCK == 0:
             problem = _normalized_ls(20, 10, seed + 1000 + t)
+            problems.append(problem)
+            a, b = problem.a.data, problem.b.tolist()
         i = int(rng.integers(problem.m))
-        rho = float(10.0 ** rng.uniform(-1.0, np.log10(rho_hi)))
+        rho = float(10.0 ** rng.uniform(-1.0, log_rho_hi))
         z = float(rng.uniform(-z_span, z_span)) if z_span > 0.0 else 0.0
-        row = problem.a.row(i)
         for _ in range(200):
             x = rng.standard_normal(problem.n)
-            r = float(row @ x) - problem.b[i]
+            r = float(a[i] @ x) - b[i]
             if abs(r + z / rho) >= arg_floor and abs(r) >= arg_floor:
                 break
-        yield problem, x, i, rho, z
+        drawn.append((i, x, rho, z))
+    return _stack_cases(problems, drawn)
+
+
+def _slack_cases(seed: int, count: int) -> _StepCases:
+    """Draw count feasibility cases on slack rows, one 10x6 unit-row
+    problem per _BLOCK.  Each case draws its row i, rho, then x near the
+    planted point until a_i . x - b_i = r < -1e-3, then z in
+    [0, min(1, 0.9 rho |r|)), so that z + rho r < 0."""
+    rng = make_rng(seed)
+    problems, drawn = [], []
+    for t in range(count):
+        if t % _BLOCK == 0:
+            problem = _normalized_lf(10, 6, seed + 2000 + t, 0.0)
+            problems.append(problem)
+            a, b = problem.a.data, problem.b.tolist()
+        i = int(rng.integers(problem.m))
+        rho = float(10.0 ** rng.uniform(-1.0, 1.0))
+        for _ in range(200):
+            x = problem.x_planted + 0.3 * rng.standard_normal(problem.n)
+            r = float(a[i] @ x) - b[i]
+            if r < -1e-3:
+                break
+        z = float(rng.uniform(0.0, min(1.0, -r * rho * 0.9)))
+        drawn.append((i, x, rho, z))
+    return _stack_cases(problems, drawn)
+
+
+def _public_step(method: Method, lf: bool, x, z: float, a: DenseMatrix, b, i: int, rho: float):
+    """(name, x', z') of the public step function of (method, lf) on one
+    case; z' is 0.0 for the steps that carry no multiplier."""
+    name = f"{method.value}_step_{'lf' if lf else 'ls'}"
+    step = getattr(solvers, name)
+    if method is Method.RAK:
+        return (name, *step(x, z, a, b, i, rho))
+    if method is Method.RPK:
+        return name, step(x, a, b, i, rho), 0.0
+    return name, step(x, a, b, i), 0.0
+
+
+def _stacked_steps(cases: _StepCases, method: Method, lf: bool):
+    """(x', coef, moves, mismatch) of every case from one
+    solvers._step_rows call.  The public step function also runs on the
+    first case of every block; mismatch names the first whose x' (x itself
+    where the row does not move) or z' is not bit for bit the stacked
+    row's, and is None when all agree."""
+    x_new, coef, moves = solvers._step_rows(
+        cases.rows, cases.x, cases.b, cases.norms_sq, method, cases.z, cases.rho, lf
+    )
+    for t in range(0, len(cases.index), _BLOCK):
+        problem, x = cases.problems[t // _BLOCK], cases.x[t]
+        name, x_pub, z_pub = _public_step(
+            method, lf, x, float(cases.z[t]), problem.a, problem.b, cases.index[t],
+            float(cases.rho[t]),
+        )
+        same_x = np.array_equal(x_pub, x_new[t]) if not lf or moves[t] else x_pub is x
+        if not (same_x and (method is not Method.RAK or z_pub == coef[t])):
+            return x_new, coef, moves, f"case {t}: {name} differs from the stacked step"
+    return x_new, coef, moves, None
+
+
+def _checked(name: str, mismatch: str | None, passed: bool, detail: str) -> PropertyResult:
+    """A stacked check's result, failed with the mismatch's detail when a
+    public step function disagrees with the kernel."""
+    return _result(name, mismatch is None and passed, mismatch or detail)
 
 
 def check_rpk_ls_residual_contraction(seed: int, count: int = 300) -> PropertyResult:
     """Post-step row residual equals the pre-step residual divided by
     1 + rho ||a_i||^2, to 1e-12 relative."""
-    worst = 0.0
-    for problem, x, i, rho, _ in _step_tuples(seed, count, 10.0, 0.3, 0.0):
-        row = problem.a.row(i)
-        r_pre = float(row @ x) - problem.b[i]
-        x_new = solvers.rpk_step_ls(x, problem.a, problem.b, i, rho)
-        r_post = float(row @ x_new) - problem.b[i]
-        expected = r_pre / (1.0 + rho * problem.a.row_norms_sq[i])
-        rel = abs(r_post - expected) / abs(expected)
-        worst = max(worst, rel)
-    return _result(
-        "rpk-ls-residual-contraction", worst <= 1e-12, f"max_rel_err={worst:.3e}"
+    cases = _step_cases(seed, count, 10.0, 0.3, 0.0)
+    x_new, _, _, mismatch = _stacked_steps(cases, Method.RPK, False)
+    r_pre = row_dots(cases.rows, cases.x) - cases.b
+    r_post = row_dots(cases.rows, x_new) - cases.b
+    expected = r_pre / (1.0 + cases.rho * cases.norms_sq)
+    worst = float(np.max(np.abs(r_post - expected) / np.abs(expected)))
+    return _checked(
+        "rpk-ls-residual-contraction", mismatch, worst <= 1e-12, f"max_rel_err={worst:.3e}"
     )
 
 
 def check_rak_ls_dual_identity(seed: int, count: int = 300) -> PropertyResult:
     """The refreshed multiplier satisfies z' = z + rho (a_i . x' - b_i)
     to 1e-12 relative."""
-    worst = 0.0
-    for problem, x, i, rho, z in _step_tuples(seed, count, 2.0, 0.3, 3.0):
-        x_new, z_new = solvers.rak_step_ls(x, z, problem.a, problem.b, i, rho)
-        row = problem.a.row(i)
-        recomputed = z + rho * (float(row @ x_new) - problem.b[i])
-        rel = abs(z_new - recomputed) / abs(z_new)
-        worst = max(worst, rel)
-    return _result("rak-ls-dual-identity", worst <= 1e-12, f"max_rel_err={worst:.3e}")
+    cases = _step_cases(seed, count, 2.0, 0.3, 3.0)
+    x_new, z_new, _, mismatch = _stacked_steps(cases, Method.RAK, False)
+    recomputed = cases.z + cases.rho * (row_dots(cases.rows, x_new) - cases.b)
+    worst = float(np.max(np.abs(z_new - recomputed) / np.abs(z_new)))
+    return _checked("rak-ls-dual-identity", mismatch, worst <= 1e-12, f"max_rel_err={worst:.3e}")
 
 
 def check_rk_ls_projection(seed: int, count: int = 200) -> PropertyResult:
     """The plain step lands on the sampled hyperplane."""
-    worst = 0.0
-    for problem, x, i, _, _ in _step_tuples(seed, count, 10.0, 0.1, 0.0):
-        x_new = solvers.rk_step_ls(x, problem.a, problem.b, i)
-        row = problem.a.row(i)
-        gap = abs(float(row @ x_new) - problem.b[i])
-        worst = max(worst, gap)
-    return _result("rk-ls-projection", worst <= 1e-12, f"max_residual={worst:.3e}")
+    cases = _step_cases(seed, count, 10.0, 0.1, 0.0)
+    x_new, _, _, mismatch = _stacked_steps(cases, Method.RK, False)
+    worst = float(np.max(np.abs(row_dots(cases.rows, x_new) - cases.b)))
+    return _checked("rk-ls-projection", mismatch, worst <= 1e-12, f"max_residual={worst:.3e}")
 
 
 def check_lf_inactive_noop(seed: int, count: int = 200) -> PropertyResult:
     """Feasibility steps leave x untouched on satisfied rows, and the
-    multiplier step zeroes z when z + rho r < 0.  Cases draw from one
-    10x6 problem per 50, as _step_tuples does."""
-    rng = make_rng(seed)
-    ok = True
-    problem = None
-    for t in range(count):
-        if t % 50 == 0:
-            problem = _normalized_lf(10, 6, seed + 2000 + t, 0.0)
-        i = int(rng.integers(problem.m))
-        row = problem.a.row(i)
-        rho = float(10.0 ** rng.uniform(-1.0, 1.0))
-        for _ in range(200):
-            x = problem.x_planted + 0.3 * rng.standard_normal(problem.n)
-            if float(row @ x) - problem.b[i] < -1e-3:
-                break
-        x_rpk = solvers.rpk_step_lf(x, problem.a, problem.b, i, rho)
-        x_rk = solvers.rk_step_lf(x, problem.a, problem.b, i)
-        r = float(row @ x) - problem.b[i]
-        z = float(rng.uniform(0.0, min(1.0, -r * rho * 0.9)))
-        x_rak, z_new = solvers.rak_step_lf(x, z, problem.a, problem.b, i, rho)
-        ok = ok and x_rpk is x and x_rk is x and x_rak is x and z_new == 0.0
-        if not ok:
-            return _result("lf-inactive-noop", False, f"case {t} moved on a slack row")
+    multiplier step zeroes z when z + rho r < 0."""
+    cases = _slack_cases(seed, count)
+    moved = np.zeros(count, dtype=bool)
+    for method in (Method.RPK, Method.RK, Method.RAK):
+        x_new, coef, moves, mismatch = _stacked_steps(cases, method, True)
+        if mismatch is not None:
+            return _result("lf-inactive-noop", False, mismatch)
+        moved |= moves | (coef != 0.0) | (x_new != cases.x).any(axis=1)
+    if moved.any():
+        t = int(np.argmax(moved))
+        return _result("lf-inactive-noop", False, f"case {t} moved on a slack row")
     return _result("lf-inactive-noop", True, f"{count} cases held exactly")
 
 
@@ -152,17 +251,14 @@ def check_penalty_limit_matches_rk(
 ) -> PropertyResult:
     """At huge rho the damped and multiplier steps (z = 0) coincide with
     the plain projection on unit-norm rows."""
-    worst = 0.0
-    for problem, x, i, _, _ in _step_tuples(seed, count, 10.0, 0.0, 0.0):
-        x_rk = solvers.rk_step_ls(x, problem.a, problem.b, i)
-        x_rpk = solvers.rpk_step_ls(x, problem.a, problem.b, i, rho)
-        x_rak, _ = solvers.rak_step_ls(x, 0.0, problem.a, problem.b, i, rho)
-        worst = max(
-            worst,
-            float(np.abs(x_rpk - x_rk).max()),
-            float(np.abs(x_rak - x_rk).max()),
-        )
-    return _result("penalty-limit-matches-rk", worst <= tol, f"max_gap={worst:.3e}")
+    cases = replace(_step_cases(seed, count, 10.0, 0.0, 0.0), rho=np.full(count, rho))
+    x_rk, _, _, m_rk = _stacked_steps(cases, Method.RK, False)
+    x_rpk, _, _, m_rpk = _stacked_steps(cases, Method.RPK, False)
+    x_rak, _, _, m_rak = _stacked_steps(cases, Method.RAK, False)
+    worst = float(max(np.abs(x_rpk - x_rk).max(), np.abs(x_rak - x_rk).max()))
+    return _checked(
+        "penalty-limit-matches-rk", m_rk or m_rpk or m_rak, worst <= tol, f"max_gap={worst:.3e}"
+    )
 
 
 def check_rho_schedule(seed: int) -> PropertyResult:

@@ -12,11 +12,13 @@ from kaczpen.projection import _hildreth
 from kaczpen.solvers import Method
 from kaczpen.verify import (
     SUITES,
+    check_lf_inactive_noop,
     check_ls_expected_contraction,
     check_penalty_limit_matches_rk,
     check_projection_certificates,
     check_rak_ls_dual_identity,
     check_rho_schedule,
+    check_rk_ls_projection,
     check_rpk_ls_residual_contraction,
     run_suites,
     suite_steps,
@@ -162,3 +164,148 @@ def test_reference_projector_giving_up_is_a_fail(monkeypatch, capsys):
     assert ("FAIL projection-certificates projection sweeps exhausted with "
             "residual movement 1.0e-04") in lines
     assert lines[-1] == "5/6 properties passed"
+
+
+def _steps_stdout(lines):
+    tail = ["PASS rho-schedule closed_form_rel_gap=2.037e-16 fixed_penalty_bitwise=True",
+            "6/6 properties passed"]
+    return "\n".join(lines + tail) + "\n"
+
+
+# verify --suite steps stdout as printed when every check stepped its cases
+# one public step function call at a time
+_STEPS_STDOUT = {
+    0: _steps_stdout([
+        "PASS rpk-ls-residual-contraction max_rel_err=5.407e-15",
+        "PASS rak-ls-dual-identity max_rel_err=2.075e-15",
+        "PASS rk-ls-projection max_residual=8.882e-16",
+        "PASS lf-inactive-noop 200 cases held exactly",
+        "PASS penalty-limit-matches-rk max_gap=2.631e-12",
+    ]),
+    1: _steps_stdout([
+        "PASS rpk-ls-residual-contraction max_rel_err=6.396e-15",
+        "PASS rak-ls-dual-identity max_rel_err=1.807e-15",
+        "PASS rk-ls-projection max_residual=6.661e-16",
+        "PASS lf-inactive-noop 200 cases held exactly",
+        "PASS penalty-limit-matches-rk max_gap=2.732e-12",
+    ]),
+    5: _steps_stdout([
+        "PASS rpk-ls-residual-contraction max_rel_err=6.437e-15",
+        "PASS rak-ls-dual-identity max_rel_err=2.199e-15",
+        "PASS rk-ls-projection max_residual=8.743e-16",
+        "PASS lf-inactive-noop 200 cases held exactly",
+        "PASS penalty-limit-matches-rk max_gap=3.657e-12",
+    ]),
+    1001: _steps_stdout([
+        "PASS rpk-ls-residual-contraction max_rel_err=5.393e-15",
+        "PASS rak-ls-dual-identity max_rel_err=1.975e-15",
+        "PASS rk-ls-projection max_residual=4.441e-16",
+        "PASS lf-inactive-noop 200 cases held exactly",
+        "PASS penalty-limit-matches-rk max_gap=2.657e-12",
+    ]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_STEPS_STDOUT))
+def test_steps_suite_stdout_is_pinned(capsys, seed):
+    """The stacked checks print what the per-case loops printed, byte for
+    byte: the same cases, and every margin from the same IEEE operations."""
+    assert main(["verify", "--suite", "steps", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == _STEPS_STDOUT[seed]
+
+
+def test_step_identity_details_at_acceptance_size_are_pinned():
+    got = [
+        check(0, count=1000).detail
+        for check in (
+            check_rpk_ls_residual_contraction,
+            check_rak_ls_dual_identity,
+            check_penalty_limit_matches_rk,
+        )
+    ]
+    assert got == ["max_rel_err=6.487e-15", "max_rel_err=3.630e-15", "max_gap=3.257e-12"]
+
+
+# the six public step functions, each as (x', z'), z' 0.0 without a multiplier
+_PUBLIC_STEPS = {
+    (Method.RK, False): lambda x, z, a, b, i, rho: (solvers.rk_step_ls(x, a, b, i), 0.0),
+    (Method.RK, True): lambda x, z, a, b, i, rho: (solvers.rk_step_lf(x, a, b, i), 0.0),
+    (Method.RPK, False): lambda x, z, a, b, i, rho: (solvers.rpk_step_ls(x, a, b, i, rho), 0.0),
+    (Method.RPK, True): lambda x, z, a, b, i, rho: (solvers.rpk_step_lf(x, a, b, i, rho), 0.0),
+    (Method.RAK, False): solvers.rak_step_ls,
+    (Method.RAK, True): solvers.rak_step_lf,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_public_steps_match_the_stacked_kernel_on_every_case(monkeypatch, seed):
+    """On every case the steps suite draws, each public step function gives
+    _step_rows' row bit for bit (x itself and z' = 0 where a feasibility
+    row does not move), so the spot check on one case per block stands for
+    all of them.  Feasibility steps take |z|, the multiplier they accept."""
+    drawn = {}
+    real = verify._stacked_steps
+
+    def spy(cases, method, lf):
+        drawn[id(cases)] = cases
+        return real(cases, method, lf)
+
+    monkeypatch.setattr(verify, "_stacked_steps", spy)
+    assert all(r.passed for r in suite_steps(seed))
+    assert len(drawn) == 5
+    for cases in drawn.values():
+        for (method, lf), public in _PUBLIC_STEPS.items():
+            z = np.abs(cases.z) if lf else cases.z
+            x_new, coef, moves = solvers._step_rows(
+                cases.rows, cases.x, cases.b, cases.norms_sq, method, z, cases.rho, lf
+            )
+            for t, i in enumerate(cases.index):
+                problem, x = cases.problems[t // verify._BLOCK], cases.x[t]
+                x_pub, z_pub = public(x, float(z[t]), problem.a, problem.b, i, float(cases.rho[t]))
+                if lf and not moves[t]:
+                    assert x_pub is x and z_pub == 0.0 and coef[t] == 0.0
+                    assert np.array_equal(x_new[t], x)
+                else:
+                    assert np.array_equal(x_pub, x_new[t]), (method, lf, t)
+                    if method is Method.RAK:
+                        assert z_pub == coef[t], (method, lf, t)
+
+
+def test_mutated_step_coef_fails_the_stacked_identities(monkeypatch):
+    """A coefficient off by one part in 1e9, in the kernel that both the
+    stacked path and the public functions run, breaks each identity by
+    more than its 1e-12 margin."""
+    real = solvers._step_coef
+
+    def scaled(r, z, norm_sq, rho, lf):
+        coef, moves = real(r, z, norm_sq, rho, lf)
+        return coef * (1.0 + 1e-9), moves
+
+    monkeypatch.setattr(solvers, "_step_coef", scaled)
+    for check in (
+        check_rpk_ls_residual_contraction, check_rak_ls_dual_identity, check_rk_ls_projection
+    ):
+        res = check(seed=0)
+        assert not res.passed, res.name
+        assert res.detail.startswith("max_"), res.detail
+
+
+@pytest.mark.parametrize("reported", [True, False])
+def test_step_rows_moving_slack_rows_fails_lf_noop(monkeypatch, reported):
+    """A stacked step that moves x on slack feasibility rows fails
+    lf-inactive-noop, whether it reports the move (the public step
+    function then disagrees) or not (the moved x shows)."""
+    real = solvers._step_rows
+
+    def unclipped(rows, x, b, norms_sq, method, z, rho, lf):
+        x_moved, coef, _ = real(rows, x, b, norms_sq, method, z, rho, False)
+        if reported:
+            return x_moved, coef, np.full(len(rows), True)
+        return x_moved, *real(rows, x, b, norms_sq, method, z, rho, lf)[1:]
+
+    assert check_lf_inactive_noop(seed=0).passed
+    monkeypatch.setattr(solvers, "_step_rows", unclipped)
+    res = check_lf_inactive_noop(seed=0)
+    assert not res.passed
+    expected = "case 0: rpk_step_lf differs" if reported else "case 0 moved on a slack row"
+    assert res.detail.startswith(expected), res.detail
