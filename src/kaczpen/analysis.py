@@ -23,7 +23,7 @@ from .linalg import (
     row_dots,
 )
 from .problems import Problem, ProblemKind
-from .projection import distance_to_feasible, project_polyhedron
+from .projection import _warm_distances, distance_to_feasible, project_polyhedron
 from .sampling import RowDistribution, make_rng
 from .solvers import _DRAW_BLOCK, Method, SolverConfig, SolverState
 
@@ -371,8 +371,10 @@ def _enumerate_rows(
     """The enumeration oracles' shared core: the state's z, the squared
     error at its x, and the row-weighted expectations over one step,
     E[err'], E[z'^2] and E[err' + z'^2 / rho_next].  Every row's step comes
-    from one call of the step kernel over all m rows; each moving row's
-    projection starts from the base point's support.
+    from one call of the step kernel over all m rows, and the moving rows'
+    points are projected in one projection._warm_distances call, each
+    from the base point's support; the first point whose projection
+    fails raises its error.
 
     The error is solvers._error_sq (its stacked form for the equality
     rows): the squared distance to the solution nearest the origin
@@ -395,9 +397,12 @@ def _enumerate_rows(
     if lf:
         err = np.full(problem.m, base_err)
         # moves, not coef != 0: a moving row's coef can underflow to 0
-        for i in np.flatnonzero(moves):
-            # an array of its own, as the step functions return
-            err[i] = solvers._error_sq(problem, as_vector(x_new[i]).copy(), None, support)[0]
+        moving = np.flatnonzero(moves)
+        dists, _, failures = _warm_distances(x_new[moving], problem, support)
+        failure = next((e for e in failures if e is not None), None)
+        if failure is not None:
+            raise failure
+        err[moving] = dists * dists
     else:
         err = solvers._stacked_error_sq(x_new, x_star)
     zs = coef if method is Method.RAK else np.full(problem.m, z)

@@ -1,4 +1,5 @@
-"""Euclidean projection onto a polyhedron {y : Ay <= b}.
+"""Euclidean projection onto a polyhedron {y : Ay <= b}, for a stack of
+points at once.
 
 Projecting x is a least-distance problem: y = x + u with the shortest u
 such that A u <= -h, h = Ax - b.  Lawson & Hanson (Solving Least Squares
@@ -25,22 +26,42 @@ run certifies is projected again at unit scale, scaled by a power of two
 (a point so far that h_i / ||a_i|| overflows skips the full-scale solves),
 and a result that leaves the float64 range when scaled back is refused.
 
-Callers that project a sequence of nearby points (the stride points of a
-traced run, the Monte Carlo checkpoints, the rows of an enumeration
-oracle) pass a start set: the rows lam > 0 of the previous projection, a
-row mask handed from call to call, as in the warm-started active sets of
-Bro & de Jong's FNNLS (J. Chemometrics 11, 1997).  A Gram run then starts
-its passive set there, and start rows that do not belong leave as rows
-that entered at zero.  Its result is kept only when it is certified and
-nondegenerate with room to spare (strictly complementary, with
-independent support rows, see _settled): its active set is then the
-only one any run can end on, and the result is bit for bit the cold
-one.  Otherwise the cold runs follow.
+The one Lawson-Hanson loop (_least_distance) takes a stack of K points
+and advances them in lockstep.  The set-up (h, the cold start sets, the
+scales t and E) is stacked, and each lockstep step makes every point's
+next passive-set solve as one stacked Gram product and one stacked solve
+per passive-set size; the rest of a point's step runs on its own rows of
+the stacked arrays.  np.matmul, np.linalg.solve, np.linalg.qr and
+np.linalg.eigvalsh take each slice of a stack as the 2-D call on that
+slice alone, and every dot and matrix-vector product keeps the shapes
+and strides of a one-point run (the column h / t is dotted in place, a
+strided dot, which OpenBLAS rounds unlike a unit-stride one), so a
+point's result does not depend on the points stacked with it.  A stack
+in which one Gram matrix is singular is solved set by set.  Every point
+keeps its own step limit, best iterate, QR rerun and rescaling.  A
+single point is a stack of one.  The certificate and the _settled test
+are stacked too.
+
+Callers that project nearby points (the stride points of a traced run,
+the Monte Carlo checkpoints, the rows of an enumeration oracle) pass a
+start set: the rows lam > 0 of an earlier projection, a row mask, as in
+the warm-started active sets of Bro & de Jong's FNNLS (J. Chemometrics
+11, 1997).  A Gram run then starts its passive set there, and start rows
+that do not belong leave as rows that entered at zero.  Its result is
+kept only when it is certified and nondegenerate with room to spare
+(strictly complementary, with independent support rows, see _settled):
+its active set is then the only one any run can end on, and the result
+is bit for bit the cold one.  Otherwise the cold runs follow.  A start
+set that is the cold one (the rows violated at x) starts the cold runs
+at once: its Gram run would be the cold Gram run.
 
 A result is returned only after it passes the feasibility and
 complementary-slackness certificate (with y = x - A^T lam and lam >= 0
 by construction, that is the full KKT system of the projection).  When
-neither run's result passes, the projection fails with both reasons.
+neither run's result passes, each is refined once on its support
+(see _refined), which certifies results that the cancellation in
+x - A^T lam left infeasible near an apex; when no refined result passes
+either, that point's projection fails with both runs' reasons.
 
 Hildreth's dual coordinate ascent is kept as an independent reference
 projector for the property suites.  It sweeps the dual variables
@@ -69,6 +90,9 @@ _NOISE = 1e3 * np.finfo(np.float64).eps
 # number (see _settled)
 _SETTLED_MARGIN = 1e3
 _SETTLED_KAPPA = 1e4
+# _certified projects a stack in blocks whose copies of E, (points, m,
+# n + 1), take at most this many bytes (one point per block at least)
+_BLOCK_BYTES = 1 << 21
 
 
 def _hildreth(x, a: DenseMatrix, b, tol: float, max_sweeps: int):
@@ -108,18 +132,45 @@ def _hildreth(x, a: DenseMatrix, b, tol: float, max_sweeps: int):
 
 
 def _passive_solve(c, f, use_qr: bool):
-    """The w minimizing ||c^T w - f|| for the passive rows c of E^T.  The
-    Gram system squares the condition number of c and QR does not; lstsq
-    takes the rank-deficient sets."""
+    """The w minimizing ||c^T w - f|| for one set c, (k, n + 1), of
+    passive rows of E^T, or for each set of a stack c, (G, k, n + 1).
+    The Gram system squares the condition number of c and QR does not;
+    lstsq takes the rank-deficient sets, and a stack in which one Gram
+    matrix is singular is solved set by set."""
+    ct = c.T if c.ndim == 2 else c.transpose(0, 2, 1)
     try:
         if not use_qr:
-            return np.linalg.solve(c @ c.T, c[:, -1])
-        if c.shape[0] <= c.shape[1]:
-            q, r = np.linalg.qr(c.T)
-            return np.linalg.solve(r, q[-1])
+            return np.linalg.solve(c @ ct, c[..., -1:])[..., 0]
+        if c.shape[-2] <= c.shape[-1]:
+            q, r = np.linalg.qr(ct)
+            return np.linalg.solve(r, q[..., -1, :, None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    return np.linalg.lstsq(c.T, f, rcond=None)[0]
+    if c.ndim == 3:
+        return np.array([_passive_solve(set_, f, use_qr) for set_ in c])
+    return np.linalg.lstsq(ct, f, rcond=None)[0]
+
+
+def _passive_solves(ext, points, idxs, f, use_qr: bool) -> list:
+    """The passive-set solve of each point: point points[i]'s E is
+    ext[points[i]] and its passive rows are idxs[i].  The sets of one
+    size are one stacked _passive_solve."""
+    if len(points) == 1:
+        return [_passive_solve(ext[points[0]][idxs[0]], f, use_qr)]
+    sizes = [len(idx) for idx in idxs]
+    groups = {}
+    for i, k in enumerate(sizes):
+        groups.setdefault(k, []).append(i)
+    sols = [None] * len(points)
+    for k, members in groups.items():
+        if k == 0:
+            stack = np.zeros((len(members), 0))
+        else:
+            at = np.array([points[i] for i in members])
+            stack = _passive_solve(ext[at[:, None], np.array([idxs[i] for i in members])], f, use_qr)
+        for i, s in zip(members, stack):
+            sols[i] = s
+    return sols
 
 
 def _floors(a: DenseMatrix, b):
@@ -129,94 +180,154 @@ def _floors(a: DenseMatrix, b):
     return norms, _NOISE * np.abs(b), _NOISE * norms
 
 
-def _least_distance(x, a: DenseMatrix, b, use_qr: bool = False, start=None, floors=None):
-    """Exact projection by Lawson-Hanson NNLS on the least-distance form,
-    with Gram (or, with use_qr, QR) passive-set solves.
+def _violated(xs, a: DenseMatrix, b, floors):
+    """(h, cold): h = A x - b for each row x of xs, and the rows violated
+    there past the noise floors, each point's cold start set."""
+    _, floor_b, floor_a = floors
+    h = np.matmul(a.data, xs[:, :, None])[:, :, 0] - b
+    return h, h > floor_b + floor_a * np.sqrt(np.matmul(xs[:, None], xs[:, :, None])[:, 0])
 
-    The passive set starts at the rows violated at x or, when given, at
-    the nonempty boolean row mask start; floors is _floors(a, b), formed
-    here when not given.  Returns (y, lam), or None when the step
-    limit (3m + 30 passive-set solves) is reached, the first residual is
-    not positive, or x is too far for this scale (h_i / ||a_i|| overflows).
-    In exact arithmetic every outer step lowers the NNLS residual
-    ||r||^2 = -r_{n+1}; once rounding stops that, the best iterate so far
-    is returned for the certificate to judge.
+
+def _least_distance(
+    xs, a: DenseMatrix, b, use_qr: bool = False, starts=None, floors=None, violated=None
+) -> list:
+    """Exact projections of the rows of xs by Lawson-Hanson NNLS on the
+    least-distance form, the points in lockstep, with Gram (or, with
+    use_qr, QR) passive-set solves.
+
+    Point p's passive set starts at the rows violated at x_p or, when
+    given, at the boolean row mask starts[p]; floors is _floors(a, b) and
+    violated is _violated(xs, a, b, floors), each formed here when not
+    given.  Returns one entry per point: (y, lam), or None when the point
+    reaches the step limit (3m + 30 passive-set solves), its first
+    residual is not positive, or it is too far for this scale
+    (h_i / ||a_i|| overflows).  In exact arithmetic every outer step
+    lowers the NNLS residual ||r||^2 = -r_{n+1}; once rounding stops
+    that, the best iterate so far is the point's result, for the
+    certificate to judge.  Each lockstep step solves every iterating
+    point's passive set (see _passive_solves); the rest of a point's
+    step is its own, on its rows of the stacked arrays.
     """
     rows = a.data
     m, n = a.shape
-    h = rows @ x - b
-    norms, floor_b, floor_a = _floors(a, b) if floors is None else floors
-    passive = h > floor_b + floor_a * np.sqrt(x @ x)
-    if not passive.any():
-        return x.copy(), np.zeros(m)
+    floors = _floors(a, b) if floors is None else floors
+    norms, floor_b, floor_a = floors
+    h, cold = _violated(xs, a, b, floors) if violated is None else violated
     with np.errstate(over="ignore"):
-        scale = float(np.max(h / norms))
-    if not math.isfinite(scale):
-        return None
-    if start is not None:
-        passive = start.copy()
-    ext = np.column_stack([rows, h / scale])
+        scale = (h / norms).max(axis=1)
+    results = [None] * len(xs)
+    feasible = ~cold.any(axis=1)
+    for p in np.flatnonzero(feasible).tolist():
+        results[p] = (xs[p].copy(), np.zeros(m))
+    live = ~feasible & np.isfinite(scale)
+    if live.all():
+        pick, live = slice(None), list(range(len(xs)))
+    else:
+        pick = np.flatnonzero(live)
+        live = pick.tolist()
+        if not live:
+            return results
+        xs, h, scale = xs[pick], h[pick], scale[pick]
+    # a copy, which the run updates in place
+    passive = np.array((cold if starts is None else starts)[pick])
+    ext = np.empty((len(live), m, n + 1))
+    ext[:, :, :n] = rows
+    ext[:, :, n] = h / scale[:, None]
+    scales = scale.tolist()
     f = np.zeros(n + 1)
     f[-1] = 1.0
-    w = np.zeros(m)
-    best = None
-    best_resid = np.inf
+    w = np.zeros(passive.shape)
+    best = [None] * len(live)
+    best_resid = [np.inf] * len(live)
+    # each point's own rows of the stacked arrays: x, w, passive mask and
+    # the column h / t, a strided view dotted in place
+    own = [(xs[j], w[j], passive[j], ext[j, :, -1]) for j in range(len(live))]
+    going = list(range(len(live)))  # the points still iterating
     for _ in range(3 * m + 30):
-        idx = np.flatnonzero(passive)
-        s = _passive_solve(ext[idx], f, use_qr)
-        bad = s <= 0.0
-        if bad.any():
-            wp = w[idx]
-            fresh = bad & (wp == 0.0)
-            if fresh.any():
-                # rows that entered at zero (the start set, or a row that
-                # rounding says adds nothing) leave without moving w
-                passive[idx[fresh]] = False
+        idxs = [own[j][2].nonzero()[0] for j in going]
+        sols = _passive_solves(ext, going, idxs, f, use_qr)
+        still = []
+        for j, idx, s in zip(going, idxs, sols):
+            x, wj, pj, hj = own[j]
+            bad = s <= 0.0
+            if bad.any():
+                still.append(j)
+                wp = wj[idx]
+                fresh = bad & (wp == 0.0)
+                if fresh.any():
+                    # rows that entered at zero (the start set, or a row
+                    # that rounding says adds nothing) leave without moving w
+                    pj[idx[fresh]] = False
+                    continue
+                # move from w toward s until a coefficient reaches zero
+                sel = bad.nonzero()[0]
+                ratios = wp[sel] / (wp[sel] - s[sel])
+                k = ratios.argmin()
+                wp += ratios[k] * (s - wp)
+                wp[sel[k]] = 0.0
+                wp[wp < 0.0] = 0.0
+                wj[idx] = wp
+                pj[idx[wp == 0.0]] = False
                 continue
-            # move from w toward s until a coefficient reaches zero
-            sel = np.flatnonzero(bad)
-            ratios = wp[sel] / (wp[sel] - s[sel])
-            k = int(np.argmin(ratios))
-            wp += ratios[k] * (s - wp)
-            wp[sel[k]] = 0.0
-            wp[wp < 0.0] = 0.0
-            w[idx] = wp
-            passive[idx[wp == 0.0]] = False
-            continue
-        w[:] = 0.0
-        w[idx] = s
-        resid = 1.0 - float(ext[:, -1] @ w)
-        if not 0.0 < resid < best_resid:
-            return best
-        best_resid = resid
-        lam = w * (scale / resid)
-        y = x - rows.T @ lam
-        best = (y, lam)
-        slack = rows @ y - b
-        enter = ~passive & (slack > floor_b + floor_a * np.sqrt(y @ y))
-        if not enter.any():
-            return best
-        passive[int(np.argmax(np.where(enter, slack, -np.inf)))] = True
-    return None
+            wj[:] = 0.0
+            wj[idx] = s
+            resid = 1.0 - float(hj @ wj)
+            if not 0.0 < resid < best_resid[j]:
+                results[live[j]] = best[j]
+                continue
+            best_resid[j] = resid
+            lam = wj * (scales[j] / resid)
+            y = x - rows.T @ lam
+            best[j] = (y, lam)
+            slack = rows @ y - b
+            enter = ~pj & (slack > floor_b + floor_a * math.sqrt(y @ y))
+            if not enter.any():
+                results[live[j]] = best[j]
+                continue
+            pj[np.where(enter, slack, -np.inf).argmax()] = True
+            still.append(j)
+        going = still
+        if not going:
+            break
+    return results
+
+
+def _certificate_errors(a: DenseMatrix, b, results) -> list:
+    """Why each (y, lam) of results is not a certified projection, or
+    None where it is; a None result stopped without one."""
+    held = [result for result in results if result is not None]
+    if not held:
+        return ["stopped without a result"] * len(results)
+    ys = np.array([result[0] for result in held])
+    lams = np.array([result[1] for result in held])
+    slack = np.matmul(a.data, ys[:, :, None])[:, :, 0] - b
+    b_scale = 1.0 + float(np.abs(b).max())
+    errors = []
+    for gap, comp, lam_max in zip(
+        slack.max(axis=1).tolist(), np.abs(lams * slack).max(axis=1).tolist(), lams.max(axis=1).tolist()
+    ):
+        gap = max(gap, 0.0)
+        # `not <=` so that a NaN gap fails, where `>` would let it through
+        if not gap <= _FEAS_REL_TOL * b_scale:
+            errors.append(f"projection result infeasible by {gap:.3e}")
+        elif not comp <= _COMP_SLACK_TOL * max(1.0, lam_max) * b_scale:
+            errors.append(f"complementary slackness violated by {comp:.3e}")
+        else:
+            errors.append(None)
+    reasons = iter(errors)
+    return [
+        "stopped without a result" if result is None else next(reasons) for result in results
+    ]
 
 
 def _certificate_error(a: DenseMatrix, b, y, lam) -> str | None:
     """Why (y, lam) is not a certified projection, or None if it is."""
-    slack = a.data @ y - b
-    b_scale = 1.0 + float(np.abs(b).max())
-    feas_gap = max(float(slack.max()), 0.0)
-    # `not <=` so that a NaN gap fails, where `>` would let it through
-    if not feas_gap <= _FEAS_REL_TOL * b_scale:
-        return f"projection result infeasible by {feas_gap:.3e}"
-    comp = float(np.abs(lam * slack).max())
-    lam_scale = max(1.0, float(lam.max()) if lam.size else 1.0)
-    if not comp <= _COMP_SLACK_TOL * lam_scale * b_scale:
-        return f"complementary slackness violated by {comp:.3e}"
-    return None
+    return _certificate_errors(a, b, [(y, lam)])[0]
 
 
-def _settled(a: DenseMatrix, b, y, lam, floors) -> bool:
-    """Whether (y, lam) is a nondegenerate projection, with room to spare.
+def _settled(a: DenseMatrix, b, ys, lams, floors) -> np.ndarray:
+    """Whether each (y, lam), a row of ys and of lams, is a nondegenerate
+    projection, with room to spare.
 
     Each row either carries a multiplier that moves its own slack by more
     than _SETTLED_MARGIN noise floors (lam_i ||a_i||^2) and is tight to
@@ -225,50 +336,120 @@ def _settled(a: DenseMatrix, b, y, lam, floors) -> bool:
     rows are linearly independent, their Gram matrix's condition number
     at most _SETTLED_KAPPA.  The active set and multipliers are then
     unique, so a run from any other start set ends on the same passive
-    set and computes the same (y, lam)."""
+    set and computes the same (y, lam).  The Gram matrices of the
+    supports of one size are one stacked eigvalsh."""
     _, floor_b, floor_a = floors
-    floor = floor_b + floor_a * np.sqrt(y @ y)
+    floor = floor_b + floor_a * np.sqrt(np.matmul(ys[:, None], ys[:, :, None])[:, 0])
     margin = _SETTLED_MARGIN * floor
-    slack = a.data @ y - b
-    held = lam * a.row_norms_sq > margin
-    if not np.where(held, np.abs(slack) <= floor, slack < -margin).all():
-        return False
-    support = a.data[held]
-    if not 0 < len(support) <= a.cols:
-        return False
-    eig = np.linalg.eigvalsh(support @ support.T)
-    return bool(eig[0] * _SETTLED_KAPPA > eig[-1])
+    slack = np.matmul(a.data, ys[:, :, None])[:, :, 0] - b
+    held = lams * a.row_norms_sq > margin
+    counts = held.sum(axis=1)
+    settled = np.where(held, np.abs(slack) <= floor, slack < -margin).all(axis=1)
+    settled &= (0 < counts) & (counts <= a.cols)
+    by_size = {}
+    for p, k in zip(settled.nonzero()[0].tolist(), counts[settled].tolist()):
+        by_size.setdefault(k, []).append(p)
+    for k, pts in by_size.items():
+        support = a.data[held[pts].nonzero()[1]].reshape(len(pts), k, a.cols)
+        eig = np.linalg.eigvalsh(np.matmul(support, support.transpose(0, 2, 1)))
+        settled[pts] = eig[:, 0] * _SETTLED_KAPPA > eig[:, -1]
+    return settled
 
 
-def _certified(x, a: DenseMatrix, b, start=None, floors=None):
-    """The certified projection (y, lam) of a finite x, y = x - A^T lam,
-    for project_polyhedron and _warm_distance.
+def _refined(a: DenseMatrix, b, y, lam):
+    """One step of iterative refinement of an uncertified (y, lam) on its
+    support J (lam > 0): d solves A_J A_J^T d = A_J y - b_J, and
+    y - A_J^T d and lam_J + d replace y and lam_J.  Near an apex y = x -
+    A^T lam is formed by cancellation from a much longer x, and its slacks
+    carry rounding that grows with ||x||; the step removes it.  Returns
+    the refined pair when its multipliers stay nonnegative and it passes
+    the certificate, else None."""
+    held = lam > 0.0
+    if not held.any():
+        return None
+    rows = a.data[held]
+    try:
+        d = np.linalg.solve(rows @ rows.T, rows @ y - b[held])
+    except np.linalg.LinAlgError:
+        return None
+    lam = lam.copy()
+    lam[held] += d
+    if (lam < 0.0).any():
+        return None
+    y = y - rows.T @ d
+    return (y, lam) if _certificate_error(a, b, y, lam) is None else None
 
-    With a nonempty row mask start, a Gram run starts its passive set
-    there (see _least_distance); its result is kept when certified and
-    either zero (x is feasible) or _settled.  Otherwise the cold runs
-    follow: the Gram run, the QR rerun and the unit-scale solve, each
-    started at the rows violated at x.
+
+def _certified(xs, a: DenseMatrix, b, starts=None, floors=None):
+    """The certified projections y = x - A^T lam of the finite rows x of
+    xs, for project_polyhedron and _warm_distances: (results, errors),
+    per point its (y, lam) and None, or None and its ConvergenceError.
+
+    Point p with a nonempty row mask starts[p] other than its cold start
+    set starts a Gram run there (see _least_distance); its result is kept
+    when certified and either zero (x is feasible) or _settled.  The
+    other points take the cold runs: the Gram run, the QR rerun on the
+    points it leaves uncertified, then, point by point, the unit-scale
+    solve or the refinement of each run's result (see _uncertified).
+    Each run is one lockstep call on its points, in blocks of at most
+    _BLOCK_BYTES of E.
     """
+    m, n = a.shape
+    block = max(1, _BLOCK_BYTES // (8 * m * (n + 1)))
+    if len(xs) > block:
+        parts = [
+            _certified(xs[i : i + block], a, b, None if starts is None else starts[i : i + block], floors)
+            for i in range(0, len(xs), block)
+        ]
+        return [r for part in parts for r in part[0]], [e for part in parts for e in part[1]]
     floors = _floors(a, b) if floors is None else floors
-    if start is not None and start.any():
-        warm = _least_distance(x, a, b, False, start, floors)
-        if (
-            warm is not None
-            and _certificate_error(a, b, *warm) is None
-            and (not warm[1].any() or _settled(a, b, *warm, floors))
-        ):
-            return warm
-    errors = []
+    h, cold = _violated(xs, a, b, floors)
+    results = [None] * len(xs)
+    errors = [None] * len(xs)
+    todo = None  # the points to project cold, None for all
+    if starts is not None:
+        # a start set that is the cold one would only repeat the cold run
+        warm = np.flatnonzero(starts.any(axis=1) & (starts != cold).any(axis=1)).tolist()
+        if warm:
+            found = _least_distance(xs[warm], a, b, False, starts[warm], floors, (h[warm], cold[warm]))
+            ok = [j for j, reason in enumerate(_certificate_errors(a, b, found)) if reason is None]
+            moved = [j for j in ok if found[j][1].any()]
+            if moved:
+                ys = np.array([found[j][0] for j in moved])
+                lams = np.array([found[j][1] for j in moved])
+                unsettled = {j for j, s in zip(moved, _settled(a, b, ys, lams, floors)) if not s}
+                ok = [j for j in ok if j not in unsettled]
+            for j in ok:
+                results[warm[j]] = found[j]
+            if ok:
+                todo = [p for p, result in enumerate(results) if result is None]
+    runs = {}  # each failed cold run's (reason, result)
     for use_qr in (False, True):
-        exact = _least_distance(x, a, b, use_qr, None, floors)
-        if exact is None:
-            errors.append("stopped without a result")
-            continue
-        error = _certificate_error(a, b, *exact)
-        if error is None:
-            return exact
-        errors.append(error)
+        if todo is None:
+            todo = list(range(len(xs)))
+            found = _least_distance(xs, a, b, use_qr, None, floors, (h, cold))
+        elif not todo:
+            return results, errors
+        else:
+            found = _least_distance(xs[todo], a, b, use_qr, None, floors, (h[todo], cold[todo]))
+        still = []
+        for p, result, reason in zip(todo, found, _certificate_errors(a, b, found)):
+            if reason is None:
+                results[p] = result
+            else:
+                runs.setdefault(p, []).append((reason, result))
+                still.append(p)
+        todo = still
+    for p in todo:
+        results[p], errors[p] = _uncertified(xs[p], a, b, runs[p])
+    return results, errors
+
+
+def _uncertified(x, a: DenseMatrix, b, runs):
+    """(result, error) for a point whose two cold runs failed, with their
+    (reason, result) in runs: the unit-scale solve of a point or bound
+    beyond 2^500, else the first refined run result that is certified,
+    else the ConvergenceError naming both runs' reasons."""
     big = max(float(np.abs(x).max()), float(np.abs(b).max()))
     if big > _SCALE_LIMIT:
         # The projection commutes with scaling x and b together, and scaling
@@ -276,16 +457,22 @@ def _certified(x, a: DenseMatrix, b, start=None, floors=None):
         # (and certified) again at unit scale, with the floors of the
         # scaled b.
         e = math.frexp(big)[1]
-        y, lam = _certified(np.ldexp(x, -e), a, np.ldexp(b, -e))
+        results, errors = _certified(np.ldexp(x, -e)[None], a, np.ldexp(b, -e))
+        if errors[0] is not None:
+            return None, errors[0]
         with np.errstate(over="ignore"):
-            y, lam = np.ldexp(y, e), np.ldexp(lam, e)
+            y, lam = np.ldexp(results[0][0], e), np.ldexp(results[0][1], e)
         if not np.isfinite(y).all():
-            raise ConvergenceError(
+            return None, ConvergenceError(
                 "projection lies beyond the float64 range (largest finite value 1.8e308)"
             )
-        return y, lam
-    raise ConvergenceError(
-        f"projection not certified: Gram run: {errors[0]}; QR run: {errors[1]}"
+        return (y, lam), None
+    for _, result in runs:
+        refined = None if result is None else _refined(a, b, *result)
+        if refined is not None:
+            return refined, None
+    return None, ConvergenceError(
+        f"projection not certified: Gram run: {runs[0][0]}; QR run: {runs[1][0]}"
     )
 
 
@@ -297,35 +484,54 @@ def project_polyhedron(x, a: DenseMatrix, b) -> np.ndarray:
     is certified when it is feasible to 1e-8 * (1 + ||b||_inf) and its
     nonnegative multipliers have small complementary slackness.  When
     neither result is certified, a point or bound beyond 2^500 is
-    projected again at unit scale, and otherwise ConvergenceError names
-    both runs' certificate errors.  ConvergenceError also names the float64
-    range when the unit-scale result, scaled back, leaves it.
+    projected again at unit scale, and otherwise each result is refined
+    once on its support; ConvergenceError names both runs' certificate
+    errors when no refined result is certified either.  ConvergenceError
+    also names the float64 range when the unit-scale result, scaled back,
+    leaves it.
     """
     x = as_vector(x, a.cols)
     b = as_vector(b, a.rows)
     bad = a.unusable_row()
     if bad is not None:
         raise ValueError("row %d: %s" % bad)
-    return _certified(x, a, b)[0]
+    results, errors = _certified(x[None], a, b)
+    if errors[0] is not None:
+        raise errors[0]
+    return results[0][0]
 
 
-def _distance(x, y) -> float:
-    return float(np.sqrt(((x - y) ** 2).sum()))
+def _warm_distances(xs, problem, start=None):
+    """distance_to_feasible of each row x of xs without its checks, the
+    rows lam > 0 of each projection (the start for nearby points'), and
+    each point's ConvergenceError or None: (dists, supports, errors).  A
+    failed point's distance is NaN and its support empty.
+
+    xs must be a finite (K, n) array: nothing is checked again, as the
+    problem's rows and b were checked when it was built, and the floors
+    are formed once per problem and kept on it.  start is one boolean row
+    mask that every point's passive set starts from (see _certified);
+    None or an empty mask starts cold, at the rows violated at x.
+    """
+    floors = problem.memo("projection_floors", lambda: _floors(problem.a, problem.b))
+    starts = None if start is None else np.repeat(start[None], len(xs), axis=0)
+    results, errors = _certified(xs, problem.a, problem.b, starts, floors)
+    if errors.count(None) < len(errors):
+        failed = (np.full(problem.n, np.nan), np.zeros(problem.m))
+        results = [failed if result is None else result for result in results]
+    ys = np.array([result[0] for result in results]).reshape(xs.shape)
+    supports = np.array([result[1] for result in results]).reshape(len(xs), problem.m) > 0.0
+    # summed per row, as ((x - y) ** 2).sum() sums one point
+    return np.sqrt(((xs - ys) ** 2).sum(axis=1)), supports, errors
 
 
 def _warm_distance(x, problem, start=None) -> tuple[float, np.ndarray]:
-    """distance_to_feasible without its checks, and the rows lam > 0 of the
-    projection, the start for a nearby point's.
-
-    x must be a finite vector of length n: nothing is checked again, as
-    the problem's rows and b were checked when it was built, and the
-    floors are formed once per problem and kept on it.  start is a boolean
-    row mask the passive set starts from (see _certified); None or an
-    empty mask starts cold, at the rows violated at x.
-    """
-    floors = problem.memo("projection_floors", lambda: _floors(problem.a, problem.b))
-    y, lam = _certified(x, problem.a, problem.b, start, floors)
-    return _distance(x, y), lam > 0.0
+    """_warm_distances for one finite vector x of length n: its distance
+    and support, or its ConvergenceError raised."""
+    dists, supports, errors = _warm_distances(x[None], problem, start)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(dists[0]), supports[0]
 
 
 def distance_to_feasible(x, problem) -> float:

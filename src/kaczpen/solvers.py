@@ -41,15 +41,17 @@ whether rho moves) with a check after every step, only to find the first
 non-finite k; the steps before it are kept.  The kept steps of
 every chunk then take one metric path: every residual comes from
 _stacked_residuals and every equality error from _stacked_error_sq, each
-for the whole chunk at once, and a feasibility error from
-error_sq_of at each stride point, its projection started from the
-previous stride point's support (the same result as a cold start, bit
-for bit, see projection._certified).  A residual_tol stop is the first kept
-step at or below the tolerance: the records end there and (x, z, rho)
-are restored from that step.  Trace records go to the sink one at a time
-as they are built, so a metric that raises leaves the sink holding the
-records before it, and NumericFailureError is raised after the records
-of the steps before the failure, unless a stop came first.
+for the whole chunk at once, and the feasibility errors of the chunk's
+stride points from one projection._warm_distances call, each projection
+started from the support of the chunk before's last stride point (the
+first chunk's cold; the same result as a cold start, bit for bit, see
+projection._certified).  A residual_tol stop is the first kept step at
+or below the tolerance: the records end there and (x, z, rho) are
+restored from that step.  Trace records go to the sink one at a time
+as they are built, so a stride point whose projection failed leaves the
+sink holding the records before it and then raises its error, and
+NumericFailureError is raised after the records of the steps before the
+failure, unless a stop came first.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .linalg import (
     row_dots,
 )
 from .problems import Problem, ProblemKind
-from .projection import _warm_distance
+from .projection import _warm_distance, _warm_distances
 from .sampling import build_sampler
 from .traces import TraceRecord
 
@@ -263,22 +265,34 @@ def _stacked_residuals(problem: Problem, xs: np.ndarray) -> list[float]:
 def _trace_records(problem, xs, kept, residuals, k0, error_sq, support, x_star, stride, rak, sink):
     """Send sink the trace records of steps k0 + 1, k0 + 2, ... one at a
     time, from each step's (row, z, rho) in kept, its x in xs and its
-    residual, and return the last (error_sq, support) of _error_sq.
+    residual, and return the last error_sq and the support (rows lam > 0)
+    of the last stride point projected, the next chunk's start.
     Equality errors come from one _stacked_error_sq over the kept steps;
-    a feasibility error is error_sq_of at each stride point, its
-    projection started from the previous stride point's support, and is
-    carried to the records between them, so a projection that raises
-    leaves sink holding the records before it."""
+    the feasibility errors of the chunk's stride points come from one
+    _warm_distances call, every projection started from the support
+    carried in, and each is carried to the records up to the next.  A
+    stride point whose projection failed raises its error once the
+    records before it are sent."""
     is_ls = problem.kind is ProblemKind.LS
     if is_ls:
         errors = _stacked_error_sq(xs[: len(kept)], x_star).tolist()
+    else:
+        fresh_at = [j for j in range(len(kept)) if (k0 + j + 1) % stride == 0]
+        if fresh_at:
+            dists, supports, failures = _warm_distances(xs[fresh_at], problem, support)
+            dists = dists.tolist()
+            support = supports[-1]
+        q = 0
     for j, (i, z, rho) in enumerate(kept):
         k = k0 + j + 1
         fresh = is_ls or k % stride == 0
         if is_ls:
             error_sq = errors[j]
         elif fresh:
-            error_sq, support = _error_sq(problem, xs[j], x_star, support)
+            if failures[q] is not None:
+                raise failures[q]
+            error_sq = dists[q] * dists[q]
+            q += 1
         lyap = error_sq + z * z / rho if rak else error_sq
         sink(TraceRecord(k, i, rho, error_sq, residuals[j], z if rak else 0.0, lyap, fresh))
     return error_sq, support
@@ -388,7 +402,10 @@ def run_solver(
     x_star = solution_nearest(problem, cfg.x0) if tracing and is_ls else None
 
     residual = residual_of(problem, x) if need_residual else 0.0
-    error_sq, support = _error_sq(problem, x, x_star) if tracing else (0.0, None)
+    error_sq = error_sq_of(problem, x, x_star) if tracing else 0.0
+    # the first chunk has no chunk before it: its stride points start cold,
+    # as the support at x0 is left behind within the chunk's first steps
+    support = None
     if tracing:
         trace_sink(TraceRecord(0, -1, rho, error_sq, residual, 0.0, error_sq, True))
     tol = cfg.residual_tol

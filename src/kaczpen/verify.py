@@ -89,7 +89,9 @@ class _StepCases:
 
 def _stack_cases(problems: list[Problem], drawn: list[tuple]) -> _StepCases:
     """Stack the drawn (i, x, rho, z) of each case with its row, bound and
-    squared norm."""
+    squared norm; a check needs at least one case."""
+    if not drawn:
+        raise ValueError("count must be positive")
     index, xs, rhos, zs = zip(*drawn)
     blocks = np.arange(len(index)) // _BLOCK
 

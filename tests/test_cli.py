@@ -948,12 +948,14 @@ def test_solve_projects_few_hoffman_samples_on_wide_files(capsys, tmp_path, monk
 
 def test_warm_started_projections_bound_the_work(capsys, tmp_path, monkeypatch):
     """Passive-set solves on the tall 300x50 file: a traced 2,000-step rak
-    solve, whose stride points start from the previous one's support, makes
-    at most 2,000 (13,924 when each started at the rows violated there),
-    and compare --trials 20 --checkpoints 100,500, whose checkpoints start
+    solve, whose stride points start from the support of the chunk of steps
+    before (the first chunk's cold), makes at most 2,000 (1,951 on one BLAS
+    thread; 13,924 when each started at the rows violated there), and
+    compare --trials 20 --checkpoints 100,500, whose checkpoints start
     from the trial's previous one or the trial before, fewer than 10,400:
     9,435 on one BLAS thread, against 11,386 when a trial's first
-    checkpoint starts cold and 13,033 when every checkpoint does."""
+    checkpoint starts cold and 13,033 when every checkpoint does.  A
+    stacked solve counts once per set it solves."""
     from kaczpen import projection
 
     path = str(tmp_path / "lf.txt")
@@ -962,9 +964,9 @@ def test_warm_started_projections_bound_the_work(capsys, tmp_path, monkeypatch):
     solves = []
     real = projection._passive_solve
 
-    def counted(*args):
-        solves.append(None)
-        return real(*args)
+    def counted(c, *args):
+        solves.extend([None] * (len(c) if c.ndim == 3 else 1))
+        return real(c, *args)
 
     monkeypatch.setattr(projection, "_passive_solve", counted)
     code, _, stderr = run_cli(capsys, "solve", path, "--method", "rak", "--iters", "2000",
@@ -978,12 +980,39 @@ def test_warm_started_projections_bound_the_work(capsys, tmp_path, monkeypatch):
     assert len(solves) < 10_400
 
 
+@pytest.mark.parametrize(
+    "shape", [["--rows", "10", "--cols", "20"], ["--rows", "300", "--cols", "50", "--active-fraction", "0.3"]],
+    ids=["10x20", "tall300"],
+)
+def test_trace_stride_does_not_change_any_error(capsys, tmp_path, shape):
+    """A traced 2,000-step rak solve at --trace-stride 10 and at 1: every
+    fresh row of the first has, byte for byte, the error_sq of the
+    second's row at the same k.  At stride 1 a chunk's batch holds 23 to
+    256 points, at stride 10 two to ten, each started from the support of
+    the batch before, so neither the batch nor the start moves an error."""
+    path = str(tmp_path / "lf.txt")
+    assert main(["generate", "--kind", "lf", *shape, "--seed", "1", "-o", path]) == 0
+    rows = {}
+    for stride in ("10", "1"):
+        trace = str(tmp_path / f"s{stride}.csv")
+        code, _, stderr = run_cli(capsys, "solve", path, "--method", "rak", "--iters", "2000",
+                                  "--trace", trace, "--trace-stride", stride)
+        assert code == 0, stderr
+        with open(trace) as f:
+            rows[stride] = [line.split(",") for line in f.read().splitlines()[1:]]
+    fresh = [row for row in rows["10"] if row[-1] == "1"]
+    assert len(fresh) == 201
+    for row in fresh:
+        assert row[3] == rows["1"][int(row[0])][3], row[0]
+
+
 @pytest.mark.parametrize("iters", [20, 25])
 def test_solve_reuses_fresh_trace_error_sq(capsys, tmp_path, monkeypatch, iters):
     """A traced feasibility solve whose last record is fresh takes the
     summary's final_error_sq from it instead of projecting x again; a
     stale last record leaves the summary to project.  Either way the
-    summary is the untraced solve's."""
+    summary is the untraced solve's, and each fresh record is one point
+    projected, alone (k = 0) or in its chunk's batch."""
     path = str(tmp_path / "p.txt")
     assert main(["generate", "--kind", "lf", "--rows", "10", "--cols", "20",
                  "--active-fraction", "0.3", "--seed", "3", "-o", path]) == 0
@@ -992,13 +1021,18 @@ def test_solve_reuses_fresh_trace_error_sq(capsys, tmp_path, monkeypatch, iters)
     assert code == 0
     solvers = kaczpen.solvers
     projections = []
-    distance = solvers._warm_distance
+    distance, distances = solvers._warm_distance, solvers._warm_distances
 
     def counted_distance(*args):
         projections.append(args)
         return distance(*args)
 
+    def counted_distances(xs, *args):
+        projections.extend([args] * len(xs))
+        return distances(xs, *args)
+
     monkeypatch.setattr(solvers, "_warm_distance", counted_distance)
+    monkeypatch.setattr(solvers, "_warm_distances", counted_distances)
     trace = str(tmp_path / "t.csv")
     code, traced, _ = run_cli(capsys, *argv, "--trace", trace)
     assert code == 0

@@ -1,6 +1,6 @@
 """The exact least-distance projector: agreement with Hildreth's sweeps,
-fixed points, degenerate active sets, the QR rerun, and the error when
-neither exact run certifies."""
+fixed points, degenerate active sets, the QR rerun, the error when
+neither exact run certifies, and stacks of points projected in lockstep."""
 
 import math
 
@@ -13,7 +13,33 @@ from kaczpen import projection
 from kaczpen.cli import main
 from kaczpen.linalg import ConvergenceError, DenseMatrix
 from kaczpen.problems import Problem, ProblemKind, generate_feasible_lf, save_problem
-from kaczpen.projection import _certificate_error, _hildreth, _least_distance, project_polyhedron
+from kaczpen.projection import _certificate_error, _hildreth, project_polyhedron
+
+_lockstep = projection._least_distance
+
+
+def _least_distance(x, a, b, use_qr=False, start=None, floors=None):
+    """The lockstep run on the one point x: (y, lam), or None."""
+    return _lockstep(x[None], a, b, use_qr, None if start is None else start[None], floors)[0]
+
+
+def _per_point(run):
+    """A stand-in for the lockstep run that calls run(x, a, b, use_qr,
+    start, floors) on each point of the stack."""
+
+    def lockstep(xs, a, b, use_qr=False, starts=None, floors=None, violated=None):
+        return [run(x, a, b, use_qr, None if starts is None else starts[p], floors) for p, x in enumerate(xs)]
+
+    return lockstep
+
+
+def _certified(x, a, b, start=None):
+    """The certified (y, lam) of the one point x, or its ConvergenceError
+    raised."""
+    results, errors = projection._certified(x[None], a, b, None if start is None else start[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return results[0]
 
 
 def _instance(m, n, tight, seed):
@@ -132,7 +158,7 @@ def test_qr_rerun_when_gram_uncertified(monkeypatch):
         runs.append(use_qr)
         return _least_distance(x, a, b, True) if use_qr else None
 
-    monkeypatch.setattr(projection, "_least_distance", gram_gives_up)
+    monkeypatch.setattr(projection, "_least_distance", _per_point(gram_gives_up))
     y = project_polyhedron(x, p.a, p.b)
     assert runs == [False, True]
     assert np.array_equal(y, _least_distance(x, p.a, p.b, True)[0])
@@ -187,13 +213,12 @@ def test_nan_slack_point_reaches_unit_scale(monkeypatch):
     b = np.zeros(1)
     assert _certificate_error(a, b, *_least_distance(x, a, b)) is not None
     scales = []
-    real = projection._least_distance
 
     def spy(x, a, b, use_qr=False, start=None, floors=None):
         scales.append(float(np.abs(x).max()))
-        return real(x, a, b, use_qr, start, floors)
+        return _least_distance(x, a, b, use_qr, start, floors)
 
-    monkeypatch.setattr(projection, "_least_distance", spy)
+    monkeypatch.setattr(projection, "_least_distance", _per_point(spy))
     y = project_polyhedron(x, a, b)
     assert scales[:2] == [1e308, 1e308] and len(scales) == 3 and scales[2] < 1.0
     assert np.isfinite(y).all() and np.array_equal(y, x)
@@ -238,7 +263,7 @@ def test_both_exact_runs_failing_raises(monkeypatch, capsys, tmp_path, exact):
         qr = _certificate_error(p.a, p.b, *broken(x, p.a, p.b, True))
         assert gram.startswith("projection result infeasible")
         assert qr.startswith("complementary slackness violated")
-    monkeypatch.setattr(projection, "_least_distance", broken)
+    monkeypatch.setattr(projection, "_least_distance", _per_point(broken))
     with pytest.raises(ConvergenceError) as info:
         project_polyhedron(x, p.a, p.b)
     assert str(info.value) == f"projection not certified: Gram run: {gram}; QR run: {qr}"
@@ -246,7 +271,7 @@ def test_both_exact_runs_failing_raises(monkeypatch, capsys, tmp_path, exact):
     def infeasible(x, a, b, use_qr=False, start=None, floors=None):
         return None if exact == "gives up" else (x.copy(), np.zeros(a.rows))
 
-    monkeypatch.setattr(projection, "_least_distance", infeasible)
+    monkeypatch.setattr(projection, "_least_distance", _per_point(infeasible))
     path = _halfspace_corner_file(tmp_path)
     capsys.readouterr()
     assert main(["solve", path, "--method", "rk", "--iters", "0"]) == 3
@@ -268,7 +293,7 @@ def test_project_polyhedron_never_calls_hildreth(monkeypatch):
     p = generate_feasible_lf(12, 6, seed=2, active_fraction=0.3)
     x = p.x_planted + 2.0 * np.random.default_rng(2).standard_normal(6)
     project_polyhedron(x, p.a, p.b)
-    monkeypatch.setattr(projection, "_least_distance", lambda *args: None)
+    monkeypatch.setattr(projection, "_least_distance", _per_point(lambda *args: None))
     with pytest.raises(ConvergenceError):
         project_polyhedron(x, p.a, p.b)
     assert calls == []
@@ -307,7 +332,7 @@ def _warm_instance(shape, seed):
 
 def _support_or_none(x, a, b):
     try:
-        return projection._certified(x, a, b)[1] > 0.0
+        return _certified(x, a, b)[1] > 0.0
     except ConvergenceError:
         return None
 
@@ -337,11 +362,11 @@ def test_warm_start_bit_identical_to_cold(shape, seed, scale, near_boundary, mas
     nearby = x + 0.05 * scale * rng.standard_normal(a.cols)
     try:
         if near_boundary:
-            x = projection._certified(x, a, b)[0] + 1e-11 * rng.standard_normal(a.cols)
-        y, lam = projection._certified(x, a, b)
+            x = _certified(x, a, b)[0] + 1e-11 * rng.standard_normal(a.cols)
+        y, lam = _certified(x, a, b)
     except ConvergenceError as exc:
         with pytest.raises(ConvergenceError) as info:
-            projection._certified(x, a, b, rng.random(a.rows) < 0.5)
+            _certified(x, a, b, rng.random(a.rows) < 0.5)
         assert str(info.value) == str(exc)
         return
     start = {
@@ -351,7 +376,7 @@ def test_warm_start_bit_identical_to_cold(shape, seed, scale, near_boundary, mas
         "outside": lambda: (lam > 0.0) | (rng.random(a.rows) < 0.3),
         "nearby": lambda: _support_or_none(nearby, a, b),
     }[mask]()
-    y_warm, lam_warm = projection._certified(x, a, b, start)
+    y_warm, lam_warm = _certified(x, a, b, start)
     assert np.array_equal(y_warm, y) and np.array_equal(lam_warm, lam)
     assert np.array_equal(project_polyhedron(x, a, b), y)
 
@@ -362,18 +387,17 @@ def test_warm_start_rejected_falls_back_to_the_cold_runs(monkeypatch):
     rerun when the Gram result is not certified."""
     p = generate_feasible_lf(12, 6, seed=2, active_fraction=0.3)
     x = p.x_planted + 2.0 * np.random.default_rng(2).standard_normal(6)
-    y, lam = projection._certified(x, p.a, p.b)
+    y, lam = _certified(x, p.a, p.b)
     runs = []
-    real = projection._least_distance
 
     def gram_gives_up(x, a, b, use_qr=False, start=None, floors=None):
         runs.append((use_qr, start is not None))
-        return real(x, a, b, use_qr, start, floors) if use_qr else None
+        return _least_distance(x, a, b, use_qr, start, floors) if use_qr else None
 
-    monkeypatch.setattr(projection, "_least_distance", gram_gives_up)
-    got = projection._certified(x, p.a, p.b, lam > 0.0)
+    monkeypatch.setattr(projection, "_least_distance", _per_point(gram_gives_up))
+    got = _certified(x, p.a, p.b, lam > 0.0)
     assert runs == [(False, True), (False, False), (True, False)]
-    assert all(np.array_equal(u, v) for u, v in zip(got, real(x, p.a, p.b, True)))
+    assert all(np.array_equal(u, v) for u, v in zip(got, _least_distance(x, p.a, p.b, True)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -385,34 +409,131 @@ def test_warm_start_at_unit_scale_matches_cold(mask):
     a = DenseMatrix([[-1.0, 1.0], [3.0, 0.0]])
     x = np.array([0.0, 1.5e308])
     start = np.array([True, mask == "all"])
-    y, lam = projection._certified(x, a, np.zeros(2))
-    y_warm, lam_warm = projection._certified(x, a, np.zeros(2), start)
+    y, lam = _certified(x, a, np.zeros(2))
+    y_warm, lam_warm = _certified(x, a, np.zeros(2), start)
     assert np.array_equal(y_warm, y) and np.array_equal(lam_warm, lam)
     assert np.array_equal(y, project_polyhedron(x, a, np.zeros(2)))
 
 
 def test_traced_stride_points_project_as_cold(monkeypatch):
     """The 200 stride points of a traced 2,000-step rak run on the tall
-    300x50 file, each projected from the previous one's support, in
-    order: every distance is the cold distance_to_feasible, bit for bit,
-    and a support is what the next stride point starts from."""
+    300x50 file, projected a chunk at a time: each chunk's stride points
+    are one lockstep batch, started from the last support of the batch
+    before (the first batch cold).  Every distance is the cold
+    distance_to_feasible, bit for bit."""
     from kaczpen import solvers
     from kaczpen.solvers import Method, SolverConfig, run_solver
 
     p = generate_feasible_lf(300, 50, seed=1, active_fraction=0.3)
     calls = []
-    real = solvers._warm_distance
+    real = solvers._warm_distances
 
-    def kept(x, problem, start=None):
-        result = real(x, problem, start)
-        calls.append((x.copy(), start, result))
+    def kept(xs, problem, start=None):
+        result = real(xs, problem, start)
+        calls.append((xs.copy(), start, result))
         return result
 
-    monkeypatch.setattr(solvers, "_warm_distance", kept)
+    monkeypatch.setattr(solvers, "_warm_distances", kept)
     run_solver(p, SolverConfig(method=Method.RAK, max_iters=2000), lambda r: None)
-    assert len(calls) == 201
+    assert sum(len(xs) for xs, _, _ in calls) == 200
+    assert max(len(xs) for xs, _, _ in calls) > 1
     assert calls[0][1] is None
-    for (_, _, (_, support)), (_, start, _) in zip(calls, calls[1:]):
-        assert start is support
-    for x, _, (dist, _) in calls:
-        assert dist == projection.distance_to_feasible(x, p)
+    for (_, _, (_, supports, _)), (_, start, _) in zip(calls, calls[1:]):
+        assert np.array_equal(start, supports[-1])
+    for xs, _, (dists, _, errors) in calls:
+        assert errors == [None] * len(xs)
+        for x, dist in zip(xs, dists.tolist()):
+            assert dist == projection.distance_to_feasible(x, p)
+
+
+# ---------------------------------------------------------------------------
+# stacks of points: one lockstep call gives each point's one-point result
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(
+        [(10, 20), (20, 10), (12, 6), (30, 4), "degenerate 40x5", "degenerate 300x50", "duplicated"]
+    ),
+    seed=st.integers(0, 2**31 - 1),
+    k=st.integers(1, 30),
+    mask=st.sampled_from(["none", "mixed"]),
+)
+def test_lockstep_batch_matches_one_point_calls(shape, seed, k, mask):
+    """K = 1..30 points of one instance in one _certified call: wide, tall
+    and degenerate vertices, exactly parallel rows (singular passive Gram
+    sets, solved by lstsq), feasible points, points 1e6 away (where the
+    Gram run can fail and the QR rerun certify), points beyond 2^500 (the
+    unit-scale solve), and either no start or a different start mask per
+    point.  Each point's (y, lam), or its error, is bit for bit that of a
+    cold call on the point alone."""
+    a, b, xp = _warm_instance(shape, seed)
+    rng = np.random.default_rng(seed)
+    scales = rng.choice([0.0, 1e-12, 1e-3, 0.5, 3.0, 30.0, 1e6, 2.0**501], k)
+    xs = xp + scales[:, None] * rng.standard_normal((k, a.cols))
+    starts = None
+    if mask == "mixed":
+        starts = rng.random((k, a.rows)) < rng.random((k, 1))
+        starts[0] = projection._violated(xs[:1], a, b, projection._floors(a, b))[1][0]
+    with np.errstate(all="ignore"):
+        results, errors = projection._certified(xs, a, b, starts)
+        for p in range(k):
+            one, error = projection._certified(xs[p : p + 1], a, b)
+            assert str(errors[p]) == str(error[0])
+            if one[0] is None:
+                assert results[p] is None
+                continue
+            assert np.array_equal(results[p][0], one[0][0])
+            assert np.array_equal(results[p][1], one[0][1])
+
+
+def test_start_equal_to_the_cold_set_starts_cold(monkeypatch):
+    """A start mask equal to the point's cold start set (the rows violated
+    at x past the noise floors) starts the cold runs at once: the Gram run
+    from it would be the cold Gram run, so there is no warm run and no
+    _settled check.  A start mask one row away still runs warm first.
+    Both give the cold result."""
+    p = generate_feasible_lf(12, 6, seed=2, active_fraction=0.3)
+    x = p.x_planted + 2.0 * np.random.default_rng(2).standard_normal(6)
+    y, lam = _certified(x, p.a, p.b)
+    cold = projection._violated(x[None], p.a, p.b, projection._floors(p.a, p.b))[1][0]
+    runs, settled = [], []
+    real_settled = projection._settled
+
+    def counted(x, a, b, use_qr=False, start=None, floors=None):
+        runs.append((use_qr, start is not None))
+        return _least_distance(x, a, b, use_qr, start, floors)
+
+    def counted_settled(*args):
+        settled.append(None)
+        return real_settled(*args)
+
+    monkeypatch.setattr(projection, "_least_distance", _per_point(counted))
+    monkeypatch.setattr(projection, "_settled", counted_settled)
+    for start, expected in ((cold, [(False, False)]), (cold ^ (np.arange(p.m) == 0), None)):
+        runs.clear()
+        settled.clear()
+        got = _certified(x, p.a, p.b, start)
+        assert np.array_equal(got[0], y) and np.array_equal(got[1], lam)
+        if expected is not None:
+            assert runs == expected and settled == []
+        else:
+            assert runs[0] == (False, True)
+
+
+@pytest.mark.parametrize("kappa", [1e8, 5.9e9])
+def test_apex_projection_of_a_long_point_is_certified(kappa):
+    """A 3x23 A with kappa(A A^T) = kappa, b = 0 and x = A^T mu, mu > 0:
+    the projection onto {y : Ay <= 0} is the apex y = 0, and y = x - A^T
+    lam is formed by cancellation from x.  Before the refinement step 17
+    of these 40 draws at 1e8 and all 40 at 5.9e9 failed the certificate;
+    refined once on its support, every draw certifies with ||y|| <= 1e-8
+    ||x||."""
+    from test_analysis import _conditioned_matrix
+
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        a = DenseMatrix(_conditioned_matrix(rng, 3, 23, kappa))
+        x = a.data.T @ (rng.random(3) + 0.1)
+        y = project_polyhedron(x, a, np.zeros(3))
+        assert np.linalg.norm(y) <= 1e-8 * np.linalg.norm(x)

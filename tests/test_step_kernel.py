@@ -295,8 +295,11 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
     """A step that raises inside a block (here a projection refused once x
     is close enough, first at the fresh record k = 290) raises from
     run_solver as from the per-step loop, after exactly records 0..289;
-    records 257..259 keep the distance taken at k = 250.  run_solver takes
-    each of its 2 x 256 steps once: the chunk is not replayed."""
+    records 257..259 keep the distance taken at k = 250.  The chunk's
+    stride points are projected in one batch, which reports the refusal
+    for k = 290 and the points after it, and the records before it go out
+    first.  run_solver takes each of its 2 x 256 steps once: the chunk is
+    not replayed."""
     p = _problem("lf")
     cfg = SolverConfig(
         method=Method.RPK, max_iters=2 * BLOCK, rho0=0.05, seed=5, x0=p.x_planted + 6.0
@@ -305,7 +308,7 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
     ref.reference_solve(p, cfg, records.append)
     limit = records[290].error_sq
     assert records[280].error_sq > limit
-    real, real_warm = ref.distance_to_feasible, solvers._warm_distance
+    real, real_warm, real_batch = ref.distance_to_feasible, solvers._warm_distance, solvers._warm_distances
 
     def refusing(x, problem):
         d = real(x, problem)
@@ -319,6 +322,11 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
             raise ConvergenceError("close enough")
         return d, support
 
+    def refusing_batch(xs, problem, start=None):
+        dists, supports, errors = real_batch(xs, problem, start)
+        refused = [ConvergenceError("close enough") if d * d <= limit else e for d, e in zip(dists.tolist(), errors)]
+        return dists, supports, refused
+
     steps = []
     real_coef = solvers._step_coef
 
@@ -327,6 +335,7 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
         return real_coef(*args)
 
     monkeypatch.setattr(solvers, "_warm_distance", refusing_warm)
+    monkeypatch.setattr(solvers, "_warm_distances", refusing_batch)
     monkeypatch.setattr(ref, "distance_to_feasible", refusing)
     monkeypatch.setattr(solvers, "_step_coef", counted)
     got = []

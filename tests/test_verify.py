@@ -309,3 +309,41 @@ def test_step_rows_moving_slack_rows_fails_lf_noop(monkeypatch, reported):
     assert not res.passed
     expected = "case 0: rpk_step_lf differs" if reported else "case 0 moved on a slack row"
     assert res.detail.startswith(expected), res.detail
+
+
+_STEP_CHECKS = [
+    check_rpk_ls_residual_contraction,
+    check_rak_ls_dual_identity,
+    check_rk_ls_projection,
+    check_lf_inactive_noop,
+    check_penalty_limit_matches_rk,
+]
+
+
+@pytest.mark.parametrize("check", _STEP_CHECKS, ids=lambda check: check.__name__)
+def test_step_check_without_cases_names_count(check):
+    """A step check asked for fewer than one case refuses, naming count,
+    as hoffman_estimate names n_samples."""
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count must be positive"):
+            check(seed=0, count=count)
+
+
+@pytest.mark.parametrize("check", _STEP_CHECKS[:3] + _STEP_CHECKS[4:], ids=lambda check: check.__name__)
+def test_nan_margin_fails_its_property(monkeypatch, check):
+    """A NaN in one case's stacked result, case 1, which the public-step
+    spot check skips, makes that check's margin NaN, and a NaN margin fails
+    the property."""
+    real = solvers._step_rows
+
+    def poisoned(*args):
+        x_new, coef, moves = real(*args)
+        x_new, coef = x_new.copy(), np.array(coef, dtype=float)
+        x_new[1] = np.nan
+        coef[1] = np.nan
+        return x_new, coef, moves
+
+    monkeypatch.setattr(solvers, "_step_rows", poisoned)
+    res = check(seed=0)
+    assert not res.passed
+    assert "nan" in res.detail, res.detail
