@@ -6,13 +6,15 @@ Counts are parameters: the CLI uses fast defaults, the acceptance tests
 rerun the same checks at their full sizes.
 
 The one-step identities (the steps suite but rho-schedule) draw their
-cases one at a time, in the documented PCG64 order, and stack them: each
-check then steps every case through one solvers._step_rows call per
+cases one at a time in the documented PCG64 order (a uniform on [lo, hi)
+is lo + (hi - lo) * random(), numpy's uniform bit for bit), on block
+problems suite_steps builds once per run, and stack them: each check
+then steps every case through one solvers._step_rows call per
 method, the kernel compare's Monte Carlo curve and the enumeration oracles
 run, and takes every a_i . x with row_dots, the scalar float(a_i @ x) bit
 for bit.  The public per-row step functions run on the first case of every
 _BLOCK-case block, and a result that is not bit for bit the stacked row's
-fails the property.
+fails the property.  A NaN margin fails its property too.
 """
 
 from __future__ import annotations
@@ -23,19 +25,12 @@ import numpy as np
 
 from . import analysis, solvers
 from .analysis import (
-    adaptive_step_report,
-    envelope_factor,
-    exact_expected_step,
-    hoffman_estimate,
+    adaptive_step_report, envelope_factor, exact_expected_step, hoffman_estimate,
     monte_carlo_error_curve,
 )
 from .linalg import ConvergenceError, DenseMatrix, row_dots
 from .problems import (
-    Problem,
-    ProblemKind,
-    generate_consistent_ls,
-    generate_feasible_lf,
-    normalize_rows,
+    Problem, ProblemKind, generate_consistent_ls, generate_feasible_lf, normalize_rows,
 )
 from .projection import _hildreth, distance_to_feasible, project_polyhedron
 from .sampling import make_rng
@@ -60,6 +55,12 @@ def _normalized_ls(m: int, n: int, seed: int) -> Problem:
 
 def _normalized_lf(m: int, n: int, seed: int, active_fraction: float) -> Problem:
     return normalize_rows(generate_feasible_lf(m, n, seed, active_fraction))
+
+
+def _worst(pick, *values: float) -> float:
+    """pick (max or min) of values, NaN if any is NaN: Python's max and min
+    keep a value over a later NaN, and a NaN margin must fail its property."""
+    return np.nan if any(v != v for v in values) else pick(values)
 
 
 def _scaled(problem: Problem, rows: str) -> Problem:
@@ -99,38 +100,37 @@ def _stack_cases(problems: list[Problem], drawn: list[tuple]) -> _StepCases:
         return np.stack(per_problem)[blocks, index]
 
     return _StepCases(
-        problems,
-        index,
-        pick([p.a.data for p in problems]),
-        pick([p.b for p in problems]),
-        pick([p.a.row_norms_sq for p in problems]),
-        np.array(xs),
-        np.array(rhos),
-        np.array(zs),
+        problems, index, pick([p.a.data for p in problems]), pick([p.b for p in problems]),
+        pick([p.a.row_norms_sq for p in problems]), np.array(xs), np.array(rhos), np.array(zs),
     )
 
 
+def _ls_blocks(seed: int, count: int) -> list[Problem]:
+    """The 20x10 unit-row problems of count equality step cases, one per _BLOCK."""
+    return [_normalized_ls(20, 10, seed + 1000 + t) for t in range(0, count, _BLOCK)]
+
+
 def _step_cases(
-    seed: int, count: int, rho_hi: float, arg_floor: float, z_span: float
+    seed: int, count: int, rho_hi: float, arg_floor: float, z_span: float, blocks=()
 ) -> _StepCases:
-    """Draw count equality cases, one 20x10 unit-row problem per _BLOCK.
-    Each case draws its row i, rho, z (when z_span > 0) and then x until
-    the step argument is bounded away from zero, so relative identity
-    checks stay well conditioned."""
+    """Draw count equality cases on blocks, _ls_blocks(seed, n) for an n of
+    at least count, built here when not given.  Each case draws its row i,
+    rho, z (when z_span > 0) and then x until the step argument is bounded
+    away from zero, so relative identity checks stay well conditioned."""
     rng = make_rng(seed)
-    log_rho_hi = np.log10(rho_hi)
-    problems, drawn = [], []
+    integers, random, normal = rng.integers, rng.random, rng.standard_normal
+    log_range = float(np.log10(rho_hi)) - -1.0
+    problems, drawn = blocks or _ls_blocks(seed, count), []
     for t in range(count):
         if t % _BLOCK == 0:
-            problem = _normalized_ls(20, 10, seed + 1000 + t)
-            problems.append(problem)
-            a, b = problem.a.data, problem.b.tolist()
-        i = int(rng.integers(problem.m))
-        rho = float(10.0 ** rng.uniform(-1.0, log_rho_hi))
-        z = float(rng.uniform(-z_span, z_span)) if z_span > 0.0 else 0.0
+            problem = problems[t // _BLOCK]
+            rows, b, m, n = list(problem.a.data), problem.b.tolist(), problem.m, problem.n
+        i = int(integers(m))
+        rho = 10.0 ** (-1.0 + log_range * random())
+        z = -z_span + (z_span - -z_span) * random() if z_span > 0.0 else 0.0
         for _ in range(200):
-            x = rng.standard_normal(problem.n)
-            r = float(a[i] @ x) - b[i]
+            x = normal(n)
+            r = float(rows[i] @ x) - b[i]
             if abs(r + z / rho) >= arg_floor and abs(r) >= arg_floor:
                 break
         drawn.append((i, x, rho, z))
@@ -141,22 +141,26 @@ def _slack_cases(seed: int, count: int) -> _StepCases:
     """Draw count feasibility cases on slack rows, one 10x6 unit-row
     problem per _BLOCK.  Each case draws its row i, rho, then x near the
     planted point until a_i . x - b_i = r < -1e-3, then z in
-    [0, min(1, 0.9 rho |r|)), so that z + rho r < 0."""
+    [0, min(1, 0.9 rho |r|)), so that z + rho r < 0; a row with no such x
+    in 200 draws is refused."""
     rng = make_rng(seed)
+    integers, random, normal = rng.integers, rng.random, rng.standard_normal
     problems, drawn = [], []
     for t in range(count):
         if t % _BLOCK == 0:
             problem = _normalized_lf(10, 6, seed + 2000 + t, 0.0)
             problems.append(problem)
-            a, b = problem.a.data, problem.b.tolist()
-        i = int(rng.integers(problem.m))
-        rho = float(10.0 ** rng.uniform(-1.0, 1.0))
+            rows, b, m, n = list(problem.a.data), problem.b.tolist(), problem.m, problem.n
+        i = int(integers(m))
+        rho = 10.0 ** (-1.0 + 2.0 * random())
         for _ in range(200):
-            x = problem.x_planted + 0.3 * rng.standard_normal(problem.n)
-            r = float(a[i] @ x) - b[i]
+            x = problem.x_planted + 0.3 * normal(n)
+            r = float(rows[i] @ x) - b[i]
             if r < -1e-3:
                 break
-        z = float(rng.uniform(0.0, min(1.0, -r * rho * 0.9)))
+        else:
+            raise ValueError(f"case {t}: no point with row {i} slack in 200 draws")
+        z = min(1.0, -r * rho * 0.9) * random()
         drawn.append((i, x, rho, z))
     return _stack_cases(problems, drawn)
 
@@ -200,10 +204,10 @@ def _checked(name: str, mismatch: str | None, passed: bool, detail: str) -> Prop
     return _result(name, mismatch is None and passed, mismatch or detail)
 
 
-def check_rpk_ls_residual_contraction(seed: int, count: int = 300) -> PropertyResult:
+def check_rpk_ls_residual_contraction(seed: int, count: int = 300, blocks=()) -> PropertyResult:
     """Post-step row residual equals the pre-step residual divided by
     1 + rho ||a_i||^2, to 1e-12 relative."""
-    cases = _step_cases(seed, count, 10.0, 0.3, 0.0)
+    cases = _step_cases(seed, count, 10.0, 0.3, 0.0, blocks)
     x_new, _, _, mismatch = _stacked_steps(cases, Method.RPK, False)
     r_pre = row_dots(cases.rows, cases.x) - cases.b
     r_post = row_dots(cases.rows, x_new) - cases.b
@@ -214,19 +218,19 @@ def check_rpk_ls_residual_contraction(seed: int, count: int = 300) -> PropertyRe
     )
 
 
-def check_rak_ls_dual_identity(seed: int, count: int = 300) -> PropertyResult:
+def check_rak_ls_dual_identity(seed: int, count: int = 300, blocks=()) -> PropertyResult:
     """The refreshed multiplier satisfies z' = z + rho (a_i . x' - b_i)
     to 1e-12 relative."""
-    cases = _step_cases(seed, count, 2.0, 0.3, 3.0)
+    cases = _step_cases(seed, count, 2.0, 0.3, 3.0, blocks)
     x_new, z_new, _, mismatch = _stacked_steps(cases, Method.RAK, False)
     recomputed = cases.z + cases.rho * (row_dots(cases.rows, x_new) - cases.b)
     worst = float(np.max(np.abs(z_new - recomputed) / np.abs(z_new)))
     return _checked("rak-ls-dual-identity", mismatch, worst <= 1e-12, f"max_rel_err={worst:.3e}")
 
 
-def check_rk_ls_projection(seed: int, count: int = 200) -> PropertyResult:
+def check_rk_ls_projection(seed: int, count: int = 200, blocks=()) -> PropertyResult:
     """The plain step lands on the sampled hyperplane."""
-    cases = _step_cases(seed, count, 10.0, 0.1, 0.0)
+    cases = _step_cases(seed, count, 10.0, 0.1, 0.0, blocks)
     x_new, _, _, mismatch = _stacked_steps(cases, Method.RK, False)
     worst = float(np.max(np.abs(row_dots(cases.rows, x_new) - cases.b)))
     return _checked("rk-ls-projection", mismatch, worst <= 1e-12, f"max_residual={worst:.3e}")
@@ -249,15 +253,15 @@ def check_lf_inactive_noop(seed: int, count: int = 200) -> PropertyResult:
 
 
 def check_penalty_limit_matches_rk(
-    seed: int, count: int = 300, rho: float = 1e12, tol: float = 1e-6
+    seed: int, count: int = 300, rho: float = 1e12, tol: float = 1e-6, blocks=()
 ) -> PropertyResult:
     """At huge rho the damped and multiplier steps (z = 0) coincide with
     the plain projection on unit-norm rows."""
-    cases = replace(_step_cases(seed, count, 10.0, 0.0, 0.0), rho=np.full(count, rho))
+    cases = replace(_step_cases(seed, count, 10.0, 0.0, 0.0, blocks), rho=np.full(count, rho))
     x_rk, _, _, m_rk = _stacked_steps(cases, Method.RK, False)
     x_rpk, _, _, m_rpk = _stacked_steps(cases, Method.RPK, False)
     x_rak, _, _, m_rak = _stacked_steps(cases, Method.RAK, False)
-    worst = float(max(np.abs(x_rpk - x_rk).max(), np.abs(x_rak - x_rk).max()))
+    worst = float(_worst(max, np.abs(x_rpk - x_rk).max(), np.abs(x_rak - x_rk).max()))
     return _checked(
         "penalty-limit-matches-rk", m_rk or m_rpk or m_rak, worst <= tol, f"max_gap={worst:.3e}"
     )
@@ -281,7 +285,7 @@ def check_rho_schedule(seed: int) -> PropertyResult:
             expected = min(expected * c, cap)
         exact = exact and rec.rho == expected
         closed = min(rho0 * c**rec.k, cap)
-        worst = max(worst, abs(rec.rho - closed) / closed)
+        worst = _worst(max, worst, abs(rec.rho - closed) / closed)
     if not exact:
         return _result("rho-schedule", False, "iterated schedule mismatch")
 
@@ -308,6 +312,14 @@ def _random_ls_state(problem: Problem, rng, z_span: float, wide: bool = False) -
         x = 2.0 * rng.standard_normal(problem.n)
     z = float(rng.uniform(-z_span, z_span)) if z_span > 0.0 else 0.0
     return SolverState(x=x, z=z, rho=1.0, k=0)
+
+
+def _tracked(rep, method: Method) -> tuple[float, float]:
+    """(current, expected) of the value a bound tracks: the Lyapunov value
+    for the multiplier method, the squared error for the others."""
+    if method is Method.RAK:
+        return rep.base_lyapunov, rep.expected_lyapunov
+    return rep.base_error_sq, rep.expected_error_sq
 
 
 def check_ls_expected_contraction(
@@ -339,15 +351,9 @@ def check_ls_expected_contraction(
             for rho in rhos:
                 rep = exact_expected_step(problem, state, method, rho)
                 factor = envelope_factor(problem, method, rho)
-                max_factor = max(max_factor, factor)
-                if method is Method.RAK:
-                    bound = factor * rep.base_lyapunov
-                    slack = bound - rep.expected_lyapunov
-                else:
-                    bound = factor * rep.base_error_sq
-                    slack = bound - rep.expected_error_sq
-                if slack < min_slack:
-                    min_slack = slack
+                max_factor = _worst(max, max_factor, factor)
+                base, expected = _tracked(rep, method)
+                min_slack = _worst(min, min_slack, factor * base - expected)
     detail = f"min_slack={min_slack:.3e}"
     if rows == "wide":
         detail += f" max_factor={max_factor!r}"
@@ -373,13 +379,9 @@ def check_ls_expected_tightness(seed: int, method: Method) -> PropertyResult:
                 state = SolverState(x=x, z=z, rho=rho, k=0)
                 rep = exact_expected_step(problem, state, method, rho)
                 factor = envelope_factor(problem, method, rho)
-                if method is Method.RAK:
-                    gap = abs(factor * rep.base_lyapunov - rep.expected_lyapunov)
-                    scale = max(1.0, factor * rep.base_lyapunov)
-                else:
-                    gap = abs(factor * rep.base_error_sq - rep.expected_error_sq)
-                    scale = max(1.0, factor * rep.base_error_sq)
-                worst = max(worst, gap / scale)
+                base, expected = _tracked(rep, method)
+                bound = factor * base
+                worst = _worst(max, worst, abs(bound - expected) / max(1.0, bound))
     return _result(name, worst <= 1e-12, f"max_equality_gap={worst:.3e}")
 
 
@@ -425,7 +427,7 @@ def check_adaptive_slack(
                 z = float(rng.uniform(-3.0, 3.0))
                 state = SolverState(x=x, z=z, rho=rho, k=0)
                 rep = adaptive_step_report(problem, state, c)
-                min_rel = min(min_rel, rep.slack / max(1.0, abs(rep.lhs)))
+                min_rel = _worst(min, min_rel, rep.slack / max(1.0, abs(rep.lhs)))
         lf = _scaled(generate_feasible_lf(16, 8, seed + 5500 + p, 0.3), rows)
         for rho in rhos:
             for c in (1.0, 2.0):
@@ -433,7 +435,7 @@ def check_adaptive_slack(
                 z = float(rng.uniform(0.0, 3.0))
                 state = SolverState(x=x, z=z, rho=rho, k=0)
                 rep = adaptive_step_report(lf, state, c)
-                min_rel = min(min_rel, rep.slack / max(1.0, abs(rep.lhs)))
+                min_rel = _worst(min, min_rel, rep.slack / max(1.0, abs(rep.lhs)))
     name = "adaptive-penalty-slack" + ("" if rows == "unit" else f"-{rows}")
     return _result(name, min_rel >= -1e-12, f"min_rel_slack={min_rel:.3e}")
 
@@ -452,7 +454,7 @@ def check_mc_envelope(
     curve = monte_carlo_error_curve(problem, cfg, n_trials, list(checkpoints))
     worst = 0.0
     for mean, env in zip(curve.means, curve.envelope):
-        worst = max(worst, mean / env)
+        worst = _worst(max, worst, mean / env)
     return _result(name, worst <= margin, f"max_mean_over_envelope={worst:.4f}")
 
 
@@ -472,7 +474,7 @@ def check_lf_step_distance_monotone(seed: int, count: int = 60) -> PropertyResul
                 if x_new is x:
                     continue
                 d = distance_to_feasible(x_new, problem)
-                worst = max(worst, d - base)
+                worst = _worst(max, worst, d - base)
     return _result(
         "lf-step-distance-monotone", worst <= 1e-10, f"max_increase={worst:.3e}"
     )
@@ -494,11 +496,8 @@ def check_lf_expected_decrease(
             state = SolverState(x=x, z=z, rho=1.0, k=0)
             for rho in (0.5, 1.0, 4.0):
                 rep = exact_expected_step(problem, state, method, rho)
-                if method is Method.RAK:
-                    slack = rep.base_lyapunov - rep.expected_lyapunov
-                else:
-                    slack = rep.base_error_sq - rep.expected_error_sq
-                min_slack = min(min_slack, slack)
+                base, expected = _tracked(rep, method)
+                min_slack = _worst(min, min_slack, base - expected)
     return _result(name, min_slack >= -1e-10, f"min_slack={min_slack:.3e}")
 
 
@@ -525,7 +524,7 @@ def check_projection_certificates(seed: int, count: int = 8) -> PropertyResult:
             drift = float(np.abs(y2 - y).max())
             fixed = project_polyhedron(problem.x_planted, problem.a, problem.b)
             inside = float(np.abs(fixed - problem.x_planted).max())
-            worst = max(worst, feas, comp, neg, agree, drift, inside)
+            worst = _worst(max, worst, feas, comp, neg, agree, drift, inside)
     except ConvergenceError as exc:
         return _result(name, False, str(exc))
     return _result(name, worst <= 1e-8, f"max_violation={worst:.3e}")
@@ -573,17 +572,18 @@ def check_lf_run_feasibility(
             cfg = SolverConfig(
                 method=method, max_iters=iters, rho0=1.0, c=1.1, seed=seed + p
             )
-            worst = max(worst, residual_of(problem, run_solver(problem, cfg).x))
+            worst = _worst(max, worst, residual_of(problem, run_solver(problem, cfg).x))
     return _result("lf-run-feasibility", worst <= tol, f"max_final_residual={worst:.3e}")
 
 
 def suite_steps(seed: int) -> list[PropertyResult]:
+    blocks = _ls_blocks(seed, 300)  # built once, for this run's four equality checks
     return [
-        check_rpk_ls_residual_contraction(seed),
-        check_rak_ls_dual_identity(seed),
-        check_rk_ls_projection(seed),
+        check_rpk_ls_residual_contraction(seed, blocks=blocks),
+        check_rak_ls_dual_identity(seed, blocks=blocks),
+        check_rk_ls_projection(seed, blocks=blocks),
         check_lf_inactive_noop(seed),
-        check_penalty_limit_matches_rk(seed),
+        check_penalty_limit_matches_rk(seed, blocks=blocks),
         check_rho_schedule(seed),
     ]
 

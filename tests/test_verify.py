@@ -1,5 +1,9 @@
 """The property suites must pass on the real code and fail on broken code."""
 
+import types
+from dataclasses import replace
+
+import case_reference
 import numpy as np
 import pytest
 
@@ -12,8 +16,14 @@ from kaczpen.projection import _hildreth
 from kaczpen.solvers import Method
 from kaczpen.verify import (
     SUITES,
+    check_adaptive_slack,
+    check_lf_expected_decrease,
     check_lf_inactive_noop,
+    check_lf_run_feasibility,
+    check_lf_step_distance_monotone,
     check_ls_expected_contraction,
+    check_ls_expected_tightness,
+    check_mc_envelope,
     check_penalty_limit_matches_rk,
     check_projection_certificates,
     check_rak_ls_dual_identity,
@@ -347,3 +357,149 @@ def test_nan_margin_fails_its_property(monkeypatch, check):
     res = check(seed=0)
     assert not res.passed
     assert "nan" in res.detail, res.detail
+
+
+def _spy_draws(monkeypatch):
+    """Every (draw function name, args, cases) of the case draws verify
+    makes from here on, in call order."""
+    drawn = []
+    for name in ("_step_cases", "_slack_cases"):
+        def spy(*args, _real=getattr(verify, name), _name=name):
+            cases = _real(*args)
+            drawn.append((_name, args, cases))
+            return cases
+
+        monkeypatch.setattr(verify, name, spy)
+    return drawn
+
+
+def _assert_frozen_draws(drawn):
+    """Each drawn set of cases is the frozen draw code's on the same seed,
+    count and bounds: the same rows and every array bit for bit."""
+    for name, args, got in drawn:
+        ref = getattr(case_reference, name)(*args[:5])
+        assert got.index == ref.index, (name, args[:5])
+        for field in ("rows", "b", "norms_sq", "x", "rho", "z"):
+            g, r = getattr(got, field), getattr(ref, field)
+            assert (g.dtype, g.shape) == (r.dtype, r.shape), (name, args[:5], field)
+            assert g.tobytes() == r.tobytes(), (name, args[:5], field)
+
+
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)], ids=["0-19", "20-39"])
+def test_steps_suite_draws_the_frozen_cases(monkeypatch, seeds):
+    """The four equality checks, on the block problems suite_steps builds
+    once, and lf-inactive-noop draw the cases the frozen rng.uniform code
+    draws, bit for bit."""
+    drawn = _spy_draws(monkeypatch)
+    for seed in seeds:
+        suite_steps(seed)
+    per_run = ["_step_cases"] * 3 + ["_slack_cases", "_step_cases"]
+    assert [name for name, _, _ in drawn] == per_run * len(seeds)
+    _assert_frozen_draws(drawn)
+
+
+def test_step_checks_at_acceptance_size_draw_the_frozen_cases(monkeypatch):
+    """At count=1000, each check alone (it builds its own blocks) and the
+    equality checks given one shared set of blocks."""
+    drawn = _spy_draws(monkeypatch)
+    for seed in (0, 3):
+        for check in _STEP_CHECKS:
+            check(seed, count=1000)
+        blocks = verify._ls_blocks(seed, 1000)
+        for check in _STEP_CHECKS[:3] + _STEP_CHECKS[4:]:
+            check(seed, count=1000, blocks=blocks)
+    assert len(drawn) == 18
+    _assert_frozen_draws(drawn)
+
+
+def test_slack_cases_refuse_a_row_that_is_never_slack(monkeypatch):
+    """A row with no slack point in 200 draws is refused loudly, as numpy's
+    uniform(0, hi) refused its negative range, not given a negative z."""
+    real = verify._normalized_lf
+
+    def never_slack(m, n, seed, active_fraction):
+        p = real(m, n, seed, active_fraction)
+        b = p.a.data @ p.x_planted - 100.0
+        return types.SimpleNamespace(a=p.a, b=b, m=p.m, n=p.n, x_planted=p.x_planted)
+
+    monkeypatch.setattr(verify, "_normalized_lf", never_slack)
+    with pytest.raises(ValueError, match="slack in 200 draws"):
+        check_lf_inactive_noop(seed=0)
+
+
+def test_steps_suite_builds_its_block_problems_once_per_run(monkeypatch):
+    """One run builds the six 20x10 block problems once, for all four
+    equality checks, and rho-schedule's problem; a second run builds its
+    own again, as nothing is cached between runs."""
+    calls = []
+    real = verify.generate_consistent_ls
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "generate_consistent_ls", counting)
+    suite_steps(seed=3)
+    assert sorted(calls) == [(12, 6, 3003)] + [(20, 10, 1003 + 50 * j) for j in range(6)]
+    suite_steps(seed=3)
+    assert len(calls) == 14
+
+
+def _nan_fields(real, *fields):
+    """real with the named fields of its result NaN, each entry of a list."""
+    def poisoned(*args):
+        result = real(*args)
+        values = {f: getattr(result, f) for f in fields}
+        nans = {f: [np.nan] * len(v) if isinstance(v, list) else np.nan for f, v in values.items()}
+        return replace(result, **nans)
+
+    return poisoned
+
+
+_EXPECTED_NAN = ("expected_error_sq", "expected_lyapunov")
+
+# "<property> <margin>": (check, verify attribute, stand-in for it given the
+# real one) of each reduction that used to keep its margin over a NaN
+_NAN_MARGINS = {
+    "rpk-ls-expected-contraction min_slack": (
+        lambda: check_ls_expected_contraction(0, Method.RPK, n_problems=1),
+        "exact_expected_step", lambda real: _nan_fields(real, *_EXPECTED_NAN)),
+    "rk-ls-expected-contraction-wide max_factor": (
+        lambda: check_ls_expected_contraction(0, Method.RK, n_problems=1, rows="wide"),
+        "envelope_factor", lambda real: lambda *args: np.nan),
+    "rpk-ls-expected-tightness max_equality_gap": (
+        lambda: check_ls_expected_tightness(0, Method.RPK),
+        "exact_expected_step", lambda real: _nan_fields(real, *_EXPECTED_NAN)),
+    "adaptive-penalty-slack min_rel_slack": (
+        lambda: check_adaptive_slack(0, n_problems=1),
+        "adaptive_step_report", lambda real: _nan_fields(real, "slack")),
+    "rpk-mc-envelope max_mean_over_envelope": (
+        lambda: check_mc_envelope(0, Method.RPK, n_trials=4),
+        "monte_carlo_error_curve", lambda real: _nan_fields(real, "means")),
+    "lf-step-distance-monotone max_increase": (
+        lambda: check_lf_step_distance_monotone(0, count=2),
+        "distance_to_feasible", lambda real: lambda *args: np.nan),
+    "rpk-lf-expected-decrease min_slack": (
+        lambda: check_lf_expected_decrease(0, Method.RPK, n_problems=1),
+        "exact_expected_step", lambda real: _nan_fields(real, *_EXPECTED_NAN)),
+    "projection-certificates max_violation": (
+        lambda: check_projection_certificates(0, count=1),
+        "project_polyhedron", lambda real: lambda x, a, b: np.full_like(x, np.nan)),
+    "lf-run-feasibility max_final_residual": (
+        lambda: check_lf_run_feasibility(0, n_problems=1, iters=100, tol=1.0),
+        "residual_of", lambda real: lambda *args: np.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_MARGINS))
+def test_nan_margin_fails_every_property(monkeypatch, case):
+    """A NaN that reaches a max, a min or a running minimum fails the
+    property and shows in its detail, where max(worst, nan), min(slack,
+    nan) and `if nan < min_slack` used to keep the old margin and pass."""
+    name, margin = case.split()
+    check, target, stand_in = _NAN_MARGINS[case]
+    assert check().passed
+    monkeypatch.setattr(verify, target, stand_in(getattr(verify, target)))
+    res = check()
+    assert res.name == name and not res.passed, res.detail
+    assert f"{margin}=nan" in res.detail.split(), res.detail
