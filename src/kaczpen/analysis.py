@@ -538,9 +538,10 @@ def monte_carlo_error_curve(
     z^2 / rho for the multiplier method) at its state after exactly that
     many iterations, so a single trial reproduces the solve trace's
     lyapunov column (at its fresh records) bit for bit.  A feasibility
-    checkpoint's projection starts from the same trial's previous
-    checkpoint, or at its first from the trial before it, with the cold
-    start's result bit for bit (see projection._certified).  All trials
+    checkpoint is one projection._warm_distances call on all trials, each
+    started from its support at the previous checkpoint, or at its first
+    from x0's, with the cold start's result bit for bit (see
+    projection._certified).  All trials
     advance together in one pass
     to the largest checkpoint: trial t's iterate is row t of an
     (n_trials, n) array, and every step calls the step kernel on all
@@ -579,7 +580,7 @@ def monte_carlo_error_curve(
 
     x0 = np.zeros(problem.n) if cfg.x0 is None else as_vector(cfg.x0, problem.n)
     x_star = solvers.solution_nearest(problem, cfg.x0) if is_ls else None
-    initial = solvers.error_sq_of(problem, x0, x_star)
+    initial, support = solvers._error_sq(problem, x0, x_star)
 
     a, b, norms_sq = problem.a.data, problem.b, problem.a.row_norms_sq
     distribution = RowDistribution(problem.a)
@@ -589,25 +590,21 @@ def monte_carlo_error_curve(
     rho = cfg.rho0
     moving = solvers._rho_moves(method, rho, cfg.c, cfg.rho_max)
     sums = [0.0 for _ in ks]
-    # each trial's projection support at its last checkpoint
-    supports = [None] * n_trials
+    # each trial's projection support at its last checkpoint, x0's before
+    supports = None if is_ls else np.broadcast_to(support, (n_trials, problem.m))
     failed_at = None
     next_j = 0
 
     def add_checkpoints(k: int) -> None:
-        nonlocal next_j
+        nonlocal next_j, supports
         while next_j < len(ks) and ks[next_j] == k:
             if is_ls:
                 errs = solvers._stacked_error_sq(x, x_star)
             else:
-                errs = np.empty(len(x))
-                for t in range(len(x)):
-                    start = supports[t]
-                    if start is None and t > 0:
-                        # a trial's first checkpoint starts from the trial before it
-                        start = supports[t - 1]
-                    # an array of its own, as run_solver's state.x is
-                    errs[t], supports[t] = solvers._error_sq(problem, x[t].copy(), x_star, start)
+                dists, supports, failures = _warm_distances(x, problem, supports[: len(x)])
+                for failure in filter(None, failures):
+                    raise failure  # the lowest trial's, as a loop over the trials meets it
+                errs = dists * dists
             if method is Method.RAK:
                 errs += z * z / rho
             for err in errs.tolist():

@@ -509,12 +509,12 @@ def _warm_distances(xs, problem, start=None):
 
     xs must be a finite (K, n) array: nothing is checked again, as the
     problem's rows and b were checked when it was built, and the floors
-    are formed once per problem and kept on it.  start is one boolean row
-    mask that every point's passive set starts from (see _certified);
-    None or an empty mask starts cold, at the rows violated at x.
+    are formed once per problem and kept on it.  start is the boolean row
+    mask the passive sets start from, one for all points or a (K, m) array
+    of one per point (see _certified); None or an empty mask starts cold.
     """
     floors = problem.memo("projection_floors", lambda: _floors(problem.a, problem.b))
-    starts = None if start is None else np.repeat(start[None], len(xs), axis=0)
+    starts = None if start is None else np.broadcast_to(start, (len(xs), problem.m))
     results, errors = _certified(xs, problem.a, problem.b, starts, floors)
     if errors.count(None) < len(errors):
         failed = (np.full(problem.n, np.nan), np.zeros(problem.m))
@@ -525,10 +525,10 @@ def _warm_distances(xs, problem, start=None):
     return np.sqrt(((xs - ys) ** 2).sum(axis=1)), supports, errors
 
 
-def _warm_distance(x, problem, start=None) -> tuple[float, np.ndarray]:
-    """_warm_distances for one finite vector x of length n: its distance
-    and support, or its ConvergenceError raised."""
-    dists, supports, errors = _warm_distances(x[None], problem, start)
+def _warm_distance(x, problem) -> tuple[float, np.ndarray]:
+    """_warm_distances for one finite vector x of length n, started cold:
+    its distance and support, or its ConvergenceError raised."""
+    dists, supports, errors = _warm_distances(x[None], problem)
     if errors[0] is not None:
         raise errors[0]
     return float(dists[0]), supports[0]

@@ -232,14 +232,14 @@ def error_sq_of(problem: Problem, x: np.ndarray, x_star: np.ndarray | None = Non
     return _error_sq(problem, x, x_star)[0]
 
 
-def _error_sq(problem: Problem, x: np.ndarray, x_star, start=None):
-    """(error_sq_of, support): for feasibility, x's projection starts its
-    passive set at the row mask start and support is its rows lam > 0,
-    the start for the next point of a run; None for equalities."""
+def _error_sq(problem: Problem, x: np.ndarray, x_star):
+    """(error_sq_of, support): for feasibility, support is the rows lam > 0
+    of x's projection, the start for the next points of a run; None for
+    equalities."""
     if problem.kind is ProblemKind.LS:
         x_star = solution_nearest(problem) if x_star is None else x_star
         return float(_stacked_error_sq(np.asarray(x)[None], x_star)[0]), None
-    dist, support = _warm_distance(x, problem, start)
+    dist, support = _warm_distance(x, problem)
     return dist * dist, support
 
 

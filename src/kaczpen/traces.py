@@ -108,10 +108,12 @@ def parse_trace_csv(path: str) -> list[TraceRecord]:
                 residual=float(parts[4]),
                 z=float(parts[5]),
                 lyapunov=float(parts[6]),
-                fresh=bool(int(parts[7])),
+                fresh=parts[7] == "1",
             )
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: {exc}") from None
+        if parts[7] not in ("0", "1"):
+            raise TraceFormatError(f"{path}: line {lineno}: fresh must be 0 or 1, got {parts[7]!r}")
         # rho may grow to +inf (--rho-max inf), where the step is the plain one
         rho_ok = rec.rho == math.inf or math.isfinite(rec.rho)
         if not rho_ok or not all(

@@ -18,7 +18,7 @@ from kaczpen.analysis import (
     lyapunov_ls,
     monte_carlo_error_curve,
 )
-from kaczpen.linalg import DenseMatrix, lambda_min_variants, least_norm_solution
+from kaczpen.linalg import ConvergenceError, DenseMatrix, lambda_min_variants, least_norm_solution
 from kaczpen.problems import (
     Problem,
     ProblemKind,
@@ -1037,15 +1037,21 @@ def _reference_means(problem, cfg, n_trials, checkpoints):
 
 
 @pytest.mark.parametrize("method", list(Method))
-@pytest.mark.parametrize("kind", ["ls", "lf"])
+@pytest.mark.parametrize("kind", ["ls", "lf", "lf-tall"])
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("nonzero_x0", [False, True])
 @pytest.mark.parametrize("c", [1.0, 1.05])
 def test_mc_batched_matches_per_trial_reruns(method, kind, normalize, nonzero_x0, c):
+    """lf-tall has more tight rows at its planted vertex than columns: a
+    fifth to a half of its warm-started checkpoint projections are refused
+    there (not _settled) and rerun cold, in the same batches as the ones
+    kept."""
     if kind == "ls":
         p = generate_consistent_ls(9, 4, seed=66)
-    else:
+    elif kind == "lf":
         p = generate_feasible_lf(7, 5, seed=67, active_fraction=0.3)
+    else:
+        p = generate_feasible_lf(12, 4, seed=68, active_fraction=0.5)
     if normalize:
         p = normalize_rows(p)
     x0 = np.linspace(-1.0, 2.0, p.n) if nonzero_x0 else None
@@ -1084,6 +1090,65 @@ def test_mc_many_trials_match_per_trial_reruns(method, kind, n_trials, checkpoin
     cfg = SolverConfig(method=method, max_iters=0, rho0=0.3, seed=17)
     rep = monte_carlo_error_curve(p, cfg, n_trials, checkpoints)
     assert rep.means == _reference_means(p, cfg, n_trials, checkpoints)
+
+
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+def test_mc_projects_each_checkpoint_in_one_batch(monkeypatch, kind):
+    """A feasibility checkpoint projects all trials in one _warm_distances
+    call: the first started from the support of x0's projection, each later
+    one from the supports the call before returned.  An equality curve
+    projects nothing."""
+    from kaczpen.projection import _warm_distance
+
+    if kind == "ls":
+        p = generate_consistent_ls(9, 4, seed=66)
+    else:
+        p = generate_feasible_lf(10, 6, seed=77, active_fraction=0.3)
+    x0 = np.linspace(-1.0, 2.0, p.n)
+    calls = []
+    real = analysis._warm_distances
+
+    def recorded(xs, problem, start=None):
+        result = real(xs, problem, start)
+        calls.append((xs.shape, np.broadcast_to(start, (len(xs), p.m)).copy(), result[1]))
+        return result
+
+    monkeypatch.setattr(analysis, "_warm_distances", recorded)
+    cfg = SolverConfig(method=Method.RPK, max_iters=0, seed=3, x0=x0)
+    monte_carlo_error_curve(p, cfg, 5, [0, 10, 40])
+    monkeypatch.undo()
+    if kind == "ls":
+        assert calls == []
+        return
+    assert [shape for shape, _, _ in calls] == [(5, p.n)] * 3
+    support = _warm_distance(x0, p)[1]
+    assert support.any()
+    assert np.array_equal(calls[0][1], np.tile(support, (5, 1)))
+    for (_, _, supports), (_, start, _) in zip(calls, calls[1:]):
+        assert np.array_equal(start, supports)
+
+
+def test_mc_projection_failure_names_lowest_refused_trial(monkeypatch):
+    """When several trials' projections fail at one checkpoint, the curve
+    raises the lowest trial's error, as a loop over the trials would."""
+    p = generate_feasible_lf(10, 6, seed=77, active_fraction=0.3)
+    real = analysis._warm_distances
+    calls = []
+
+    def refusing(xs, problem, start=None):
+        dists, supports, errors = real(xs, problem, start)
+        calls.append(None)
+        if len(calls) == 2:
+            errors = list(errors)
+            errors[1] = ConvergenceError("trial 1 refused")
+            errors[3] = ConvergenceError("trial 3 refused")
+        return dists, supports, errors
+
+    monkeypatch.setattr(analysis, "_warm_distances", refusing)
+    cfg = SolverConfig(method=Method.RK, max_iters=0, seed=3)
+    with pytest.raises(ConvergenceError, match="^trial 1 refused$"):
+        monte_carlo_error_curve(p, cfg, 5, [5, 10, 40])
+    assert len(calls) == 2
 
 
 def test_mc_trial_rows_are_its_own_sampler_stream(monkeypatch):

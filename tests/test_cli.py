@@ -952,9 +952,10 @@ def test_warm_started_projections_bound_the_work(capsys, tmp_path, monkeypatch):
     before (the first chunk's cold), makes at most 2,000 (1,951 on one BLAS
     thread; 13,924 when each started at the rows violated there), and
     compare --trials 20 --checkpoints 100,500, whose checkpoints start
-    from the trial's previous one or the trial before, fewer than 10,400:
-    9,435 on one BLAS thread, against 11,386 when a trial's first
-    checkpoint starts cold and 13,033 when every checkpoint does.  A
+    from the trial's previous one or, at its first, from x0's projection,
+    fewer than 9,500: 8,658 on one BLAS thread, against 9,435 when a
+    trial's first checkpoint starts from the trial before it, about
+    11,388 when it starts cold and 13,033 when every checkpoint does.  A
     stacked solve counts once per set it solves."""
     from kaczpen import projection
 
@@ -977,7 +978,7 @@ def test_warm_started_projections_bound_the_work(capsys, tmp_path, monkeypatch):
     code, _, stderr = run_cli(capsys, "compare", path, "--trials", "20",
                               "--checkpoints", "100,500", "-o", str(tmp_path / "c.csv"))
     assert code == 0, stderr
-    assert len(solves) < 10_400
+    assert len(solves) < 9_500
 
 
 @pytest.mark.parametrize(

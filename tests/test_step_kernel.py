@@ -316,8 +316,8 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
             raise ConvergenceError("close enough")
         return d
 
-    def refusing_warm(x, problem, start=None):
-        d, support = real_warm(x, problem, start)
+    def refusing_warm(x, problem):
+        d, support = real_warm(x, problem)
         if d * d <= limit:
             raise ConvergenceError("close enough")
         return d, support

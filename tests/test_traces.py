@@ -123,6 +123,16 @@ def test_parse_accepts_infinite_rho_only(tmp_path):
             parse_trace_csv(str(path))
 
 
+@pytest.mark.parametrize("fresh", ["7", "-1", "2", "01", " 1", "", "true"])
+def test_parse_rejects_fresh_other_than_0_or_1(tmp_path, fresh):
+    """The writer marks a record fresh with 1 and stale with 0; any other
+    value is refused, naming its line, not read as True."""
+    path = tmp_path / "t.csv"
+    path.write_text(TRACE_HEADER + "\n0,-1,1,4,2,0,4,1\n1,0,1,1,1,0,1," + fresh + "\n")
+    with pytest.raises(TraceFormatError, match="line 3: fresh must be 0 or 1"):
+        parse_trace_csv(str(path))
+
+
 def test_parse_requires_a_record(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(TRACE_HEADER + "\n")
