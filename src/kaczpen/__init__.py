@@ -17,12 +17,49 @@ import os
 import sys
 
 # The linear algebra here is small and called in loops, where BLAS threads
-# cost more than they save (and far more on a loaded machine).  This must
-# run before numpy is first imported to take effect; a value already in
-# the environment wins.
+# cost more than they save (and far more on a loaded machine), and one
+# thread keeps the projections' rounding, and so their results, the same
+# in every process.  The variables take effect only before numpy is first
+# imported; a value already in the environment wins.
+_openblas_unset = "OPENBLAS_NUM_THREADS" not in os.environ
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
+
+
+def _one_openblas_thread() -> None:
+    """Give a numpy imported before this package, whose OpenBLAS has read
+    the environment already, one thread through the library's own call
+    (numpy's wheels bundle it as numpy.libs/libscipy_openblas*); warn
+    when no such call is found."""
+    import ctypes
+    import glob
+    import warnings
+
+    numpy_file = getattr(sys.modules["numpy"], "__file__", None)
+    paths = []
+    if numpy_file:
+        libs = os.path.join(os.path.dirname(os.path.dirname(numpy_file)), "numpy.libs")
+        paths = sorted(glob.glob(os.path.join(libs, "libscipy_openblas*")))
+    for path in paths:
+        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            try:
+                setter = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter(1)
+            return
+    warnings.warn(
+        "numpy was imported before kaczpen and its BLAS thread count could not be set: "
+        "set OPENBLAS_NUM_THREADS=1 (or your BLAS's variable) before importing numpy",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
+if _openblas_unset and "numpy" in sys.modules:
+    _one_openblas_thread()
+del _openblas_unset
 
 # the exported names of each submodule
 _EXPORTED_FROM = {

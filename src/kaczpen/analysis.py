@@ -23,7 +23,7 @@ from .linalg import (
     row_dots,
 )
 from .problems import Problem, ProblemKind
-from .projection import _warm_distances, distance_to_feasible, project_polyhedron
+from .projection import distance_to_feasible, project_polyhedron
 from .sampling import RowDistribution, make_rng
 from .solvers import _DRAW_BLOCK, Method, SolverConfig, SolverState
 
@@ -371,15 +371,14 @@ def _enumerate_rows(
     """The enumeration oracles' shared core: the state's z, the squared
     error at its x, and the row-weighted expectations over one step,
     E[err'], E[z'^2] and E[err' + z'^2 / rho_next].  Every row's step comes
-    from one call of the step kernel over all m rows, and the moving rows'
-    points are projected in one projection._warm_distances call, each
-    from the base point's support; the first point whose projection
-    fails raises its error.
+    from one call of the step kernel over all m rows.
 
-    The error is solvers._error_sq (its stacked form for the equality
-    rows): the squared distance to the solution nearest the origin
-    (equality) or to the feasible set (feasibility, where a row that does
-    not move keeps the base error).  Steps that carry no multiplier keep z.
+    The errors (to the solution nearest the origin, or to the feasible
+    set) are solvers._error_sq at x and one solvers._stacked_errors call
+    on the rows that move (every equality row), each projection started
+    from x's support; a row that does not move keeps the base error, and
+    the first moving row whose projection fails raises its error.  Steps
+    that carry no multiplier keep z.
     """
     if problem.m > _ENUMERATION_CAP:
         raise ValueError(
@@ -389,22 +388,17 @@ def _enumerate_rows(
     x = as_vector(state.x, problem.n)
     z = float(state.z)
     solvers._check_multiplier(z, lf and method is Method.RAK)
-    x_star = None if lf else solvers.solution_nearest(problem)
-    base_err, support = solvers._error_sq(problem, x, x_star)
+    base_err, support = solvers._error_sq(problem, x, None)
     x_new, coef, moves = solvers._step_rows(
         a.data, x, problem.b, a.row_norms_sq, method, z, rho, lf
     )
-    if lf:
-        err = np.full(problem.m, base_err)
-        # moves, not coef != 0: a moving row's coef can underflow to 0
-        moving = np.flatnonzero(moves)
-        dists, _, failures = _warm_distances(x_new[moving], problem, support)
-        failure = next((e for e in failures if e is not None), None)
-        if failure is not None:
-            raise failure
-        err[moving] = dists * dists
-    else:
-        err = solvers._stacked_error_sq(x_new, x_star)
+    err = np.full(problem.m, base_err)
+    # moves, not coef != 0: a moving row's coef can underflow to 0
+    moving = np.flatnonzero(np.broadcast_to(moves, (problem.m,)))
+    errs, _, failures = solvers._stacked_errors(problem, x_new[moving], None, support)
+    for failure in filter(None, failures):
+        raise failure
+    err[moving] = errs
     zs = coef if method is Method.RAK else np.full(problem.m, z)
     w = RowDistribution(a).probabilities
     # summed left to right in row order, as accumulate adds; np.sum's
@@ -537,27 +531,27 @@ def monte_carlo_error_curve(
     cfg.seed + t, and a checkpoint value is solvers.error_sq_of (plus
     z^2 / rho for the multiplier method) at its state after exactly that
     many iterations, so a single trial reproduces the solve trace's
-    lyapunov column (at its fresh records) bit for bit.  A feasibility
-    checkpoint is one projection._warm_distances call on all trials, each
-    started from its support at the previous checkpoint, or at its first
-    from x0's, with the cold start's result bit for bit (see
-    projection._certified).  All trials
-    advance together in one pass
-    to the largest checkpoint: trial t's iterate is row t of an
-    (n_trials, n) array, and every step calls the step kernel on all
-    trials at once.  The trials share one RowDistribution, built once per
-    curve; trial t keeps its own PCG64 stream, seeded cfg.seed + t, and
-    draws its rows ahead in blocks of random(count), as its run_solver
-    sampler would, and every trial's block is mapped to rows in one
-    search, so a trial adds only its stream's set-up and its steps.  The
-    residuals come from stacked products, which round exactly like the
-    scalar row @ x, and the equality checkpoint errors from
-    solvers._stacked_error_sq, so the means are bit for bit those of
-    per-trial reruns.  rho
-    follows run_solver's schedule, with advance_rho called only while
-    solvers._rho_moves holds.  Means accumulate in trial order.  A
-    non-finite iterate raises NumericFailureError for the lowest-index
-    trial that produces one, at its first such iteration.
+    lyapunov column (at its fresh records) bit for bit.  A checkpoint
+    k > 0 is one solvers._stacked_errors call on all trials, each
+    projection started from the trial's support at the previous
+    checkpoint, or at its first from x0's, with the cold start's result
+    bit for bit (see projection._certified); at k = 0 every trial is at
+    x0, whose initial value is taken, unprojected.
+    All trials advance together in one pass to the largest checkpoint:
+    trial t's iterate is row t of an (n_trials, n) array, and every step
+    calls the step kernel on all trials at once.  The trials share one
+    RowDistribution, built once per curve; trial t keeps its own PCG64
+    stream, seeded cfg.seed + t, and draws its rows ahead in blocks of
+    random(count), as its run_solver sampler would, and every trial's
+    block is mapped to rows in one search, so a trial adds only its
+    stream's set-up and its steps.  The residuals come from stacked
+    products, which round exactly like the scalar row @ x, and stacked
+    errors are each point's error_sq_of, so the means are bit for bit
+    those of per-trial reruns.  rho follows run_solver's schedule, with
+    advance_rho called only while solvers._rho_moves holds.  Means
+    accumulate in trial order.  A non-finite iterate raises
+    NumericFailureError for the lowest-index trial that produces one, at
+    its first such iteration.
 
     The rows are used as given, by the runs, the metric and the envelope
     alike; a caller that wants unit rows passes normalize_rows(problem).
@@ -591,20 +585,20 @@ def monte_carlo_error_curve(
     moving = solvers._rho_moves(method, rho, cfg.c, cfg.rho_max)
     sums = [0.0 for _ in ks]
     # each trial's projection support at its last checkpoint, x0's before
-    supports = None if is_ls else np.broadcast_to(support, (n_trials, problem.m))
+    supports = support if support is None else np.broadcast_to(support, (n_trials, problem.m))
     failed_at = None
     next_j = 0
 
     def add_checkpoints(k: int) -> None:
         nonlocal next_j, supports
         while next_j < len(ks) and ks[next_j] == k:
-            if is_ls:
-                errs = solvers._stacked_error_sq(x, x_star)
+            if k == 0:
+                # every trial is at x0, whose error is initial (and z = 0)
+                errs = np.full(len(x), initial)
             else:
-                dists, supports, failures = _warm_distances(x, problem, supports[: len(x)])
+                errs, supports, failures = solvers._stacked_errors(problem, x, x_star, supports)
                 for failure in filter(None, failures):
                     raise failure  # the lowest trial's, as a loop over the trials meets it
-                errs = dists * dists
             if method is Method.RAK:
                 errs += z * z / rho
             for err in errs.tolist():
@@ -635,6 +629,7 @@ def monte_carlo_error_curve(
                 break
             rngs, drawn = rngs[:bad], drawn[:bad]
             x, z = x[:bad], z[:bad]
+            supports = supports if supports is None else supports[:bad]
         if moving:
             rho = solvers.advance_rho(rho, cfg.c, cfg.rho_max)
             moving = solvers._rho_moves(method, rho, cfg.c, cfg.rho_max)

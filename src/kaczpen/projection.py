@@ -505,7 +505,9 @@ def _warm_distances(xs, problem, start=None):
     """distance_to_feasible of each row x of xs without its checks, the
     rows lam > 0 of each projection (the start for nearby points'), and
     each point's ConvergenceError or None: (dists, supports, errors).  A
-    failed point's distance is NaN and its support empty.
+    failed point's distance is NaN and its support empty.  Called by
+    distance_to_feasible and by solvers._stacked_errors, the one source of
+    squared errors for traces, Monte Carlo checkpoints and oracles.
 
     xs must be a finite (K, n) array: nothing is checked again, as the
     problem's rows and b were checked when it was built, and the floors
@@ -525,15 +527,6 @@ def _warm_distances(xs, problem, start=None):
     return np.sqrt(((xs - ys) ** 2).sum(axis=1)), supports, errors
 
 
-def _warm_distance(x, problem) -> tuple[float, np.ndarray]:
-    """_warm_distances for one finite vector x of length n, started cold:
-    its distance and support, or its ConvergenceError raised."""
-    dists, supports, errors = _warm_distances(x[None], problem)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(dists[0]), supports[0]
-
-
 def distance_to_feasible(x, problem) -> float:
     """Euclidean distance from x to the feasible set of an inequality
     problem."""
@@ -541,4 +534,7 @@ def distance_to_feasible(x, problem) -> float:
 
     if problem.kind is not ProblemKind.LF:
         raise ValueError("distance_to_feasible needs a feasibility problem")
-    return _warm_distance(as_vector(x, problem.n), problem)[0]
+    dists, _, errors = _warm_distances(as_vector(x, problem.n)[None], problem)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(dists[0])

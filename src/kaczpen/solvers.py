@@ -23,12 +23,13 @@ and the Monte Carlo curve decide this once per run, and again after each
 step that moves rho, and call advance_rho only while it holds.
 
 A run uses the problem it is given, rows as they are (a caller that wants
-unit rows passes normalize_rows(problem)).  residual_of and error_sq_of,
-with their stacked forms _stacked_residuals and _stacked_error_sq, are the
-one definition of a residual and a squared error: the trace records,
-analysis's Monte Carlo checkpoints, enumeration oracles and lyapunov_ls
-read them, and a feasibility error is d * d, d the certified projection
-distance (lyapunov_lf squares it alike).  SolverConfig
+unit rows passes normalize_rows(problem)).  residual_of (stacked:
+_stacked_residuals) is the one definition of a residual, and
+_stacked_errors (one point: error_sq_of) that of a stack's squared
+errors, of either kind: ||x - x*||^2 by _stacked_error_sq, or d * d, d
+the certified distance from one projection._warm_distances call.  The
+trace records, analysis's Monte Carlo checkpoints and enumeration
+oracles read it (lyapunov_ls and lyapunov_lf square alike).  SolverConfig
 is validated once, when built; run_solver reads the rows, b and
 ||a_i||^2 into lists once and updates x in place.  It draws its rows a
 chunk at a time, each chunk in one sample_rows call (any split of the
@@ -39,12 +40,12 @@ each step's x in a preallocated buffer, with its row, z and rho.  A
 chunk that fails the check is replayed from its starting (x, z, rho, and
 whether rho moves) with a check after every step, only to find the first
 non-finite k; the steps before it are kept.  The kept steps of
-every chunk then take one metric path: every residual comes from
-_stacked_residuals and every equality error from _stacked_error_sq, each
-for the whole chunk at once, and the feasibility errors of the chunk's
-stride points from one projection._warm_distances call, each projection
-started from the support of the chunk before's last stride point (the
-first chunk's cold; the same result as a cold start, bit for bit, see
+every chunk then take one metric path: every residual comes from one
+_stacked_residuals call for the whole chunk, and the errors of its fresh
+points (every kept step of an equality run, the stride points of a
+feasibility run) from one _stacked_errors call, each projection started
+from the support of the chunk before's last stride point (the first
+chunk's cold; the same result as a cold start, bit for bit, see
 projection._certified).  A residual_tol stop is the first kept step at
 or below the tolerance: the records end there and (x, z, rho) are
 restored from that step.  Trace records go to the sink one at a time
@@ -71,7 +72,7 @@ from .linalg import (
     row_dots,
 )
 from .problems import Problem, ProblemKind
-from .projection import _warm_distance, _warm_distances
+from .projection import _warm_distances
 from .sampling import build_sampler
 from .traces import TraceRecord
 
@@ -233,14 +234,26 @@ def error_sq_of(problem: Problem, x: np.ndarray, x_star: np.ndarray | None = Non
 
 
 def _error_sq(problem: Problem, x: np.ndarray, x_star):
-    """(error_sq_of, support): for feasibility, support is the rows lam > 0
-    of x's projection, the start for the next points of a run; None for
-    equalities."""
+    """(error_sq_of, support): _stacked_errors on x alone, raising its
+    failure; support (None for equalities) is the rows lam > 0 of x's
+    projection, the start for the next points of a run."""
+    errs, supports, failures = _stacked_errors(problem, np.asarray(x)[None], x_star)
+    if failures[0] is not None:
+        raise failures[0]
+    return float(errs[0]), None if supports is None else supports[0]
+
+
+def _stacked_errors(problem: Problem, xs: np.ndarray, x_star=None, start=None):
+    """(errs, supports, failures): error_sq_of of each row x of xs, the
+    supports of its projection and its ConvergenceError or None.  Equality
+    errors are to x_star (by default the solution nearest the origin),
+    with no supports or failures; each feasibility projection starts from
+    start (one row mask or one per point, None for cold)."""
     if problem.kind is ProblemKind.LS:
         x_star = solution_nearest(problem) if x_star is None else x_star
-        return float(_stacked_error_sq(np.asarray(x)[None], x_star)[0]), None
-    dist, support = _warm_distance(x, problem)
-    return dist * dist, support
+        return _stacked_error_sq(xs, x_star), None, [None] * len(xs)
+    dists, supports, failures = _warm_distances(xs, problem, start)
+    return dists * dists, supports, failures
 
 
 def _stacked_error_sq(xs: np.ndarray, x_star: np.ndarray) -> np.ndarray:
@@ -267,31 +280,26 @@ def _trace_records(problem, xs, kept, residuals, k0, error_sq, support, x_star, 
     time, from each step's (row, z, rho) in kept, its x in xs and its
     residual, and return the last error_sq and the support (rows lam > 0)
     of the last stride point projected, the next chunk's start.
-    Equality errors come from one _stacked_error_sq over the kept steps;
-    the feasibility errors of the chunk's stride points come from one
-    _warm_distances call, every projection started from the support
-    carried in, and each is carried to the records up to the next.  A
-    stride point whose projection failed raises its error once the
-    records before it are sent."""
-    is_ls = problem.kind is ProblemKind.LS
-    if is_ls:
-        errors = _stacked_error_sq(xs[: len(kept)], x_star).tolist()
-    else:
-        fresh_at = [j for j in range(len(kept)) if (k0 + j + 1) % stride == 0]
-        if fresh_at:
-            dists, supports, failures = _warm_distances(xs[fresh_at], problem, support)
-            dists = dists.tolist()
-            support = supports[-1]
-        q = 0
+    The errors of the chunk's stride points (every step at stride 1)
+    come from one _stacked_errors call, every projection started from the
+    support carried in, and each is carried to the records up to the
+    next.  A stride point whose projection failed raises its error once
+    the records before it are sent."""
+    fresh_at = [j for j in range(len(kept)) if (k0 + j + 1) % stride == 0]
+    if fresh_at:
+        # at stride 1 the points are every kept step: a slice, not a copy
+        points = xs[: len(kept)] if stride == 1 else xs[fresh_at]
+        errors, supports, failures = _stacked_errors(problem, points, x_star, support)
+        errors = errors.tolist()
+        support = support if supports is None else supports[-1]
+    q = 0
     for j, (i, z, rho) in enumerate(kept):
         k = k0 + j + 1
-        fresh = is_ls or k % stride == 0
-        if is_ls:
-            error_sq = errors[j]
-        elif fresh:
+        fresh = k % stride == 0
+        if fresh:
             if failures[q] is not None:
                 raise failures[q]
-            error_sq = dists[q] * dists[q]
+            error_sq = errors[q]
             q += 1
         lyap = error_sq + z * z / rho if rak else error_sq
         sink(TraceRecord(k, i, rho, error_sq, residuals[j], z if rak else 0.0, lyap, fresh))
@@ -414,7 +422,8 @@ def run_solver(
 
     rows, bs, norms_sq = list(a.data), b.tolist(), a.row_norms_sq.tolist()
     lf, rak = not is_ls, method is Method.RAK
-    c, rho_max, stride = cfg.c, cfg.rho_max, cfg.trace_stride
+    # every equality record is fresh
+    c, rho_max, stride = cfg.c, cfg.rho_max, cfg.trace_stride if lf else 1
     moving = _rho_moves(method, rho, c, rho_max)
     tmp = np.empty(n)
     chunk = _DRAW_BLOCK

@@ -661,7 +661,7 @@ def test_skip_margin_covers_the_distance_excess():
     projection's support rows by the SVD.  The
     largest relative excess here is about 2.9e-7, so a margin of 1e-9
     fails."""
-    from kaczpen.projection import _warm_distance
+    from kaczpen.projection import _warm_distances
 
     rng = np.random.default_rng(0)
     excess = []
@@ -669,7 +669,8 @@ def test_skip_margin_covers_the_distance_excess():
         p = _gate_instance(rng, 3, 23, kappa=5.9e9)
         points, _, _ = analysis._hoffman_samples(p, 30, analysis.hoffman_ball(p)[1], t)
         for x in points:
-            dist, support = _warm_distance(x, p)
+            dists, supports, _ = _warm_distances(x[None], p)
+            dist, support = float(dists[0]), supports[0]
             u, s, _ = np.linalg.svd(p.a.data[support], full_matrices=False)
             exact = float(np.linalg.norm(u.T @ (p.a.data[support] @ x - p.b[support]) / s))
             excess.append((dist - exact) / exact)
@@ -1094,11 +1095,12 @@ def test_mc_many_trials_match_per_trial_reruns(method, kind, n_trials, checkpoin
 
 @pytest.mark.parametrize("kind", ["ls", "lf"])
 def test_mc_projects_each_checkpoint_in_one_batch(monkeypatch, kind):
-    """A feasibility checkpoint projects all trials in one _warm_distances
+    """A feasibility curve projects x0 once, cold, for its initial value,
+    and each checkpoint k > 0 projects all trials in one _warm_distances
     call: the first started from the support of x0's projection, each later
-    one from the supports the call before returned.  An equality curve
-    projects nothing."""
-    from kaczpen.projection import _warm_distance
+    one from the supports the call before returned.  Checkpoint 0 projects
+    nothing, and neither does an equality curve."""
+    from kaczpen import solvers
 
     if kind == "ls":
         p = generate_consistent_ls(9, 4, seed=66)
@@ -1106,49 +1108,88 @@ def test_mc_projects_each_checkpoint_in_one_batch(monkeypatch, kind):
         p = generate_feasible_lf(10, 6, seed=77, active_fraction=0.3)
     x0 = np.linspace(-1.0, 2.0, p.n)
     calls = []
-    real = analysis._warm_distances
+    real = solvers._warm_distances
 
     def recorded(xs, problem, start=None):
         result = real(xs, problem, start)
-        calls.append((xs.shape, np.broadcast_to(start, (len(xs), p.m)).copy(), result[1]))
+        if start is not None:
+            start = np.broadcast_to(start, (len(xs), p.m)).copy()
+        calls.append((xs.shape, start, result[1]))
         return result
 
-    monkeypatch.setattr(analysis, "_warm_distances", recorded)
+    monkeypatch.setattr(solvers, "_warm_distances", recorded)
     cfg = SolverConfig(method=Method.RPK, max_iters=0, seed=3, x0=x0)
     monte_carlo_error_curve(p, cfg, 5, [0, 10, 40])
     monkeypatch.undo()
     if kind == "ls":
         assert calls == []
         return
-    assert [shape for shape, _, _ in calls] == [(5, p.n)] * 3
-    support = _warm_distance(x0, p)[1]
+    assert [shape for shape, _, _ in calls] == [(1, p.n)] + [(5, p.n)] * 2
+    assert calls[0][1] is None
+    support = calls[0][2][0]
     assert support.any()
-    assert np.array_equal(calls[0][1], np.tile(support, (5, 1)))
-    for (_, _, supports), (_, start, _) in zip(calls, calls[1:]):
+    assert np.array_equal(calls[1][1], np.tile(support, (5, 1)))
+    for (_, _, supports), (_, start, _) in zip(calls[1:], calls[2:]):
         assert np.array_equal(start, supports)
+
+
+def test_mc_checkpoint_zero_projects_nothing(monkeypatch):
+    """Checkpoint 0 is every trial at x0, whose value is the curve's
+    initial one: adding it to a curve on the degenerate 60x10 file (18
+    tight rows at its vertex, the origin infeasible) adds no passive-set
+    solve and leaves every later mean and envelope bit for bit."""
+    from kaczpen import projection
+
+    p = generate_feasible_lf(60, 10, seed=3, active_fraction=0.3)
+    cfg = SolverConfig(method=Method.RAK, max_iters=0, rho0=0.5, seed=3)
+    # the factor is estimated once per problem: before the counts
+    analysis.envelope_factor(p, cfg.method, cfg.rho0)
+    solves = []
+    real = projection._passive_solves
+
+    def counted(ext, points, *args):
+        solves.append(len(points))
+        return real(ext, points, *args)
+
+    monkeypatch.setattr(projection, "_passive_solves", counted)
+    reports, counts = [], []
+    for ks in ([10, 50], [0, 10, 50]):
+        solves.clear()
+        reports.append(monte_carlo_error_curve(p, cfg, 10, ks))
+        counts.append(sum(solves))
+    without, with_zero = reports
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
+    assert with_zero.means[0] == with_zero.envelope[0] == with_zero.initial_value > 0.0
+    assert [m.hex() for m in with_zero.means[1:]] == [m.hex() for m in without.means]
+    assert [e.hex() for e in with_zero.envelope[1:]] == [e.hex() for e in without.envelope]
 
 
 def test_mc_projection_failure_names_lowest_refused_trial(monkeypatch):
     """When several trials' projections fail at one checkpoint, the curve
-    raises the lowest trial's error, as a loop over the trials would."""
+    raises the lowest trial's error, as a loop over the trials would.
+    The stand-in's first call is x0's own projection, for the initial
+    value; its third is the second checkpoint's batch."""
+    from kaczpen import solvers
+
     p = generate_feasible_lf(10, 6, seed=77, active_fraction=0.3)
-    real = analysis._warm_distances
+    real = solvers._warm_distances
     calls = []
 
     def refusing(xs, problem, start=None):
         dists, supports, errors = real(xs, problem, start)
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) == 3:
             errors = list(errors)
             errors[1] = ConvergenceError("trial 1 refused")
             errors[3] = ConvergenceError("trial 3 refused")
         return dists, supports, errors
 
-    monkeypatch.setattr(analysis, "_warm_distances", refusing)
+    monkeypatch.setattr(solvers, "_warm_distances", refusing)
     cfg = SolverConfig(method=Method.RK, max_iters=0, seed=3)
     with pytest.raises(ConvergenceError, match="^trial 1 refused$"):
         monte_carlo_error_curve(p, cfg, 5, [5, 10, 40])
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_mc_trial_rows_are_its_own_sampler_stream(monkeypatch):

@@ -1022,17 +1022,12 @@ def test_solve_reuses_fresh_trace_error_sq(capsys, tmp_path, monkeypatch, iters)
     assert code == 0
     solvers = kaczpen.solvers
     projections = []
-    distance, distances = solvers._warm_distance, solvers._warm_distances
-
-    def counted_distance(*args):
-        projections.append(args)
-        return distance(*args)
+    distances = solvers._warm_distances
 
     def counted_distances(xs, *args):
         projections.extend([args] * len(xs))
         return distances(xs, *args)
 
-    monkeypatch.setattr(solvers, "_warm_distance", counted_distance)
     monkeypatch.setattr(solvers, "_warm_distances", counted_distances)
     trace = str(tmp_path / "t.csv")
     code, traced, _ = run_cli(capsys, *argv, "--trace", trace)
@@ -1336,3 +1331,63 @@ def test_blas_threads_user_setting_wins(tmp_path):
                        {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["3", "1", "2"]
+
+
+# numpy's own OpenBLAS thread count after `import kaczpen`, with numpy
+# imported first or not (argv[1]), or "none" when no such call is found
+OPENBLAS_THREADS_PROBE = (
+    "import ctypes, glob, os, sys\n"
+    "if sys.argv[1] == 'numpy':\n"
+    "    import numpy\n"
+    "import kaczpen\n"
+    "import numpy\n"
+    "libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), 'numpy.libs')\n"
+    "for path in sorted(glob.glob(os.path.join(libs, 'libscipy_openblas*'))):\n"
+    "    try:\n"
+    "        print(ctypes.CDLL(path).scipy_openblas_get_num_threads64_())\n"
+    "        break\n"
+    "    except (OSError, AttributeError):\n"
+    "        pass\n"
+    "else:\n"
+    "    print('none')\n"
+)
+
+
+@pytest.mark.parametrize("first", ["numpy", "kaczpen"])
+@pytest.mark.parametrize("user", [None, "2"])
+def test_openblas_threads_whatever_imports_first(tmp_path, first, user):
+    """With the thread variables unset (the pytest process has set them),
+    numpy's OpenBLAS has one thread after `import kaczpen` whether numpy
+    was imported first or not, and an OPENBLAS_NUM_THREADS the user set
+    wins either way."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cores or 1) < 2:
+        pytest.skip("one core: OpenBLAS starts with one thread whatever imports first")
+    env = {} if user is None else {"OPENBLAS_NUM_THREADS": user}
+    proc = _run_python(["-c", OPENBLAS_THREADS_PROBE, first], env, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "none":
+        pytest.skip("numpy bundles no scipy-openblas library with a thread-count call")
+    assert proc.stdout.split() == [user or "1"]
+    assert proc.stderr == ""
+
+
+def test_openblas_threads_warns_once_without_a_known_library(tmp_path):
+    """A numpy imported first whose OpenBLAS call cannot be found gets one
+    RuntimeWarning, pointing at the import, which a reload of the package
+    does not repeat (the variables are set by then)."""
+    code = (
+        "import importlib, sys, types, warnings\n"
+        "numpy = types.ModuleType('numpy')\n"
+        "numpy.__file__ = sys.argv[1]\n"
+        "sys.modules['numpy'] = numpy\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    import kaczpen\n"
+        "    importlib.reload(kaczpen)\n"
+        "print(len(caught), caught[0].category.__name__, caught[0].filename == '<string>')\n"
+    )
+    missing = str(tmp_path / "site" / "numpy" / "__init__.py")
+    proc = _run_python(["-c", code, missing], {}, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "RuntimeWarning", "True"]

@@ -417,10 +417,10 @@ def test_warm_start_at_unit_scale_matches_cold(mask):
 
 def test_traced_stride_points_project_as_cold(monkeypatch):
     """The 200 stride points of a traced 2,000-step rak run on the tall
-    300x50 file, projected a chunk at a time: each chunk's stride points
-    are one lockstep batch, started from the last support of the batch
-    before (the first batch cold).  Every distance is the cold
-    distance_to_feasible, bit for bit."""
+    300x50 file, projected a chunk at a time, after the k = 0 point on its
+    own: each chunk's stride points are one lockstep batch, started from
+    the last support of the batch before (the first batch cold).  Every
+    distance is the cold distance_to_feasible, bit for bit."""
     from kaczpen import solvers
     from kaczpen.solvers import Method, SolverConfig, run_solver
 
@@ -435,6 +435,9 @@ def test_traced_stride_points_project_as_cold(monkeypatch):
 
     monkeypatch.setattr(solvers, "_warm_distances", kept)
     run_solver(p, SolverConfig(method=Method.RAK, max_iters=2000), lambda r: None)
+    start_x, start_mask, _ = calls.pop(0)
+    assert np.array_equal(start_x, np.zeros((1, p.n)))
+    assert start_mask is None
     assert sum(len(xs) for xs, _, _ in calls) == 200
     assert max(len(xs) for xs, _, _ in calls) > 1
     assert calls[0][1] is None

@@ -200,6 +200,67 @@ def test_stacked_residuals_match_residual_of(bench_problems, name):
         ]
 
 
+_ERROR_FILES = {
+    "ls20x5": lambda: generate_consistent_ls(20, 5, seed=1),
+    # 18 tight rows at the planted vertex in 10 columns
+    "lf60x10-degenerate": lambda: generate_feasible_lf(60, 10, seed=3, active_fraction=0.3),
+    "lf10x20": lambda: generate_feasible_lf(10, 20, seed=1, active_fraction=0.3),
+}
+
+
+def _error_points(p):
+    """Eight points about the planted one, the planted point among them."""
+    rng = np.random.default_rng(43)
+    return np.vstack([p.x_planted, p.x_planted + rng.standard_normal((7, p.n))])
+
+
+@pytest.mark.parametrize("start", ["cold", "one-mask", "per-point-masks"])
+@pytest.mark.parametrize("name", list(_ERROR_FILES))
+def test_stacked_errors_match_error_sq_of(name, start):
+    """_stacked_errors on a stack of 8 points gives each point's
+    error_sq_of and support bit for bit, cold and started from a row mask
+    (one for all points, or one per point); an equality stack has no
+    supports and no failures."""
+    p = _ERROR_FILES[name]()
+    xs = _error_points(p)
+    masks = {
+        "cold": None,
+        "one-mask": np.arange(p.m) % 3 == 0,
+        "per-point-masks": np.random.default_rng(44).random((len(xs), p.m)) < 0.3,
+    }
+    errs, supports, failures = solvers._stacked_errors(p, xs, None, masks[start])
+    assert failures == [None] * len(xs)
+    assert [ref.bits(e) for e in errs] == [ref.bits(solvers.error_sq_of(p, x)) for x in xs]
+    if p.kind is ProblemKind.LS:
+        assert supports is None
+        return
+    assert errs[0] == 0.0 and (errs[1:] > 0.0).all()
+    assert np.array_equal(supports, [solvers._error_sq(p, x, None)[1] for x in xs])
+
+
+def test_stacked_errors_report_each_points_failure(monkeypatch):
+    """A projection refused for point 2 of a stack is that point's failure
+    and no other's, the other errors are unchanged, and the one-point view
+    _error_sq raises it."""
+    p = _ERROR_FILES["lf10x20"]()
+    xs = _error_points(p)
+    real = solvers._warm_distances
+    refusal = ConvergenceError("point 2 refused")
+
+    def refusing(points, problem, start=None):
+        dists, supports, errors = real(points, problem, start)
+        return dists, supports, [refusal if (x == xs[2]).all() else e for x, e in zip(points, errors)]
+
+    expected = solvers._stacked_errors(p, xs)[0]
+    monkeypatch.setattr(solvers, "_warm_distances", refusing)
+    errs, _, failures = solvers._stacked_errors(p, xs)
+    assert failures[2] is refusal
+    assert failures[:2] + failures[3:] == [None] * (len(xs) - 1)
+    assert ref.bits(np.delete(errs, 2)) == ref.bits(np.delete(expected, 2))
+    with pytest.raises(ConvergenceError, match="^point 2 refused$"):
+        solvers._error_sq(p, xs[2], None)
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_tol_stop_at_benchmark_shape(bench_problems, method):
     """ls-reference's solve: a 60x15 equality file run to --tol 1e-8,
@@ -308,19 +369,13 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
     ref.reference_solve(p, cfg, records.append)
     limit = records[290].error_sq
     assert records[280].error_sq > limit
-    real, real_warm, real_batch = ref.distance_to_feasible, solvers._warm_distance, solvers._warm_distances
+    real, real_batch = ref.distance_to_feasible, solvers._warm_distances
 
     def refusing(x, problem):
         d = real(x, problem)
         if d * d <= limit:
             raise ConvergenceError("close enough")
         return d
-
-    def refusing_warm(x, problem):
-        d, support = real_warm(x, problem)
-        if d * d <= limit:
-            raise ConvergenceError("close enough")
-        return d, support
 
     def refusing_batch(xs, problem, start=None):
         dists, supports, errors = real_batch(xs, problem, start)
@@ -334,7 +389,6 @@ def test_error_mid_block_reaches_caller_after_earlier_records(monkeypatch):
         steps.append(None)
         return real_coef(*args)
 
-    monkeypatch.setattr(solvers, "_warm_distance", refusing_warm)
     monkeypatch.setattr(solvers, "_warm_distances", refusing_batch)
     monkeypatch.setattr(ref, "distance_to_feasible", refusing)
     monkeypatch.setattr(solvers, "_step_coef", counted)
