@@ -30,8 +30,8 @@ del _var
 def _one_openblas_thread() -> None:
     """Give a numpy imported before this package, whose OpenBLAS has read
     the environment already, one thread through the library's own call
-    (numpy's wheels bundle it as numpy.libs/libscipy_openblas*); warn
-    when no such call is found."""
+    (numpy's Linux and Windows wheels bundle it as
+    numpy.libs/libscipy_openblas*); warn when no such call is found."""
     import ctypes
     import glob
     import warnings
@@ -50,8 +50,9 @@ def _one_openblas_thread() -> None:
             setter(1)
             return
     warnings.warn(
-        "numpy was imported before kaczpen and its BLAS thread count could not be set: "
-        "set OPENBLAS_NUM_THREADS=1 (or your BLAS's variable) before importing numpy",
+        "numpy was imported before kaczpen and no bundled OpenBLAS "
+        "(numpy.libs/libscipy_openblas*) was found to give one thread: "
+        "set your BLAS's thread variable to 1 before importing numpy",
         RuntimeWarning,
         stacklevel=3,
     )

@@ -285,10 +285,11 @@ def _trace_records(problem, xs, kept, residuals, k0, error_sq, support, x_star, 
     support carried in, and each is carried to the records up to the
     next.  A stride point whose projection failed raises its error once
     the records before it are sent."""
-    fresh_at = [j for j in range(len(kept)) if (k0 + j + 1) % stride == 0]
-    if fresh_at:
-        # at stride 1 the points are every kept step: a slice, not a copy
-        points = xs[: len(kept)] if stride == 1 else xs[fresh_at]
+    if stride == 1:
+        points = xs[: len(kept)]  # every kept step: a slice, not a copy
+    else:
+        points = xs[[j for j in range(len(kept)) if (k0 + j + 1) % stride == 0]]
+    if len(points):
         errors, supports, failures = _stacked_errors(problem, points, x_star, support)
         errors = errors.tolist()
         support = support if supports is None else supports[-1]

@@ -1114,7 +1114,7 @@ def test_mc_projects_each_checkpoint_in_one_batch(monkeypatch, kind):
         result = real(xs, problem, start)
         if start is not None:
             start = np.broadcast_to(start, (len(xs), p.m)).copy()
-        calls.append((xs.shape, start, result[1]))
+        calls.append((xs.copy(), start, result[1]))
         return result
 
     monkeypatch.setattr(solvers, "_warm_distances", recorded)
@@ -1124,10 +1124,12 @@ def test_mc_projects_each_checkpoint_in_one_batch(monkeypatch, kind):
     if kind == "ls":
         assert calls == []
         return
-    assert [shape for shape, _, _ in calls] == [(1, p.n)] + [(5, p.n)] * 2
+    assert [xs.shape for xs, _, _ in calls] == [(1, p.n)] + [(5, p.n)] * 2
+    assert np.array_equal(calls[0][0], x0[None])
     assert calls[0][1] is None
-    support = calls[0][2][0]
+    support = solvers._error_sq(p, x0, None)[1]
     assert support.any()
+    assert np.array_equal(calls[0][2][0], support)
     assert np.array_equal(calls[1][1], np.tile(support, (5, 1)))
     for (_, _, supports), (_, start, _) in zip(calls[1:], calls[2:]):
         assert np.array_equal(start, supports)
