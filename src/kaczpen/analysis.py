@@ -539,7 +539,13 @@ def monte_carlo_error_curve(
     x0, whose initial value is taken, unprojected.
     All trials advance together in one pass to the largest checkpoint:
     trial t's iterate is row t of an (n_trials, n) array, and every step
-    calls the step kernel on all trials at once.  The trials share one
+    calls the step kernel on all trials at once.  The steps run in
+    segments, each ending at the next checkpoint, at the end of the draw
+    block or where its gathered rows, b and ||a_i||^2 reach
+    solvers._METRIC_BYTES.  A segment gathers them once, step-major, and
+    checks x once, at its end, as run_solver checks a chunk; one that
+    fails is replayed from its saved (x, z, rho) with a check after every
+    step.  Checkpoints are taken after the check.  The trials share one
     RowDistribution, built once per curve; trial t keeps its own PCG64
     stream, seeded cfg.seed + t, and draws its rows ahead in blocks of
     random(count), as its run_solver sampler would, and every trial's
@@ -606,33 +612,53 @@ def monte_carlo_error_curve(
             next_j += 1
 
     add_checkpoints(0)
-    for k in range(1, ks[-1] + 1):
-        j = (k - 1) % _DRAW_BLOCK
+    # a segment's gathered rows, b and ||a_i||^2 stay within the byte budget
+    segment = max(1, solvers._METRIC_BYTES // (8 * n_trials * (problem.n + 2)))
+    k = 0
+    while k < ks[-1]:
+        j = k % _DRAW_BLOCK
         if j == 0:
-            count = min(_DRAW_BLOCK, ks[-1] - k + 1)
             # trial t's block is random(count) from its own stream, mapped
             # to rows with the others' in one search
+            count = min(_DRAW_BLOCK, ks[-1] - k)
             drawn = distribution.rows(np.stack([rng.random(count) for rng in rngs]))
-        idx = drawn[:, j]
-        x, coef, _ = solvers._step_rows(
-            a[idx], x, b[idx], norms_sq[idx], method, z, rho, not is_ls
-        )
-        if method is Method.RAK:
-            z = coef
-        finite = np.isfinite(x).all(axis=1)
-        if not finite.all():
-            # later trials no longer matter: trial bad fails first in
-            # trial order unless an earlier one fails later on
-            bad = int(np.argmin(finite))
-            failed_at = k
-            if bad == 0:
+        # to the next checkpoint, the block's end or the budget, and step-major,
+        # so each step reads a C-contiguous (trials, n) slice
+        end = min(ks[next_j], k - j + count, k + segment)
+        idx = drawn[:, j : j + end - k].T
+        seg_a, seg_b, seg_norms = a[idx], b[idx], norms_sq[idx]
+        saved = (x, z, rho, moving)
+        # the replay only finds each failing trial's first non-finite step
+        for careful in (False, True):
+            if careful:
+                x, z, rho, moving = saved
+            for step in range(end - k):
+                x, coef, _ = solvers._step_rows(
+                    seg_a[step], x, seg_b[step], seg_norms[step], method, z, rho, not is_ls
+                )
+                if method is Method.RAK:
+                    z = coef
+                if careful:
+                    finite = np.isfinite(x).all(axis=1)
+                    if not finite.all():
+                        # later trials no longer matter: trial bad fails first in
+                        # trial order unless an earlier one fails later on
+                        bad = int(np.argmin(finite))
+                        failed_at = k + step + 1
+                        if bad == 0:
+                            raise NumericFailureError(failed_at)
+                        rngs, drawn = rngs[:bad], drawn[:bad]
+                        x, z = x[:bad], z[:bad]
+                        seg_a, seg_b, seg_norms = (
+                            v[:, :bad] for v in (seg_a, seg_b, seg_norms)
+                        )
+                        supports = supports if supports is None else supports[:bad]
+                if moving:
+                    rho = solvers.advance_rho(rho, cfg.c, cfg.rho_max)
+                    moving = solvers._rho_moves(method, rho, cfg.c, cfg.rho_max)
+            if careful or np.isfinite(x).all():
                 break
-            rngs, drawn = rngs[:bad], drawn[:bad]
-            x, z = x[:bad], z[:bad]
-            supports = supports if supports is None else supports[:bad]
-        if moving:
-            rho = solvers.advance_rho(rho, cfg.c, cfg.rho_max)
-            moving = solvers._rho_moves(method, rho, cfg.c, cfg.rho_max)
+        k = end
         add_checkpoints(k)
     if failed_at is not None:
         raise NumericFailureError(failed_at)

@@ -276,7 +276,8 @@ def _least_distance(
                 results[live[j]] = best[j]
                 continue
             best_resid[j] = resid
-            lam = wj * (scales[j] / resid)
+            with np.errstate(over="ignore"):
+                lam = wj * (scales[j] / resid)
             y = x - rows.T @ lam
             best[j] = (y, lam)
             slack = rows @ y - b

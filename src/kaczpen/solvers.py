@@ -34,7 +34,8 @@ is validated once, when built; run_solver reads the rows, b and
 ||a_i||^2 into lists once and updates x in place.  It draws its rows a
 chunk at a time, each chunk in one sample_rows call (any split of the
 stream gives the same rows), and checks x once per chunk (a non-finite x
-stays non-finite under the step).  The pass over a chunk only steps.
+stays non-finite under the step), as the Monte Carlo curve checks its
+segments of steps.  The pass over a chunk only steps.
 When a metric is needed (a trace sink or residual_tol) it also keeps
 each step's x in a preallocated buffer, with its row, z and rho.  A
 chunk that fails the check is replayed from its starting (x, z, rho, and
@@ -79,8 +80,10 @@ from .traces import TraceRecord
 # the most rows a run, or each Monte Carlo trial, draws ahead in one call,
 # so the index buffer stays this size whatever the horizon
 _DRAW_BLOCK = 256
-# bytes that a run needing per-step metrics keeps for one chunk of draws:
-# each step's x, (chunk, n), and its residual vector, (chunk, m).
+# bytes that a loop keeps for one chunk of steps: a run needing per-step
+# metrics keeps each step's x, (chunk, n), and its residual vector,
+# (chunk, m); a Monte Carlo segment gathers each step's rows, b and
+# ||a_i||^2 for every trial, (chunk, trials, n + 2).
 # A residual_tol stop wastes the rest of its chunk, so chunks stay short:
 # 64 KiB gives 109 steps at 60x15, where twelve --tol 1e-8 solves took
 # 37.0 ms against 40.3 ms with whole 256-draw chunks (2-core x86_64).
@@ -426,7 +429,9 @@ def run_solver(
     # every equality record is fresh
     c, rho_max, stride = cfg.c, cfg.rho_max, cfg.trace_stride if lf else 1
     moving = _rho_moves(method, rho, c, rho_max)
-    tmp = np.empty(n)
+    # a ufunc takes a 0-d operand faster than a Python float, with the same product
+    tmp, coef_arr = np.empty(n), np.empty(())
+    multiply, subtract = np.multiply, np.subtract
     chunk = _DRAW_BLOCK
     if need_residual:
         chunk = max(1, min(_DRAW_BLOCK, _METRIC_BYTES // (8 * (n + a.rows))))
@@ -446,8 +451,9 @@ def run_solver(
                 row = rows[i]
                 coef, moves = _step_coef(float(row.dot(x)) - bs[i], z_arg, norms_sq[i], rho_arg, lf)
                 if moves:
-                    np.multiply(row, coef, tmp)
-                    np.subtract(x, tmp, x)
+                    coef_arr[()] = coef
+                    multiply(row, coef_arr, tmp)
+                    subtract(x, tmp, x)
                 else:
                     coef = 0.0
                 if rak:

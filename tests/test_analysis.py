@@ -1298,3 +1298,91 @@ def test_mc_nan_residual_moves_like_the_step_functions():
     with pytest.raises(NumericFailureError) as got:
         monte_carlo_error_curve(p, cfg, 2, [4])
     assert got.value.iteration == ref.value.iteration == 1
+
+
+def _segment_budget(monkeypatch, n_trials, n, steps):
+    """Patch the byte budget to segments of at most steps steps (None
+    keeps the default)."""
+    from kaczpen import solvers
+
+    if steps is not None:
+        monkeypatch.setattr(solvers, "_METRIC_BYTES", 8 * n_trials * (n + 2) * steps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", [Method.RPK, Method.RAK])
+@pytest.mark.parametrize("steps", [None, 1, 20])
+def test_mc_numeric_failure_inside_a_segment_where_rho_moves(monkeypatch, method, steps):
+    """x1 = 1e308 violates row 0, whose coefficient 0.3 x1 / (1 / rho + 0.09)
+    overflows once rho is large enough: under rho0 = 1 fixed no trial
+    fails, and as c = 1.3 grows rho, trials 0-3 at seed 1 first fail at
+    none, 50, 21 and 52.  Under the default budget and 20-step segments
+    each of those steps lies inside a segment, so the replay has to start
+    from the segment's saved rho (one that kept the rho of the segment's
+    end names 10); 1-step segments check every step.  Trial 2 is dropped
+    at 21 and trial 1's failure at 50 is the one named."""
+    p = Problem(
+        kind=ProblemKind.LF, a=DenseMatrix([[0.3, 0.0], [0.0, 1.0]]), b=np.array([0.0, 1.0])
+    )
+    x0 = np.array([1e308, 0.0])
+    cfg = SolverConfig(method=method, max_iters=0, rho0=1.0, c=1.3, rho_max=1e6, seed=1, x0=x0)
+    checkpoints = [3, 40, 300]
+    with pytest.raises(NumericFailureError) as ref:
+        _reference_means(p, cfg, 4, checkpoints)
+    _segment_budget(monkeypatch, 4, p.n, steps)
+    with pytest.raises(NumericFailureError) as got:
+        monte_carlo_error_curve(p, cfg, 4, checkpoints)
+    assert got.value.iteration == ref.value.iteration == 50
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("steps", [None, 1, 3])
+def test_mc_numeric_failure_on_a_checkpoint_step(monkeypatch, steps):
+    """At seed 8 trials 0-3 first fail at iterations 10, 10, 5 and 2,
+    each a checkpoint: a checkpoint is taken after its step's check, so
+    it projects only the trials still running, every one finite, and
+    trial 0's failure at 10 is named before its checkpoint."""
+    from kaczpen import solvers
+
+    p, x0 = _overflowing_lf()
+    cfg = SolverConfig(method=Method.RK, max_iters=0, seed=8, x0=x0)
+    checkpoints = [2, 5, 10, 50]
+    with pytest.raises(NumericFailureError) as ref:
+        _reference_means(p, cfg, 4, checkpoints)
+    _segment_budget(monkeypatch, 4, p.n, steps)
+    projected = []
+    real = solvers._warm_distances
+
+    def recorded(xs, problem, start=None):
+        projected.append(xs.copy())
+        return real(xs, problem, start)
+
+    monkeypatch.setattr(solvers, "_warm_distances", recorded)
+    with pytest.raises(NumericFailureError) as got:
+        monte_carlo_error_curve(p, cfg, 4, checkpoints)
+    assert got.value.iteration == ref.value.iteration == 10
+    # x0's own projection, then checkpoints 2 (trials 0-2) and 5 (trials 0-1)
+    assert [xs.shape for xs in projected] == [(1, 2), (3, 2), (2, 2)]
+    assert all(np.isfinite(xs).all() for xs in projected)
+
+
+@pytest.mark.parametrize("kind", ["ls", "lf"])
+@pytest.mark.parametrize("steps", [1, 7])
+def test_mc_segment_budget_leaves_the_curve_bit_for_bit(monkeypatch, kind, steps):
+    """Segments of 1 step, or of 7 (an uneven split of the 256-draw
+    block), with checkpoints inside segments, at their ends and at the
+    block's end, give the means and envelopes of the default budget and
+    of per-trial reruns, bit for bit."""
+    if kind == "ls":
+        p = generate_consistent_ls(12, 5, seed=68)
+    else:
+        p = generate_feasible_lf(10, 6, seed=77, active_fraction=0.3)
+    cfg = SolverConfig(method=Method.RAK, max_iters=0, rho0=0.5, c=1.05, seed=4)
+    block = analysis._DRAW_BLOCK
+    checkpoints = [0, 5, 7, 14, 100, block, block + 44]
+    default = monte_carlo_error_curve(p, cfg, 3, checkpoints)
+    _segment_budget(monkeypatch, 3, p.n, steps)
+    got = monte_carlo_error_curve(p, cfg, 3, checkpoints)
+    assert [m.hex() for m in got.means] == [m.hex() for m in default.means]
+    assert [e.hex() for e in got.envelope] == [e.hex() for e in default.envelope]
+    assert got.means == _reference_means(p, cfg, 3, checkpoints)

@@ -664,21 +664,25 @@ def test_solve_normalize_bound_beyond_float_range_exits_3(capsys, tmp_path):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "argv",
+    "text, argv",
     [
-        ["solve", "--method", "rk", "--iters", "10"],
-        ["solve", "--method", "rak", "--iters", "10", "--trace", "t.csv"],
-        ["compare", "--methods", "rk", "--trials", "2", "--checkpoints", "0,5"],
+        (FAR_2X2, ["solve", "--method", "rk", "--iters", "10"]),
+        (FAR_2X2, ["solve", "--method", "rak", "--iters", "10", "--trace", "t.csv"]),
+        (FAR_2X2, ["compare", "--methods", "rk", "--trials", "2", "--checkpoints", "0,5"]),
+        (FAR_1X1, ["solve", "--method", "rk", "--iters", "1000", "--trace", "t.csv"]),
+        (FAR_1X1, ["compare", "--trials", "2", "--checkpoints", "5"]),
     ],
-    ids=["solve", "traced", "compare"],
+    ids=["solve", "traced", "compare", "one-row-traced", "one-row-compare"],
 )
-def test_polyhedron_beyond_float_range_prints_one_line(capsys, tmp_path, argv):
+def test_polyhedron_beyond_float_range_prints_one_line(capsys, tmp_path, text, argv):
     """With warnings as errors, a polyhedron beyond the float64 range
     fails with its error line alone: h_i / ||a_i|| overflows, so the
     full-scale runs stop before any arithmetic on it and the unit-scale
-    solve, scaled back, is refused without a numpy warning."""
+    solve, scaled back, is refused without a numpy warning.  On the
+    one-row file the unit-scale solve's multipliers overflow, and that is
+    refused without a warning too."""
     path = tmp_path / "p.txt"
-    path.write_text(FAR_2X2)
+    path.write_text(text)
     argv = [argv[0], str(path)] + [str(tmp_path / v) if v == "t.csv" else v for v in argv[1:]]
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 3
